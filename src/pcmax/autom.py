@@ -1,11 +1,22 @@
 """Automorphism families of maximal-class groups and the verification drivers.
 
 The family phi_{u,v} sends s to s*u and s_1 to s_1*v for u, v ranging over
-an abelian series term; each member is produced through the derivation
-calculus (the family is 1 + Der(G, A) restricted to the chosen target) and
-certified as an automorphism.  Subgroup-of-order-p^c claims are certified by
-cardinalities of validated, pairwise-distinct member sets together with
-closure checks; the full automorphism group is never materialized.
+an abelian normal series term T; each member is 1 + d for the derivation d
+into T with s d = u and s_1 d = v, built through the derivation calculus
+and certified as an automorphism.  Families are certified, never
+enumerated, by three arguments:
+
+* Der(G, T) is a group under pointwise product and d -> (s d, s_1 d) embeds
+  it in T x T, so the pairs for which phi extends form a subgroup.  phi
+  extending on the basis pairs (b, 1) and (1, b), b in T.basis, proves all
+  |T|^2 pairs.  The members are pairwise distinct because (u, v) is read
+  off the images of s and s_1, and each is an automorphism because it is
+  the identity modulo T, which lies in the Frattini subgroup G_2.
+* When every basis derivation kills T (a property closed under products)
+  and T is abelian, (1+d)(1+d') = 1+d+d': the family is abelian and
+  composition is the product of the parameters.
+* The family is then all of Der(G, T), which is the kernel of
+  Aut(G) -> Aut(G/T), normal in Aut(G) because T is characteristic.
 
 Three drivers verify the statements this package exists to check:
 
@@ -17,14 +28,12 @@ Three drivers verify the statements this package exists to check:
   when the group is metabelian and via the family over A = G_{n-l-1}
   together with the inner automorphisms otherwise.
 * `verify_thm_main2`: the family over G_t with t = max(n-l-1, ceil((n+1)/2))
-  is an abelian subgroup of order p^{2(n-t)} >= p^{n-2p+7}, closed under
-  conjugation by every automorphism the driver can construct.
+  is an abelian normal subgroup of Aut(G) of order p^{2(n-t)} >= p^{n-2p+7}.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -38,10 +47,6 @@ from .maxclass import (MaxClassProfile, build_profile,
 from .pcgroup import Element, PcPresentation, Subgroup
 
 DEFAULT_SEED = 0x5EED_C0DE_2026  # fixed default seed, echoed in every report
-EXHAUSTIVE_PAIR_BUDGET = 10**6
-COMMUTATIVITY_PAIR_BUDGET = 10**4
-SAMPLE_COUNT = 10**3
-CONJUGATION_SAMPLE = 200
 
 
 def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
@@ -59,66 +64,49 @@ def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
     return alpha
 
 
-@dataclass
+@dataclass(frozen=True)
 class AutFamily:
-    """A parameterized set of validated automorphisms."""
+    """phi_{u,v} over a subgroup of target x target, certified from the
+    members on its basis pairs; the other members are never built."""
 
-    description: str
-    parameters: list
-    members: list
+    basis_members: tuple
     claimed_order_exponent: int
-    by_images: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.by_images:
-            self.by_images = {
-                (m.images[0], m.images[1]): m for m in self.members
-            }
-
-    def __len__(self):
-        return len(self.members)
-
-    def distinct(self) -> bool:
-        return len(self.by_images) == len(self.members)
-
-    def lookup(self, gmap: GroupMap):
-        return self.by_images.get((gmap.images[0], gmap.images[1]))
+    detail: str               # the certificate, as a report prints it
 
 
-def build_H(pres: PcPresentation, profile: MaxClassProfile,
-            closure_budget: int = COMMUTATIVITY_PAIR_BUDGET,
-            rng: random.Random | None = None) -> AutFamily:
+def certify_family(pres: PcPresentation, profile: MaxClassProfile,
+                   target: Subgroup, fixes_s: bool = False) -> AutFamily:
+    """Certify phi_{u,v} for every (u, v) in target x target, or for every
+    (1, v) when fixes_s, by validating phi on the basis pairs only.
+
+    The extending pairs form a subgroup of target x target (see the module
+    docstring), so the basis pairs (b, 1) and (1, b), b in target.basis,
+    prove all of them; the members are distinct as (u, v) is read off the
+    images of s and s_1.  Raises TheoremViolation when a basis pair does
+    not extend.
+    """
+    one = pres.identity
+    pairs = [(one, b) for b in target.basis]
+    if not fixes_s:
+        pairs = [(b, one) for b in target.basis] + pairs
+    try:
+        members = tuple(phi(pres, profile, u, v, target=target) for u, v in pairs)
+    except ValidationFailed as exc:
+        raise TheoremViolation(f"a basis pair does not extend: {exc}") from exc
+    exponent = len(pairs)  # one factor p per basis pair, as |target| = p^len(basis)
+    return AutFamily(members, exponent, (
+        f"all {pres.p ** exponent} pairs: phi extends on the {len(pairs)} basis "
+        f"pairs and the extending pairs form a subgroup; pairwise distinct, "
+        f"as (u, v) is read off the images of s and s_1"))
+
+
+def build_H(pres: PcPresentation, profile: MaxClassProfile) -> AutFamily:
     """The subgroup of automorphisms fixing s: all phi_{1, v}, v in A.
 
-    Order p^{n-r}; closure under composition is checked pairwise,
-    memberwise when |A| <= p^3 and on seeded samples otherwise.
+    Order p^{n-r}.  It is closed under composition because it is every
+    automorphism that fixes s and is the identity modulo A.
     """
-    A = profile.A
-    vs = list(A.elements())
-    members = [phi(pres, profile, pres.identity, v) for v in vs]
-    fam = AutFamily(
-        description="automorphisms fixing s",
-        parameters=vs,
-        members=members,
-        claimed_order_exponent=A.order_exponent,
-    )
-    if not fam.distinct():
-        raise TheoremViolation("members of the s-fixing family are not distinct")
-    rng = rng or random.Random(DEFAULT_SEED)
-    size = len(members)
-    if A.order_exponent <= 3:
-        pairs = [(i, j) for i in range(size) for j in range(size)]
-    else:
-        pairs = [(rng.randrange(size), rng.randrange(size))
-                 for _ in range(closure_budget)]
-    s_gen = pres.generators[0]
-    for i, j in pairs:
-        comp = members[i].then(members[j])
-        if comp.images[0] != s_gen:
-            raise TheoremViolation("composition does not fix s")
-        if fam.lookup(comp) is None:
-            raise TheoremViolation("family not closed under composition")
-    return fam
+    return certify_family(pres, profile, profile.A, fixes_s=True)
 
 
 @dataclass
@@ -134,13 +122,11 @@ class VerificationReport:
     input_digest: str
     input_description: str
     profile: dict
-    checks: list
-    achieved_exponent: int | None
-    required_exponent: int | None
     seed: int
-    budgets: dict
+    checks: list = field(default_factory=list)
+    achieved_exponent: int | None = None
+    required_exponent: int | None = None
     status: str = "pass"          # pass | theorem-violation | refused
-    notes: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -154,8 +140,6 @@ class VerificationReport:
             f"input: {self.input_description}",
             f"seed: {self.seed}",
         ]
-        for key in sorted(self.budgets):
-            lines.append(f"budget-{key}: {self.budgets[key]}")
         for key, val in self.profile.items():
             lines.append(f"profile-{key}: {val}")
         for c in self.checks:
@@ -166,35 +150,25 @@ class VerificationReport:
             lines.append(f"achieved-exponent: {self.achieved_exponent}")
         if self.required_exponent is not None:
             lines.append(f"required-exponent: {self.required_exponent}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
         lines.append(f"result: {self.status if self.status != 'pass' else ('pass' if self.ok else 'FAIL')}")
         return "\n".join(lines) + "\n"
 
 
-def _base_report(driver, pres, profile_dict, seed, budgets) -> VerificationReport:
+def _base_report(driver, pres, profile: MaxClassProfile, seed) -> VerificationReport:
     return VerificationReport(
         driver=driver,
         input_digest=pres.digest(),
         input_description=f"pc group of order {pres.p}^{pres.n}",
-        profile=profile_dict,
-        checks=[],
-        achieved_exponent=None,
-        required_exponent=None,
+        profile={
+            "order": f"{pres.p}^{pres.n}",
+            "class": profile.series.nilpotency_class(),
+            "l": profile.l,
+            "r": profile.r,
+            "t": profile.t,
+            "metabelian": profile.metabelian,
+        },
         seed=seed,
-        budgets=budgets,
     )
-
-
-def _profile_dict(profile: MaxClassProfile) -> dict:
-    return {
-        "order": f"{profile.pres.p}^{profile.pres.n}",
-        "class": profile.series.nilpotency_class(),
-        "l": profile.l,
-        "r": profile.r,
-        "t": profile.t,
-        "metabelian": profile.metabelian,
-    }
 
 
 def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResult:
@@ -255,83 +229,24 @@ def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResu
     return CheckResult("H-meets-Inn", True, f"{pres.p}^2 candidates scanned")
 
 
-def _validated_family(pres, profile, target, seed, pair_budget, sample_count,
-                      report, label):
-    """Validate phi_{u,v} over target^2, exhaustively within the budget and
-    by an exhaustive v-slice plus seeded samples otherwise.  Returns
-    (family, exhaustive flag, validated count)."""
-    size = target.order()
-    total_pairs = size * size
-    rng = random.Random(seed)
-    if total_pairs <= pair_budget:
-        members = []
-        params = []
-        try:
-            for u in target.elements():
-                for v in target.elements():
-                    members.append(phi(pres, profile, u, v, target=target))
-                    params.append((u, v))
-        except ValidationFailed as exc:
-            raise TheoremViolation(str(exc)) from exc
-        fam = AutFamily(f"{label} (exhaustive)", params, members,
-                        2 * target.order_exponent)
-        if not fam.distinct():
-            raise TheoremViolation("family members are not pairwise distinct")
-        report.checks.append(CheckResult(
-            f"{label}-validated", True,
-            f"all {total_pairs} pairs validated, pairwise distinct"))
-        return fam, True, total_pairs
-    checked = 0
-    members = []
-    params = []
-    try:
-        for v in target.elements():
-            members.append(phi(pres, profile, pres.identity, v, target=target))
-            params.append((pres.identity, v))
-            checked += 1
-        for _ in range(sample_count):
-            u = target.random_element(rng)
-            v = target.random_element(rng)
-            members.append(phi(pres, profile, u, v, target=target))
-            params.append((u, v))
-            checked += 1
-    except ValidationFailed as exc:
-        raise TheoremViolation(str(exc)) from exc
-    fam = AutFamily(f"{label} (sampled)", params, members,
-                    2 * target.order_exponent)
-    report.checks.append(CheckResult(
-        f"{label}-validated", True,
-        f"sampled: exhaustive v-slice ({size}) plus {sample_count} random pairs"))
-    report.notes.append(
-        f"{label}: {total_pairs} pairs exceed the exhaustive budget; "
-        f"every one of the {checked} sampled pairs validated (sampled confidence)")
-    return fam, False, checked
-
-
-def verify_thm_metabelian(pres: PcPresentation, seed: int = DEFAULT_SEED,
-                          pair_budget: int = EXHAUSTIVE_PAIR_BUDGET,
-                          sample_count: int = SAMPLE_COUNT) -> VerificationReport:
-    """Every pair of derived-subgroup values extends to an automorphism.
-
-    Exhaustive over G_2 x G_2 when within budget; the achieved family order
-    is then p^{2(n-2)}.
-    """
+def verify_thm_metabelian(pres: PcPresentation,
+                          seed: int = DEFAULT_SEED) -> VerificationReport:
+    """Every pair of derived-subgroup values extends to an automorphism;
+    the achieved family order is p^{2(n-2)}."""
     _require_consistent(pres)
-    profile = build_profile(pres, require_chain=True)
+    return _metabelian_report(pres, build_profile(pres, require_chain=True), seed)
+
+
+def _metabelian_report(pres: PcPresentation, profile: MaxClassProfile,
+                       seed: int) -> VerificationReport:
+    """The metabelian driver's report on a consistent presentation whose
+    profile is already built."""
     if not profile.metabelian:
         raise PreconditionRefused("input group is not metabelian")
-    budgets = {"pairs": pair_budget, "samples": sample_count}
-    report = _base_report("metabelian", pres, _profile_dict(profile), seed, budgets)
-    G2 = profile.G(2)
-    fam, exhaustive, checked = _validated_family(
-        pres, profile, G2, seed, pair_budget, sample_count, report,
-        "derived-pair-family")
-    report.achieved_exponent = 2 * (pres.n - 2)
-    if not exhaustive:
-        report.notes.append(
-            "achieved exponent counts the full pair family; validation of it "
-            "was sampled")
-    report.required_exponent = 2 * (pres.n - 2)
+    report = _base_report("metabelian", pres, profile, seed)
+    fam = certify_family(pres, profile, profile.G(2))
+    report.checks.append(CheckResult("derived-pair-family-validated", True, fam.detail))
+    report.achieved_exponent = report.required_exponent = fam.claimed_order_exponent
     return report
 
 
@@ -343,23 +258,20 @@ def _require_consistent(pres: PcPresentation):
         raise InconsistentPresentation(rep.failure)
 
 
-def verify_thm_main1(pres: PcPresentation, seed: int = DEFAULT_SEED,
-                     pair_budget: int = EXHAUSTIVE_PAIR_BUDGET,
-                     sample_count: int = SAMPLE_COUNT) -> VerificationReport:
+def verify_thm_main1(pres: PcPresentation,
+                     seed: int = DEFAULT_SEED) -> VerificationReport:
     """Automorphism count lower bound p^ceil((3n-2p+5)/2) for p >= 5, n > p+1."""
     _require_consistent(pres)
     require_theorem_hypotheses(pres)
     profile = build_profile(pres, require_chain=True)
     p, n = pres.p, pres.n
     required = math.ceil((3 * n - 2 * p + 5) / 2)
-    budgets = {"pairs": pair_budget, "samples": sample_count}
 
     if profile.metabelian:
-        report = verify_thm_metabelian(pres, seed, pair_budget, sample_count)
+        report = _metabelian_report(pres, profile, seed)
         report.driver = "main1"
         report.required_exponent = required
-        achieved = 2 * (n - 2)
-        report.achieved_exponent = achieved
+        achieved = report.achieved_exponent
         report.checks.append(CheckResult(
             "bound", achieved >= required,
             f"metabelian branch: 2(n-2) = {achieved} >= {required}"))
@@ -367,7 +279,7 @@ def verify_thm_main1(pres: PcPresentation, seed: int = DEFAULT_SEED,
             report.status = "theorem-violation"
         return report
 
-    report = _base_report("main1", pres, _profile_dict(profile), seed, budgets)
+    report = _base_report("main1", pres, profile, seed)
     report.required_exponent = required
 
     # stage 1: A = G_r is abelian and the action on it is the standard one
@@ -398,8 +310,8 @@ def verify_thm_main1(pres: PcPresentation, seed: int = DEFAULT_SEED,
     report.checks.append(CheckResult("quotient-matches-reference", iso_ok, iso_detail))
 
     # stage 4: the family over A
-    fam, exhaustive, checked = _validated_family(
-        pres, profile, A, seed, pair_budget, sample_count, report, "A-family")
+    fam = certify_family(pres, profile, A)
+    report.checks.append(CheckResult("A-family-validated", True, fam.detail))
 
     # stage 5: trivial intersection with the inner automorphisms
     inn_check = h_cap_inn_check(pres, profile)
@@ -439,19 +351,14 @@ def _quotient_isomorphic_to_reference(pres: PcPresentation,
     return True, f"generator dictionary is an isomorphism on the order p^{k} quotients"
 
 
-def verify_thm_main2(pres: PcPresentation, seed: int = DEFAULT_SEED,
-                     pair_budget: int = EXHAUSTIVE_PAIR_BUDGET,
-                     commutativity_budget: int = COMMUTATIVITY_PAIR_BUDGET,
-                     conj_sample: int = CONJUGATION_SAMPLE,
-                     sample_count: int = SAMPLE_COUNT) -> VerificationReport:
+def verify_thm_main2(pres: PcPresentation,
+                     seed: int = DEFAULT_SEED) -> VerificationReport:
     """Abelian normal subgroup of automorphisms of order p^{n-2p+7}.
 
-    Builds the family over G_t, certifies it is an abelian group of order
-    p^{2(n-t)} (pairwise commutation within the pair budget, composition =
-    parameter product), and checks closure under conjugation by the inner
-    automorphisms of both generators and seeded members of the wider family,
-    as a machine-checkable proxy for normality in the full automorphism
-    group.
+    Certifies the family over G_t from its basis pairs, then checks that
+    every basis derivation kills G_t; the module docstring gives the
+    arguments that make the family abelian, with composition the product
+    of the parameters, and normal in Aut(G).
     """
     _require_consistent(pres)
     require_theorem_hypotheses(pres)
@@ -459,104 +366,28 @@ def verify_thm_main2(pres: PcPresentation, seed: int = DEFAULT_SEED,
     p, n = pres.p, pres.n
     t = profile.t
     required = n - 2 * p + 7
-    budgets = {
-        "pairs": pair_budget,
-        "commutativity-pairs": commutativity_budget,
-        "conjugation-sample": conj_sample,
-    }
-    report = _base_report("main2", pres, _profile_dict(profile), seed, budgets)
+    report = _base_report("main2", pres, profile, seed)
     report.required_exponent = required
 
     Gt = profile.G(t)
-    rng = random.Random(seed)
-    fam, exhaustive, checked = _validated_family(
-        pres, profile, Gt, seed, pair_budget, sample_count, report, "Gt-family")
-
-    # all constructed derivations kill G_t (so they factor through G/G_t)
-    kernel_ok = all(
-        kernel_contains(m.derivation, Gt) for m in fam.members
-    )
+    fam = certify_family(pres, profile, Gt)
+    report.checks.append(CheckResult("Gt-family-validated", True, fam.detail))
+    kernel_ok = all(kernel_contains(m.derivation, Gt) for m in fam.basis_members)
     report.checks.append(CheckResult(
         "kernel-contains-Gt", kernel_ok,
-        f"G_{t} lies in the kernel of every constructed derivation"))
-
-    # abelian subgroup: commutation and composition-as-parameter-product
-    size = len(fam.members)
-    total_pairs = size * (size - 1) // 2
-    if total_pairs <= commutativity_budget:
-        pair_iter = ((i, j) for i in range(size) for j in range(i + 1, size))
-        comm_detail = f"exhaustive over {total_pairs} unordered pairs"
-    else:
-        pair_iter = ((rng.randrange(size), rng.randrange(size))
-                     for _ in range(commutativity_budget))
-        comm_detail = f"{commutativity_budget} seeded pairs (of {total_pairs})"
-    commute_ok = True
-    product_ok = True
-    for i, j in pair_iter:
-        a, b = fam.members[i], fam.members[j]
-        ab = a.then(b)
-        ba = b.then(a)
-        if ab.images != ba.images:
-            commute_ok = False
-            break
-        ua, va = fam.parameters[i]
-        ub, vb = fam.parameters[j]
-        expected = fam.by_images.get(
-            (pres.multiply(pres.generators[0], pres.multiply(ua, ub)),
-             pres.multiply(pres.generators[1], pres.multiply(va, vb))))
-        if exhaustive and (expected is None or expected.images != ab.images):
-            product_ok = False
-            break
-    report.checks.append(CheckResult("family-commutes", commute_ok, comm_detail))
+        f"G_{t} lies in the kernel of each of the {len(fam.basis_members)} "
+        f"basis derivations, a property closed under products"))
     report.checks.append(CheckResult(
-        "composition-is-parameter-product", product_ok,
-        "phi_{u,v} . phi_{u',v'} = phi_{uu',vv'}"))
-
-    # conjugation closure (normality proxy)
-    conjugators = [
-        ("inner-s", inner_automorphism(pres, profile.s)),
-        ("inner-s1", inner_automorphism(pres, profile.s1)),
-    ]
-    A = profile.A
-    for idx in range(5):
-        u = A.random_element(rng)
-        v = A.random_element(rng)
-        try:
-            conjugators.append((f"A-member-{idx}", phi(pres, profile, u, v)))
-        except ValidationFailed as exc:
-            raise TheoremViolation(str(exc)) from exc
-    if exhaustive and size <= conj_sample:
-        member_sample = list(range(size))
-    else:
-        member_sample = sorted({rng.randrange(size) for _ in range(conj_sample)})
-    closure_ok = True
-    closure_detail = f"{len(member_sample)} members x {len(conjugators)} conjugators"
-    s_inv = pres.invert(pres.generators[0])
-    s1_inv = pres.invert(pres.generators[1])
-    for name, pi in conjugators:
-        pi_inv = invert_automorphism(pres, pi)
-        for idx in member_sample:
-            m = fam.members[idx]
-            conj = pi_inv.then(m).then(pi)
-            u2 = pres.multiply(s_inv, conj.images[0])
-            v2 = pres.multiply(s1_inv, conj.images[1])
-            if not (Gt.contains(u2) and Gt.contains(v2)):
-                closure_ok = False
-                closure_detail = f"conjugate by {name} leaves the family"
-                break
-            rebuilt = fam.by_images.get((conj.images[0], conj.images[1]))
-            if rebuilt is None:
-                rebuilt = phi(pres, profile, u2, v2, target=Gt)
-            if rebuilt.images != conj.images:
-                closure_ok = False
-                closure_detail = f"conjugate by {name} is not the member phi_(u'',v'')"
-                break
-        if not closure_ok:
-            break
-    report.checks.append(CheckResult("conjugation-closure", closure_ok, closure_detail))
-    report.notes.append(
-        "normality is checked against the automorphisms this driver can "
-        "construct; the characteristic property of G_t supplies the rest")
+        "family-commutes", kernel_ok,
+        f"derivations killing the abelian G_{t} compose as "
+        f"(1+d)(1+d') = 1+d+d' = (1+d')(1+d)"))
+    report.checks.append(CheckResult(
+        "composition-is-parameter-product", kernel_ok,
+        "phi_{u,v} . phi_{u',v'} = phi_{uu',vv'}, by the same identity"))
+    report.checks.append(CheckResult(
+        "conjugation-closure", True,
+        f"the family is all of Der(G, G_{t}), the kernel of "
+        f"Aut(G) -> Aut(G/G_{t}), normal as G_{t} is characteristic"))
 
     achieved = 2 * (n - t)
     report.achieved_exponent = achieved

@@ -24,11 +24,11 @@ from math import comb
 
 from .errors import InconsistentPresentation, PresentationError
 from .homs import GroupMap, certify_automorphism, check_homomorphism
-from .pcgroup import ALLOWED_PRIMES, Element, PcPresentation
+from .pcgroup import ALLOWED_PRIMES, PcPresentation
 
 __all__ = [
-    "RingModule", "build_ring_module", "build_m_presentation",
-    "build_blackburn_pc", "m_element", "sigma", "verify_sigma",
+    "RingModule", "build_m_presentation", "build_blackburn_pc", "sigma",
+    "verify_sigma",
     "cross_model_check", "abelian_invariants",
     "module_derivation_from_polynomial", "theta_poly_to_shifted",
 ]
@@ -133,10 +133,6 @@ def theta_poly_to_shifted(p: int, coeffs):
     return [c % p for c in out]
 
 
-def build_ring_module(p: int, n: int) -> RingModule:
-    return RingModule(p, n)
-
-
 def _ring_power_tails(ring: RingModule):
     """Normal forms of p * b_i, i.e. the power-relation tails inside M."""
     return [ring.reduce([ring.p if k == i else 0 for k in range(ring.rank)])
@@ -184,11 +180,6 @@ def build_blackburn_pc(p: int, n: int) -> PcPresentation:
             f"constructed presentation inconsistent: {report.failure}"
         )
     return pres
-
-
-def m_element(m_pres: PcPresentation, ring_vec) -> Element:
-    """Dictionary: ring coefficient vector -> element of the M presentation."""
-    return m_pres.element(ring_vec)
 
 
 def sigma(p: int, n: int, m_pres: PcPresentation | None = None) -> GroupMap:

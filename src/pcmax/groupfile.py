@@ -13,7 +13,8 @@ Layout (whitespace-separated, one item per line, order fixed):
 
 Tail rows are full exponent vectors of length n; commutator rows may be
 omitted for trivial tails, but the writer always emits all of them.  The
-reader enforces the support rules, so a malformed file cannot reach the
+reader enforces the support rules and rejects a second p, n, labels, power
+or comm line for the same item, so a malformed file cannot reach the
 arithmetic layer.
 """
 
@@ -37,31 +38,32 @@ def loads(text: str) -> PcPresentation:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0].split() != ["pcmax-group", "1"]:
         raise PresentationError("missing or unsupported group file header")
-    fields = {"p": None, "n": None, "labels": None}
+    fields = {}
     powers = {}
     comms = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "p" and len(parts) == 2:
-            fields["p"] = _int(parts[1], "p")
-        elif parts[0] == "n" and len(parts) == 2:
-            fields["n"] = _int(parts[1], "n")
+        if parts[0] in ("p", "n") and len(parts) == 2:
+            table, key, value = fields, parts[0], _int(parts[1], parts[0])
         elif parts[0] == "labels":
-            fields["labels"] = tuple(parts[1:])
+            table, key, value = fields, "labels", tuple(parts[1:])
         elif parts[0] == "power":
             if len(parts) < 3 or parts[2] != ":":
                 raise PresentationError(f"malformed power row: {ln!r}")
-            i = _int(parts[1], "generator index")
-            powers[i] = [_int(x, "exponent") for x in parts[3:]]
+            table, key = powers, _int(parts[1], "generator index")
+            value = [_int(x, "exponent") for x in parts[3:]]
         elif parts[0] == "comm":
             if len(parts) < 4 or parts[3] != ":":
                 raise PresentationError(f"malformed comm row: {ln!r}")
-            j = _int(parts[1], "generator index")
-            i = _int(parts[2], "generator index")
-            comms[(j, i)] = [_int(x, "exponent") for x in parts[4:]]
+            table = comms
+            key = (_int(parts[1], "generator index"), _int(parts[2], "generator index"))
+            value = [_int(x, "exponent") for x in parts[4:]]
         else:
             raise PresentationError(f"unrecognized line in group file: {ln!r}")
-    p, n = fields["p"], fields["n"]
+        if key in table:
+            raise PresentationError(f"duplicate line in group file: {ln!r}")
+        table[key] = value
+    p, n = fields.get("p"), fields.get("n")
     if p is None or n is None:
         raise PresentationError("group file must declare p and n")
     power_tails = []
@@ -69,7 +71,7 @@ def loads(text: str) -> PcPresentation:
         if i not in powers:
             raise PresentationError(f"missing power row for generator {i}")
         power_tails.append(powers[i])
-    return PcPresentation(p, n, power_tails, comms, labels=fields["labels"])
+    return PcPresentation(p, n, power_tails, comms, labels=fields.get("labels"))
 
 
 def load(path) -> PcPresentation:

@@ -91,10 +91,6 @@ class GroupMap:
         return f"GroupMap(kind={self.kind}, images={list(self.images)})"
 
 
-def identity_map(pres: PcPresentation) -> GroupMap:
-    return GroupMap(pres, pres.generators, "automorphism")
-
-
 def check_homomorphism(domain: PcPresentation, images,
                        codomain: PcPresentation | None = None,
                        chain_derived: bool = False) -> GroupMap:

@@ -55,11 +55,6 @@ class Element(tuple):
         return "<" + "*".join(parts) + ">"
 
 
-# A word is a sequence of (generator index, signed exponent) pairs, read left
-# to right.
-Word = list
-
-
 @dataclass
 class ConsistencyReport:
     ok: bool
@@ -138,9 +133,6 @@ class PcPresentation:
 
     # -- basic views ------------------------------------------------------
 
-    def order_exponent(self) -> int:
-        return self.n
-
     def element(self, exponents) -> Element:
         t = tuple(int(e) for e in exponents)
         if len(t) != self.n or any(not 0 <= e < self.p for e in t):
@@ -164,7 +156,8 @@ class PcPresentation:
     # -- collection -------------------------------------------------------
 
     def collect(self, word) -> Element:
-        """Normal form of a word of (generator index, signed exponent) pairs."""
+        """Normal form of a word of (generator index, signed exponent) pairs,
+        read left to right."""
         for g, _ in word:
             if not 1 <= g <= self.n:
                 raise PresentationError(f"generator index {g} out of range 1..{self.n}")

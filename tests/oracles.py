@@ -3,11 +3,15 @@
 Everything here is deliberately naive and shares no code with the engine:
 the rewriter applies single relation steps to a fixpoint instead of running
 stack-based collection, the degree-of-commutativity oracle loops over every
-subgroup pair, and coset counting enumerates transversals explicitly.
+subgroup pair, coset counting enumerates transversals explicitly, and the
+pair-family oracle builds a derivation for every pair instead of
+certifying the family from its basis pairs.
 """
 
 from __future__ import annotations
 
+from pcmax.derivations import make_derivation
+from pcmax.errors import ValidationFailed
 from pcmax.pcgroup import Element, PcPresentation
 
 
@@ -102,3 +106,18 @@ def coset_count(pres, H) -> int:
                     nxt.append(h)
         frontier = nxt
     return len(seen)
+
+
+def enumerate_pair_family(pres, target):
+    """Every pair (u, v) of target x target, u in the outer loop, with the
+    derivation a_1 -> u, a_2 -> v it extends to, or None when it does not.
+
+    Yields ((u, v), derivation) lazily, so a caller looking for a
+    non-extending pair may stop at the first.
+    """
+    for u in target.elements():
+        for v in target.elements():
+            try:
+                yield (u, v), make_derivation(pres, target, u, v)
+            except ValidationFailed:
+                yield (u, v), None

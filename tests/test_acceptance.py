@@ -101,8 +101,9 @@ def test_criterion_5_main2_driver(g57):
     assert rep.profile["t"] == 4
     by_name = {c.name: c for c in rep.checks}
     assert "all 15625 pairs" in by_name["Gt-family-validated"].detail
-    assert "10000 seeded pairs" in by_name["family-commutes"].detail
+    assert "(1+d)(1+d') = 1+d+d'" in by_name["family-commutes"].detail
     assert by_name["conjugation-closure"].passed
+    assert "characteristic" in by_name["conjugation-closure"].detail
     assert rep.achieved_exponent == 6
     assert rep.required_exponent == 4 == 7 - 2 * 5 + 7
     elapsed = time.perf_counter() - t0

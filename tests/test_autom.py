@@ -2,17 +2,23 @@
 with inner automorphisms, and the three verification drivers."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from pcmax.autom import (build_H, h_cap_inn_check, invert_automorphism,
-                         phi, verify_thm_main1, verify_thm_main2,
-                         verify_thm_metabelian)
-from pcmax.derivations import make_derivation, negate, one_plus
-from pcmax.errors import HomCheckFailed, PreconditionRefused
+from pcmax.autom import (build_H, certify_family, h_cap_inn_check,
+                         invert_automorphism, phi, verify_thm_main1,
+                         verify_thm_main2, verify_thm_metabelian)
+from pcmax.derivations import kernel_contains, make_derivation, negate, one_plus
+from pcmax.errors import (HomCheckFailed, PreconditionRefused,
+                          TheoremViolation)
 from pcmax.homs import (certify_automorphism, check_homomorphism,
                         inner_automorphism)
+from pcmax.maxclass import build_profile
+from pcmax.search import search_nonmetabelian
 
+from .conftest import SEED
+from .oracles import enumerate_pair_family
 
 
 # -- homomorphism checking -------------------------------------------------------
@@ -155,24 +161,85 @@ def test_phi_distinctness(g57, profile57, rng):
     assert len(seen) == len(params)
 
 
+def certificate_matches_oracle(pres, profile, target):
+    """The basis-pair certificate and the exhaustive enumeration agree: every
+    pair extends and the images are pairwise distinct.  Returns the
+    enumerated derivations by pair."""
+    fam = certify_family(pres, profile, target)
+    family = dict(enumerate_pair_family(pres, target))
+    assert None not in family.values()
+    assert len({d.alpha.images for d in family.values()}) == len(family)
+    assert len(family) == pres.p ** fam.claimed_order_exponent
+    assert f"all {len(family)} pairs" in fam.detail
+    return family
+
+
 def test_phi_whole_family_small(g55, profile55):
     # the derived subgroup family on the order 5^5 group: all 5^6 pairs
-    G2 = profile55.G(2)
-    count = 0
-    for u in G2.elements():
-        for v in G2.elements():
-            phi(g55, profile55, u, v, target=G2)
-            count += 1
-    assert count == 5 ** 6
+    family = certificate_matches_oracle(g55, profile55, profile55.G(2))
+    assert len(family) == 5 ** 6
 
 
-def test_build_H_order_and_closure(g57, profile57):
+@pytest.mark.parametrize("group, profile, term", [
+    ("g35", "profile35", lambda prof: prof.G(2)),
+    ("g57", "profile57", lambda prof: prof.G(prof.t)),
+    ("nonmetabelian58", "nm_profile58", lambda prof: prof.A),
+], ids=["g35-G2", "g57-Gt", "nonmetabelian58-A"])
+def test_certificate_matches_enumeration(request, group, profile, term):
+    pres = request.getfixturevalue(group)
+    pres = getattr(pres, "pres", pres)
+    prof = request.getfixturevalue(profile)
+    certificate_matches_oracle(pres, prof, term(prof))
+
+
+def test_gt_family_is_abelian_and_normal_by_enumeration(g35, profile35):
+    # every composition is the parameter product, and conjugation by the
+    # inner automorphisms of s and s_1 keeps the family
+    Gt = profile35.G(profile35.t)
+    fam = certify_family(g35, profile35, Gt)
+    assert all(kernel_contains(m.derivation, Gt) for m in fam.basis_members)
+    family = certificate_matches_oracle(g35, profile35, Gt)
+    assert len(family) == 81
+    mul = g35.multiply
+    for (u1, v1), d1 in family.items():
+        for (u2, v2), d2 in family.items():
+            product = family[(mul(u1, u2), mul(v1, v2))]
+            assert d1.alpha.then(d2.alpha).images == product.alpha.images
+    images = {d.alpha.images for d in family.values()}
+    for g in (profile35.s, profile35.s1):
+        inner = inner_automorphism(g35, g)
+        inner_inv = inner_automorphism(g35, g35.invert(g))
+        for d in family.values():
+            assert inner_inv.then(d.alpha).then(inner).images in images
+
+
+def test_certificate_rejects_a_non_extending_basis_pair():
+    # G_3 of the searched 5^7 fixture is abelian and normal, but not every
+    # pair of its values extends
+    pres = search_nonmetabelian(5, 7, SEED, budget=5000, l_target=1).pres
+    profile = build_profile(pres, require_chain=True)
+    G3 = profile.G(3)
+    assert G3.is_abelian()
+    with pytest.raises(TheoremViolation):
+        certify_family(pres, profile, G3)
+    assert any(d is None for _, d in enumerate_pair_family(pres, G3))
+
+
+def test_build_H_order_and_closure(g57, profile57, g35, profile35):
     fam = build_H(g57, profile57)
-    assert len(fam) == 5 ** (7 - profile57.r)  # p^{n-r}
-    assert fam.claimed_order_exponent == 7 - profile57.r
-    assert fam.distinct()
-    ident = [m for m in fam.members if m.is_identity()]
-    assert len(ident) == 1
+    assert fam.claimed_order_exponent == 7 - profile57.r  # p^{n-r}
+    assert len(fam.basis_members) == profile57.A.order_exponent
+    assert all(m.images[0] == g57.generators[0] for m in fam.basis_members)
+    assert f"all {5 ** (7 - profile57.r)} pairs" in fam.detail
+    # closure under composition, by enumeration on the order 3^5 group
+    A = profile35.A
+    assert build_H(g35, profile35).claimed_order_exponent == A.order_exponent
+    maps = [d.alpha for (u, _), d in enumerate_pair_family(g35, A) if u.is_identity()]
+    fixing = {m.images for m in maps}
+    assert len(fixing) == 3 ** A.order_exponent
+    for a in maps:
+        for b in maps:
+            assert a.then(b).images in fixing
 
 
 def test_h_cap_inn_refuses_metabelian(g57, profile57):
@@ -221,6 +288,26 @@ def test_main1_metabelian_branch(g57):
     assert rep.achieved_exponent == 10
 
 
+def test_main1_builds_profile_and_checks_consistency_once(g57, monkeypatch):
+    from pcmax import autom
+    from pcmax.pcgroup import PcPresentation
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(autom, "build_profile",
+                        counting("build_profile", autom.build_profile))
+    monkeypatch.setattr(PcPresentation, "consistency_check",
+                        counting("consistency_check", PcPresentation.consistency_check))
+    assert verify_thm_main1(g57).ok
+    assert calls == {"build_profile": 1, "consistency_check": 1}
+
+
 def test_main1_refuses_small_n(g55):
     with pytest.raises(PreconditionRefused):
         verify_thm_main1(g55)
@@ -244,7 +331,7 @@ def test_main1_nonmetabelian(nonmetabelian58):
 
 
 def test_main2_metabelian(g57):
-    rep = verify_thm_main2(g57, commutativity_budget=2000, conj_sample=40)
+    rep = verify_thm_main2(g57)
     assert rep.ok, rep.render()
     assert rep.achieved_exponent == 6     # 2(n - t) with t = 4
     assert rep.required_exponent == 4     # n - 2p + 7

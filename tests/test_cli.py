@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcmax import groupfile
 from pcmax.errors import PresentationError
+from pcmax.pcgroup import PcPresentation
 
 
 def run_cli(*args, **kw):
@@ -46,6 +48,34 @@ def test_bad_support_rejected_at_load(g57):
         "comm 3 1 : 0 0 0 1 0 0 0", "comm 3 1 : 0 1 0 1 0 0 0")
     with pytest.raises(PresentationError):
         groupfile.loads(text)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.one_of(
+    st.sampled_from(["p 5", "p 7", "n 3", "n 0", "labels a b c", "labels",
+                     "power 1 : 0 0 0", "power 2 : 0 0 1", "power 3 : 0 0 0",
+                     "comm 2 1 : 0 0 1", "comm 3 1 : 0 0 0", "comm 1 2 : 0 0 0",
+                     "power x : 0", "comm 2 1 0 0 1", "# comment", ""]),
+    st.text(max_size=20)), max_size=12))
+def test_loads_returns_or_raises_presentation_error(lines):
+    text = "\n".join(["pcmax-group 1", *lines])
+    try:
+        pres = groupfile.loads(text)
+    except PresentationError:
+        return
+    assert isinstance(pres, PcPresentation)
+
+
+@pytest.mark.parametrize("line", ["p 7", "n 5", "labels s s_1 s_2 s_3 s_4",
+                                  "power 2 : 0 0 0 0 0", "comm 3 1 : 0 0 0 1 0"])
+def test_duplicate_line_exit_4(tmp_path, line):
+    from pcmax.blackburn import build_blackburn_pc
+
+    path = tmp_path / "dup.grp"
+    path.write_text(groupfile.dumps(build_blackburn_pc(5, 5)) + line + "\n")
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 4
+    assert "duplicate line" in res.stdout
 
 
 def test_trivial_comm_rows_may_be_omitted(g57):
@@ -89,13 +119,13 @@ def test_build_and_analyze(tmp_path):
 
 
 def test_verify_metabelian_pass(g57_file):
-    res = run_cli("verify", "metabelian", g57_file, "--sample-count", "40")
+    res = run_cli("verify", "metabelian", g57_file)
     assert res.returncode == 0
     assert "result: pass" in res.stdout
 
 
 def test_verify_main1_metabelian_branch(g57_file):
-    res = run_cli("verify", "main1", g57_file, "--sample-count", "40")
+    res = run_cli("verify", "main1", g57_file)
     assert res.returncode == 0
     assert "achieved-exponent: 10" in res.stdout
     assert "required-exponent: 8" in res.stdout
@@ -138,18 +168,26 @@ def test_missing_file_exit_4():
 
 
 def test_reports_are_byte_identical(g57_file):
-    a = run_cli("verify", "metabelian", g57_file, "--seed", "99",
-                "--sample-count", "40")
-    b = run_cli("verify", "metabelian", g57_file, "--seed", "99",
-                "--sample-count", "40")
+    a = run_cli("verify", "metabelian", g57_file, "--seed", "99")
+    b = run_cli("verify", "metabelian", g57_file, "--seed", "99")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
 
 
 def test_report_embeds_version_digest_seed_budgets(g57_file):
-    res = run_cli("verify", "metabelian", g57_file, "--sample-count", "40")
-    for token in ["tool-version:", "input-digest: sha256:", "seed:", "budget-"]:
+    res = run_cli("verify", "metabelian", g57_file)
+    for token in ["tool-version:", "input-digest: sha256:", "seed:"]:
         assert token in res.stdout
+    assert "note:" not in res.stdout
+
+
+@pytest.mark.parametrize("flag", ["--pair-budget", "--sample-count",
+                                  "--commutativity-budget", "--conj-sample"])
+def test_retired_sampling_flags_are_usage_errors(g57_file, flag):
+    res = run_cli("verify", "main2", g57_file, flag, "0")
+    assert res.returncode == 1
+    assert f"unrecognized arguments: {flag} 0" in res.stderr
+    assert res.stdout == ""
 
 
 def test_export_ring():
