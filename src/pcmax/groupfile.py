@@ -14,8 +14,8 @@ Layout (whitespace-separated, one item per line, order fixed):
 Tail rows are full exponent vectors of length n; commutator rows may be
 omitted for trivial tails, but the writer always emits all of them.  The
 reader enforces the support rules and rejects a second p, n, labels, power
-or comm line for the same item, so a malformed file cannot reach the
-arithmetic layer.
+or comm line for the same item and a power row for a generator outside
+1..n, so a malformed file cannot reach the arithmetic layer.
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ def loads(text: str) -> PcPresentation:
     p, n = fields.get("p"), fields.get("n")
     if p is None or n is None:
         raise PresentationError("group file must declare p and n")
+    stray = sorted(i for i in powers if not 1 <= i <= n)
+    if stray:
+        raise PresentationError(f"power row for generator {stray[0]} outside 1..{n}")
     power_tails = []
     for i in range(1, n + 1):
         if i not in powers:

@@ -59,11 +59,51 @@ def validate_maximal_class(pres: PcPresentation, series: SeriesChain | None = No
 
 
 def compute_G1(pres: PcPresentation, series: SeriesChain | None = None) -> Subgroup:
-    """The distinguished maximal subgroup: the centralizer of G_2 modulo G_4."""
+    """The distinguished maximal subgroup G_1 = C_G(G_2/G_4), read off the
+    top layers of the lower central series.
+
+    Needs |G : G_2| = p^2 and |G_2 : G_3| = |G_3 : G_4| = p.  Take x, the
+    first generator outside G_2, and y, the first with h = [x, y] outside
+    G_3: then x, y span G/G_2 = F_p^2 and h spans G_2/G_3.  Let w span
+    G_3/G_4 and psi(g) be the coordinate of [h, g] on w modulo G_4.  As
+    G_3/G_4 is central in G/G_4, [h, gg'] = [h, g'][h, g]^g' makes psi a
+    homomorphism G -> F_p; it kills G_2 since [G_2, G_2] <= G_4, and it is
+    nonzero since [G_2, G] = G_3 > G_4.  Every element of G_2 is h^k modulo
+    G_3 and [G_3, G] <= G_4, so C_G(G_2/G_4) = ker psi, which is
+    <x^psi(y) y^-psi(x), G_2>: a few commutators and one subgroup closure.
+    `PcPresentation.centralizer_mod`, which walks the p^4 cosets of G_4, is
+    the exhaustive reference the tests compare this with.
+    """
     if pres.n < 4:
         raise PresentationError("the distinguished maximal subgroup needs n >= 4")
-    series = series or pres.lower_central_series()
-    return pres.centralizer_mod(series.term(2), series.term(4))
+    if series is None:
+        series = pres.lower_central_series()
+    G2, G3, G4 = series.term(2), series.term(3), series.term(4)
+    exps = (pres.n, G2.order_exponent, G3.order_exponent, G4.order_exponent)
+    if (exps[0] - exps[1], exps[1] - exps[2], exps[2] - exps[3]) != (2, 1, 1):
+        raise PresentationError(
+            "the distinguished maximal subgroup needs top layers of order p^2, p, p")
+    x = next(g for g in pres.generators if not G2.contains(g))
+    for y in pres.generators:
+        h = pres.commutator(x, y)
+        if not G3.contains(h):
+            break
+    else:
+        raise PresentationError("the generators do not span G/G_2")
+    w = next(b for b in G3.basis if not G4.contains(b))
+    w_inv = pres.invert(w)
+
+    def psi(g):
+        c = pres.commutator(h, g)
+        for k in range(pres.p):
+            if G4.contains(c):
+                return k
+            c = pres.multiply(c, w_inv)
+        raise PresentationError("[G_2, G] is not contained in G_3")
+
+    psi_x, psi_y = psi(x), psi(y)
+    kernel = pres.multiply(pres.power(x, psi_y), pres.power(y, -psi_x))
+    return pres.subgroup_from_generators([kernel, *G2.basis])
 
 
 def degree_of_commutativity(pres: PcPresentation, series: SeriesChain,
@@ -167,10 +207,13 @@ class MaxClassProfile:
         return self.s_chain[i - 1]
 
 
-def build_profile(pres: PcPresentation, require_chain: bool = False) -> MaxClassProfile:
+def build_profile(pres: PcPresentation, require_chain: bool = False,
+                  series: SeriesChain | None = None) -> MaxClassProfile:
     """Compute the full profile; raises when the input is not maximal class
-    (or, with require_chain, when the generator chain does not span)."""
-    series = pres.lower_central_series()
+    (or, with require_chain, when the generator chain does not span).
+    Callers that already hold the lower central series pass it in."""
+    if series is None:
+        series = pres.lower_central_series()
     report = validate_maximal_class(pres, series)
     if not report.ok:
         raise PresentationError(f"not a group of maximal class: {report.failure}")

@@ -433,9 +433,11 @@ class PcPresentation:
     def centralizer_mod(self, H: "Subgroup", K: "Subgroup", budget: int = 10**6) -> "Subgroup":
         """{g in G : [h, g] in K for all h generating H}, for K normal, K <= H.
 
-        Runs over canonical coset representatives of G/K (the condition is
-        constant on K-cosets), so the index [G : K] must stay within
-        `budget`.
+        Exhaustive: runs over canonical coset representatives of G/K (the
+        condition is constant on K-cosets), so the index [G : K] must stay
+        within `budget`.  It is the general routine and the reference that
+        `maxclass.compute_G1`, which reads G_1 = C_G(G_2/G_4) off the top
+        layers instead, is tested against.
         """
         for b in K.basis:
             if not H.contains(b):

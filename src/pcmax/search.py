@@ -173,11 +173,12 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
             continue
         if not cand.consistency_check().ok:
             continue
-        report = validate_maximal_class(cand)
+        series = cand.lower_central_series()
+        report = validate_maximal_class(cand, series)
         if not (report.ok and report.standard_chain):
             continue
         try:
-            profile = build_profile(cand, require_chain=True)
+            profile = build_profile(cand, require_chain=True, series=series)
         except PresentationError:
             continue
         if profile.metabelian:

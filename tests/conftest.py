@@ -65,6 +65,13 @@ def nonmetabelian58():
 
 
 @pytest.fixture(scope="session")
+def nonmetabelian57():
+    result = search_nonmetabelian(5, 7, seed=SEED, budget=5000, l_target=1)
+    assert result is not None, "fixture search exhausted its budget"
+    return result
+
+
+@pytest.fixture(scope="session")
 def nm_profile58(nonmetabelian58):
     return build_profile(nonmetabelian58.pres, require_chain=True)
 

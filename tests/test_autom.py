@@ -1,6 +1,7 @@
 """Generator-image maps, the phi family, the s-fixing subgroup, intersection
 with inner automorphisms, and the three verification drivers."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -15,9 +16,7 @@ from pcmax.errors import (HomCheckFailed, PreconditionRefused,
 from pcmax.homs import (certify_automorphism, check_homomorphism,
                         inner_automorphism)
 from pcmax.maxclass import build_profile
-from pcmax.search import search_nonmetabelian
 
-from .conftest import SEED
 from .oracles import enumerate_pair_family
 
 
@@ -213,10 +212,10 @@ def test_gt_family_is_abelian_and_normal_by_enumeration(g35, profile35):
             assert inner_inv.then(d.alpha).then(inner).images in images
 
 
-def test_certificate_rejects_a_non_extending_basis_pair():
+def test_certificate_rejects_a_non_extending_basis_pair(nonmetabelian57):
     # G_3 of the searched 5^7 fixture is abelian and normal, but not every
     # pair of its values extends
-    pres = search_nonmetabelian(5, 7, SEED, budget=5000, l_target=1).pres
+    pres = nonmetabelian57.pres
     profile = build_profile(pres, require_chain=True)
     G3 = profile.G(3)
     assert G3.is_abelian()
@@ -250,6 +249,31 @@ def test_h_cap_inn_refuses_metabelian(g57, profile57):
 def test_h_cap_inn_nonmetabelian(nonmetabelian58, nm_profile58):
     res = h_cap_inn_check(nonmetabelian58.pres, nm_profile58)
     assert res.passed, res.detail
+    assert res.detail.startswith("chain argument: C_G(s) <= <s>G_7")
+    assert "5^2 candidates scanned" in res.detail
+
+
+def test_h_cap_inn_refuses_without_spanning_chain(nonmetabelian58, nm_profile58):
+    profile = dataclasses.replace(nm_profile58, chain_spans=False)
+    with pytest.raises(PreconditionRefused, match="does not span"):
+        h_cap_inn_check(nonmetabelian58.pres, profile)
+
+
+def test_h_cap_inn_conjugations_are_quadratic_in_p(nonmetabelian58, nm_profile58,
+                                                   monkeypatch):
+    # walking the orbit of s would take 2 p^{n-2} = 31 250 conjugations here
+    from pcmax.pcgroup import PcPresentation
+
+    calls = Counter()
+    conjugate = PcPresentation.conjugate
+
+    def counting(self, a, b):
+        calls["conjugate"] += 1
+        return conjugate(self, a, b)
+
+    monkeypatch.setattr(PcPresentation, "conjugate", counting)
+    assert h_cap_inn_check(nonmetabelian58.pres, nm_profile58).passed
+    assert calls["conjugate"] <= 2 * 5 ** 2
 
 
 def test_phi_group_iso_against_summed_derivations(g57, profile57, rng):

@@ -78,6 +78,18 @@ def test_duplicate_line_exit_4(tmp_path, line):
     assert "duplicate line" in res.stdout
 
 
+@pytest.mark.parametrize("line", ["power 6 : 0 0 0 0 0", "power 9 : 1 2 3",
+                                  "power 0 : 4", "power -1 : 0 0 0 0 0"])
+def test_power_row_outside_range_exit_4(tmp_path, line):
+    from pcmax.blackburn import build_blackburn_pc
+
+    path = tmp_path / "stray.grp"
+    path.write_text(groupfile.dumps(build_blackburn_pc(5, 5)) + line + "\n")
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 4
+    assert "outside 1..5" in res.stdout
+
+
 def test_trivial_comm_rows_may_be_omitted(g57):
     lines = [ln for ln in groupfile.dumps(g57).splitlines()
              if not (ln.startswith("comm") and set(ln.split(":")[1].split()) == {"0"})]
@@ -116,6 +128,25 @@ def test_build_and_analyze(tmp_path):
     assert "degree-of-commutativity: 4" in res.stdout
     assert "metabelian: yes" in res.stdout
     assert "t: 4" in res.stdout
+
+
+def test_analyze_builds_lower_central_series_once(nonmetabelian58, tmp_path,
+                                                  monkeypatch, capsys):
+    from pcmax import cli
+
+    calls = []
+    series = PcPresentation.lower_central_series
+
+    def counting(self):
+        calls.append(self)
+        return series(self)
+
+    path = tmp_path / "nm58.grp"
+    groupfile.dump(nonmetabelian58.pres, path)
+    monkeypatch.setattr(PcPresentation, "lower_central_series", counting)
+    assert cli.main(["analyze", str(path)]) == 0
+    assert "degree-of-commutativity: 2" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_verify_metabelian_pass(g57_file):

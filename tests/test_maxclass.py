@@ -6,13 +6,14 @@ from math import comb
 
 import pytest
 
+from pcmax.blackburn import build_blackburn_pc
 from pcmax.errors import PresentationError
 from pcmax.maxclass import (build_profile, compute_G1, conjugacy_facts,
                             degree_of_commutativity, standard_generators,
                             validate_maximal_class, verify_exponent_relations)
 from pcmax.pcgroup import PcPresentation
 
-from .conftest import SEED
+from .conftest import GRID, SEED
 from .oracles import brute_degree_of_commutativity
 
 
@@ -44,6 +45,72 @@ def test_compute_G1_index_p(g36):
 def test_compute_G1_requires_n4():
     pres = PcPresentation(5, 3, [(0, 0, 0)] * 3, {(2, 1): (0, 0, 1)})
     with pytest.raises(PresentationError):
+        compute_G1(pres)
+
+
+def _G1_against_oracle(pres):
+    """compute_G1, after checking it against the exhaustive coset walk."""
+    series = pres.lower_central_series()
+    G1 = compute_G1(pres, series)
+    assert G1 == pres.centralizer_mod(series.term(2), series.term(4))
+    assert pres.n - G1.order_exponent == 1
+    return G1
+
+
+def _rebased(pres, b1, b2):
+    """The same group on the pc sequence b1, b2, a_3, ..., a_n, for b1, b2
+    spanning G/G_2 where G_2 = <a_3, ..., a_n>."""
+    p, n = pres.p, pres.n
+
+    def coords(g):
+        for e1 in range(p):
+            for e2 in range(p):
+                head = pres.multiply(pres.power(b1, e1), pres.power(b2, e2))
+                rest = pres.multiply(pres.invert(head), g)
+                if not (rest[0] or rest[1]):
+                    return (e1, e2, *rest[2:])
+        raise AssertionError("b1, b2 do not span G/G_2")
+
+    gens = [b1, b2, *pres.generators[2:]]
+    return PcPresentation(
+        p, n, [coords(pres.power(g, p)) for g in gens],
+        {(j + 1, i + 1): coords(pres.commutator(gens[j], gens[i]))
+         for j in range(n) for i in range(j)})
+
+
+@pytest.mark.parametrize("p,n", GRID)
+def test_compute_G1_matches_centralizer_mod_on_grid(p, n):
+    _G1_against_oracle(build_blackburn_pc(p, n))
+
+
+def test_compute_G1_matches_centralizer_mod_on_fixtures(nonmetabelian57, nonmetabelian58):
+    for result in (nonmetabelian57, nonmetabelian58):
+        _G1_against_oracle(result.pres)
+
+
+def test_compute_G1_matches_centralizer_mod_off_the_suffix(g57, nonmetabelian58):
+    # on the sequence s s_1, s, s_2, ... neither generator lies in G_1, so
+    # both coordinates of the functional are nonzero
+    for pres in (g57, nonmetabelian58.pres):
+        s, s1 = pres.generators[:2]
+        twisted = _rebased(pres, pres.multiply(s, s1), s)
+        assert twisted.consistency_check().ok
+        G1 = _G1_against_oracle(twisted)
+        assert G1.suffix_start() is None
+        assert not any(G1.contains(g) for g in twisted.generators[:2])
+
+
+@pytest.mark.parametrize("pres", [
+    PcPresentation(5, 4, [(0,) * 4] * 4, {}),                      # abelian
+    PcPresentation(5, 4, [(0,) * 4] * 4, {(2, 1): (0, 0, 1, 0)}),  # |G:G_2| = p^3
+    # free class-3 exponent-5 group on two generators: |G_3 : G_4| = p^2
+    PcPresentation(5, 5, [(0,) * 5] * 5, {(2, 1): (0, 0, 1, 0, 0),
+                                          (3, 1): (0, 0, 0, 1, 0),
+                                          (3, 2): (0, 0, 0, 0, 1)}),
+], ids=["abelian", "wide-top", "wide-third-layer"])
+def test_compute_G1_rejects_other_top_layers(pres):
+    assert pres.consistency_check().ok
+    with pytest.raises(PresentationError, match="top layers"):
         compute_G1(pres)
 
 

@@ -1,5 +1,7 @@
 """The randomized fixture search: determinism, oracle guarantees, budget."""
 
+from collections import Counter
+
 import pytest
 
 from pcmax.errors import PresentationError
@@ -27,6 +29,26 @@ def test_search_result_passes_the_oracle(nonmetabelian58):
     profile = build_profile(pres, require_chain=True)
     assert not profile.metabelian
     assert profile.l == nonmetabelian58.l == 2
+
+
+def test_search_builds_one_series_per_candidate(monkeypatch):
+    from pcmax import search
+    from pcmax.pcgroup import PcPresentation
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PcPresentation, "lower_central_series",
+                        counting("series", PcPresentation.lower_central_series))
+    monkeypatch.setattr(search, "validate_maximal_class",
+                        counting("validate", search.validate_maximal_class))
+    assert search_nonmetabelian(5, 7, seed=SEED, budget=5000, l_target=1)
+    assert calls["series"] == calls["validate"] > 0
 
 
 def test_search_different_seed_still_hits():
