@@ -60,8 +60,7 @@ def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
     target = target or profile.A
     d = make_derivation(pres, target, u, v)
     alpha = one_plus(d)
-    alpha.derivation = d
-    return alpha
+    return GroupMap(pres, alpha.images, alpha.kind, derivation=d)
 
 
 @dataclass(frozen=True)

@@ -166,8 +166,6 @@ def one_plus(d: Derivation) -> GroupMap:
     contains every series term G_r with r >= 2.
     """
     alpha = d.alpha
-    if alpha.kind in ("automorphism", "inner"):
-        return alpha
     pres = d.pres
     from .homs import certify_automorphism
 

@@ -1,7 +1,8 @@
 """Group maps given by generator images, with homomorphism validation.
 
 A GroupMap stores one image per generator of its domain presentation and a
-validation state:
+validation state, fixed when the map is built; validation returns a new map
+with the upgraded state and never changes its argument:
 
     unvalidated -> homomorphism -> endomorphism -> automorphism
                                                 -> inner
@@ -25,7 +26,8 @@ class GroupMap:
                  "derivation", "_pow_cache")
 
     def __init__(self, domain: PcPresentation, images, kind="unvalidated",
-                 codomain: PcPresentation | None = None, inner_by=None):
+                 codomain: PcPresentation | None = None, inner_by=None,
+                 derivation=None):
         self.domain = domain
         self.codomain = codomain or domain
         images = tuple(images)
@@ -34,8 +36,16 @@ class GroupMap:
         self.images = images
         self.kind = kind
         self.inner_by = inner_by
-        self.derivation = None
+        self.derivation = derivation
         self._pow_cache = None
+
+    def _with_kind(self, kind: str) -> "GroupMap":
+        """The same map in another validation state; the image-power cache,
+        a function of the images alone, is shared."""
+        gmap = GroupMap(self.domain, self.images, kind, codomain=self.codomain,
+                        inner_by=self.inner_by, derivation=self.derivation)
+        gmap._pow_cache = self._pow_cache
+        return gmap
 
     # -- evaluation ---------------------------------------------------------
 
@@ -96,8 +106,8 @@ def check_homomorphism(domain: PcPresentation, images,
                        chain_derived: bool = False) -> GroupMap:
     """Verify all defining relations under the substitution a_i -> images[i].
 
-    Returns the map with its kind upgraded to homomorphism/endomorphism;
-    raises HomCheckFailed naming the first violated relation.
+    Returns a map of kind homomorphism/endomorphism; raises HomCheckFailed
+    naming the first violated relation.
 
     `chain_derived` may be set by callers that computed images[i] for i >= 2
     as commutator(images[i-1], images[0]) on a presentation satisfying the
@@ -123,8 +133,7 @@ def check_homomorphism(domain: PcPresentation, images,
             rhs = gmap.evaluate(tail) if tail is not None else cod.identity
             if lhs != rhs:
                 raise HomCheckFailed(f"[a_{j}, a_{i}] = tail")
-    gmap.kind = "endomorphism" if cod is domain else "homomorphism"
-    return gmap
+    return gmap._with_kind("endomorphism" if cod is domain else "homomorphism")
 
 
 def inner_automorphism(pres: PcPresentation, g: Element) -> GroupMap:
@@ -134,7 +143,8 @@ def inner_automorphism(pres: PcPresentation, g: Element) -> GroupMap:
 
 
 def certify_automorphism(gmap: GroupMap, frattini_pivots=None) -> GroupMap:
-    """Upgrade a validated endomorphism to an automorphism, or raise.
+    """The validated endomorphism as an automorphism, or raise; the
+    argument keeps its kind.
 
     Fast route: when the Frattini subgroup is known to be the suffix
     subgroup on the given pivot set (as validated for standard maximal-class
@@ -153,13 +163,11 @@ def certify_automorphism(gmap: GroupMap, frattini_pivots=None) -> GroupMap:
         free = [i for i in range(1, pres.n + 1) if i not in frattini_pivots]
         mat = [[gmap.images[c - 1][r - 1] for c in free] for r in free]
         if _det_mod(mat, pres.p):
-            gmap.kind = "automorphism"
-            return gmap
+            return gmap._with_kind("automorphism")
         raise HomCheckFailed("images do not generate the group modulo Frattini")
     image = pres.subgroup_from_generators(gmap.images)
     if image.order_exponent == pres.n:
-        gmap.kind = "automorphism"
-        return gmap
+        return gmap._with_kind("automorphism")
     raise HomCheckFailed("images generate a proper subgroup")
 
 

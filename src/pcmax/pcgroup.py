@@ -17,7 +17,10 @@ test may be fed to the higher layers.
 Conventions fixed here and used everywhere else:
 
 * words and products read left to right: `multiply(a, b)` is "a then b";
-* `conjugate(a, b) = b^-1 a b` and `commutator(a, b) = a^-1 b^-1 a b`;
+* `solve(a, b)` is the x with a x = b, i.e. a^-1 b; every division goes
+  through it, so `invert(a) = solve(a, 1)`;
+* `conjugate(a, b) = b^-1 a b = solve(b, ab)` and
+  `commutator(a, b) = a^-1 b^-1 a b = solve(ba, ab)`;
 * the suffix subgroups Gamma_k = <a_k, ..., a_n> form a central series, so
   every suffix subgroup is normal and its layers are elementary abelian.
 """
@@ -69,7 +72,11 @@ class PcPresentation:
     """A weighted power-commutator presentation of a finite p-group.
 
     Treated as immutable after construction; all operations are pure
-    functions of their inputs, so concurrent use is safe.
+    functions of their inputs, so concurrent use is safe.  The collector
+    keeps one cache on the presentation, the normal forms of the conjugates
+    (a_j^e)^(a_g): it is filled lazily, each entry is a deterministic
+    function of the relations, and computing an entry twice stores the same
+    value, so a race between threads can only repeat work.
     """
 
     def __init__(self, p, n, power_tails, commutator_tails, labels=None):
@@ -119,6 +126,9 @@ class PcPresentation:
         # Smallest k such that all generators of index >= k commute pairwise;
         # products supported there collect by plain exponent addition.
         self._abelian_start = max((i + 1 for (_, i) in self.commutator_tails), default=1)
+        # (j, e, g) -> letters of the normal form of (a_j^e)^(a_g), for e > 1
+        # and a_j, a_g not commuting; lazy, see _conj_power()
+        self._conj_powers = {}
         self._standard_chain = None  # lazy; see has_standard_chain()
 
     def _check_tail(self, tail, min_support, what):
@@ -157,67 +167,78 @@ class PcPresentation:
 
     def collect(self, word) -> Element:
         """Normal form of a word of (generator index, signed exponent) pairs,
-        read left to right."""
-        for g, _ in word:
+        read left to right.
+
+        A letter a_g^-e stands for the letters of the normal form of
+        (a_g^e)^-1, computed by `solve`, so the collector only ever sees
+        positive exponents.
+        """
+        stack = []
+        for g, e in reversed(list(word)):
             if not 1 <= g <= self.n:
                 raise PresentationError(f"generator index {g} out of range 1..{self.n}")
+            e = int(e)
+            if e > 0:
+                stack.append((g, e))
+            elif e < 0:
+                inv = self.invert(self.power(self.generators[g - 1], -e))
+                stack.extend((k + 1, c) for k, c in reversed(list(enumerate(inv))) if c)
         vec = [0] * self.n
-        stack = [(g, int(e)) for g, e in reversed(list(word))]
         self._collect(vec, stack)
         return Element(vec)
 
     def _collect(self, vec, stack):
         # Collection from the left.  `vec` is the collected prefix in normal
-        # form; `stack` holds the uncollected rest of the word, the top of
-        # the stack being the leftmost remaining letter.
+        # form; `stack` holds the uncollected rest of the word as letters
+        # (g, e) with e > 0, the top of the stack being the leftmost one.
         p = self.p
         n = self.n
         pt = self._pt_letters
         conj = self._conj_letters
+        cpow = self._conj_powers
+        abelian_start = self._abelian_start
         while stack:
             g, e = stack.pop()
-            if not e:
-                continue
-            if e < 0:
-                # a_g^-1 = a_g^{p-1} * (a_g^p)^-1, one inverse letter at a time;
-                # the inverse of the tail word reads right to left, so pushing
-                # its letters in forward order makes the last one pop first
-                if e < -1:
-                    stack.append((g, e + 1))
-                tail = pt[g - 1]
-                if tail:
-                    stack.extend((k, -c) for k, c in tail)
-                stack.append((g, p - 1))
+            if g >= abelian_start:
+                # a_g and the tail of a_g^p commute with everything above g
+                total = vec[g - 1] + e
+                vec[g - 1] = total % p
+                if total >= p and pt[g - 1]:
+                    stack.extend(pt[g - 1] * (total // p))
                 continue
             top = 0
             for j in range(n, g, -1):
                 if vec[j - 1]:
                     top = j
                     break
-            if not top:
+            # The block above g is vec[g..top-1] (empty when top is 0).  If
+            # everything in it commutes with a_g, add in place; a power
+            # overflow then puts the tail of a_g^p left of the block, so
+            # both go back on the stack for recollection.
+            clean = True
+            for j in range(g + 1, top + 1):
+                if vec[j - 1] and (j, g) in conj:
+                    clean = False
+                    break
+            if clean:
                 total = vec[g - 1] + e
                 vec[g - 1] = total % p
                 q = total // p
-                if q:
-                    tail = pt[g - 1]
-                    if tail:
-                        rev = tuple(reversed(tail))
-                        for _ in range(q):
-                            stack.extend(rev)
+                tail = pt[g - 1]
+                if q and tail:
+                    block = []
+                    for j in range(g + 1, top + 1):
+                        if vec[j - 1]:
+                            block.append((j, vec[j - 1]))
+                            vec[j - 1] = 0
+                    stack.extend(reversed(block))
+                    rev = tuple(reversed(tail))
+                    for _ in range(q):
+                        stack.extend(rev)
                 continue
-            # There is a nonzero block above g.  If everything in the block
-            # commutes with a_g and no power overflow occurs, add in place.
-            if vec[g - 1] + e < p:
-                clean = True
-                for j in range(g + 1, top + 1):
-                    if vec[j - 1] and (j, g) in conj:
-                        clean = False
-                        break
-                if clean:
-                    vec[g - 1] += e
-                    continue
-            # General step: move a single a_g past the block, conjugating
-            # the block and pushing it back for recollection.
+            # General step: move a single a_g past the block, replacing each
+            # block letter a_j^{e_j} by the normal form of its conjugate, and
+            # push the conjugated block back for recollection.
             if e > 1:
                 stack.append((g, e - 1))
             buf = []
@@ -229,9 +250,13 @@ class PcPresentation:
                 cl = conj.get((j, g))
                 if cl is None:
                     buf.append((j, ej))
+                elif ej == 1:
+                    buf.extend(cl)
                 else:
-                    for _ in range(ej):
-                        buf.extend(cl)
+                    form = cpow.get((j, ej, g))
+                    if form is None:
+                        form = self._conj_power(j, ej, g)
+                    buf.extend(form)
             vec[g - 1] += 1
             overflow = vec[g - 1] == p
             if overflow:
@@ -241,6 +266,19 @@ class PcPresentation:
                 tail = pt[g - 1]
                 if tail:
                     stack.extend(reversed(tail))
+
+    def _conj_power(self, j, e, g):
+        """Letters of the normal form of (a_j^e)^(a_g), cached.
+
+        Collected from e copies of the letters of a_j^(a_g) = a_j [a_j, a_g].
+        Every letter there has index >= j > g, so the collection only asks
+        for forms with a larger conjugating index and the recursion ends.
+        """
+        vec = [0] * self.n
+        self._collect(vec, list(reversed(self._conj_letters[(j, g)])) * e)
+        form = tuple((k + 1, c) for k, c in enumerate(vec) if c)
+        self._conj_powers[(j, e, g)] = form
+        return form
 
     # -- element operations ------------------------------------------------
 
@@ -254,14 +292,29 @@ class PcPresentation:
         self._collect(vec, stack)
         return Element(vec)
 
+    def solve(self, a: Element, b: Element) -> Element:
+        """The x with a * x = b, that is a^-1 * b.
+
+        Coordinate by coordinate: once a * a_1^{x_1} ... a_{i-1}^{x_{i-1}}
+        agrees with b below index i, right multiplication by a_i^c leaves
+        those coordinates alone and adds c to coordinate i, so
+        x_i = b_i - (running product)_i mod p.  That is at most n one-letter
+        collections with positive exponents.
+        """
+        p = self.p
+        vec = list(a)
+        x = [0] * self.n
+        for i in range(self.n):
+            c = (b[i] - vec[i]) % p
+            if c:
+                x[i] = c
+                self._collect(vec, [(i + 1, c)])
+        return Element(x)
+
     def invert(self, a: Element) -> Element:
         if not any(a):
             return a
-        vec = [0] * self.n
-        # letters of the inverse word, a_n^{-e_n} ... a_1^{-e_1}
-        stack = [(i + 1, -a[i]) for i in range(self.n) if a[i]]
-        self._collect(vec, stack)
-        return Element(vec)
+        return self.solve(a, self.identity)
 
     def power(self, a: Element, k: int) -> Element:
         if k < 0:
@@ -278,20 +331,18 @@ class PcPresentation:
         return result
 
     def conjugate(self, a: Element, b: Element) -> Element:
-        """b^-1 * a * b."""
+        """b^-1 * a * b, the x with b * x = a * b."""
         lead = min(x.leading_index() or self.n + 1 for x in (a, b))
         if lead >= self._abelian_start:
             return a
-        return self.multiply(self.multiply(self.invert(b), a), b)
+        return self.solve(b, self.multiply(a, b))
 
     def commutator(self, a: Element, b: Element) -> Element:
-        """a^-1 * b^-1 * a * b."""
+        """a^-1 * b^-1 * a * b, the x with b * a * x = a * b."""
         lead = min(x.leading_index() or self.n + 1 for x in (a, b))
         if lead >= self._abelian_start:
             return self.identity
-        ab = self.multiply(a, b)
-        ba = self.multiply(b, a)
-        return self.multiply(self.invert(ba), ab)
+        return self.solve(self.multiply(b, a), self.multiply(a, b))
 
     def element_order(self, a: Element) -> int:
         order = 1
@@ -392,10 +443,11 @@ class PcPresentation:
         generators.
         """
         basis = []
+        pivots = []
         queue = [g for g in gens]
         while queue:
             x = queue.pop()
-            x = _sift(self, basis, x)
+            x = _sift(self, basis, pivots, x)
             if not any(x):
                 continue
             lead = x.leading_index()
@@ -403,9 +455,10 @@ class PcPresentation:
             if c != 1:
                 x = self.power(x, pow(c, -1, self.p))
             pos = 0
-            while pos < len(basis) and basis[pos].leading_index() < lead:
+            while pos < len(pivots) and pivots[pos] < lead:
                 pos += 1
             basis.insert(pos, x)
+            pivots.insert(pos, lead)
             queue.append(self.power(x, self.p))
             for b in basis:
                 if b is not x:
@@ -516,13 +569,13 @@ class PcPresentation:
         return f"PcPresentation(p={self.p}, n={self.n})"
 
 
-def _sift(pres, basis, x):
-    """Reduce x against an echelon basis, clearing pivots in ascending order."""
-    for b in basis:
-        lead = b.leading_index()
+def _sift(pres, basis, pivots, x):
+    """Reduce x against an echelon basis with the given pivots, clearing them
+    in ascending order by left division: x becomes (b^c)^-1 x."""
+    for b, lead in zip(basis, pivots):
         c = x[lead - 1]
         if c:
-            x = pres.multiply(pres.power(b, -c), x)
+            x = pres.solve(pres.power(b, c), x)
     return x
 
 
@@ -535,7 +588,7 @@ def _canonicalize(pres, basis):
         for k in range(m + 1, len(basis)):
             c = b[pivots[k] - 1]
             if c:
-                b = pres.multiply(b, pres.power(basis[k], -c))
+                b = pres.multiply(b, pres.invert(pres.power(basis[k], c)))
         basis[m] = b
     return tuple(basis)
 
@@ -579,14 +632,14 @@ class Subgroup:
     def sift(self, x: Element) -> Element:
         if self._unit_basis and self.contains(x):
             return self.pres.identity
-        return _sift(self.pres, self.basis, x)
+        return _sift(self.pres, self.basis, self._pivots, x)
 
     def contains(self, x: Element) -> bool:
         if self._unit_basis:
             # the member set is exactly the vectors supported on the pivots
             pivots = set(self._pivots)
             return all(e == 0 for i, e in enumerate(x, start=1) if i not in pivots)
-        return not any(_sift(self.pres, self.basis, x))
+        return not any(_sift(self.pres, self.basis, self._pivots, x))
 
     __contains__ = contains
 
@@ -682,8 +735,8 @@ class SeriesChain:
 def _coset_canon(pres, K, g):
     """Canonical representative of gK: pivot coordinates cleared by right
     multiplication with basis members of K."""
-    for b in K.basis:
-        c = g[b.leading_index() - 1]
+    for b, lead in zip(K.basis, K._pivots):
+        c = g[lead - 1]
         if c:
-            g = pres.multiply(g, pres.power(b, -c))
+            g = pres.multiply(g, pres.invert(pres.power(b, c)))
     return g

@@ -15,20 +15,37 @@ from pcmax.errors import ValidationFailed
 from pcmax.pcgroup import Element, PcPresentation
 
 
+def naive_inverse_letters(pres: PcPresentation, g: int) -> list[int]:
+    """Single positive letters of a word for a_g^-1.
+
+    a_g^-1 = a_g^(p-1) (a_g^p)^-1, and the inverse of the power tail is its
+    letters in reverse order, each inverted the same way; the tail lives
+    above g, so the recursion ends.
+    """
+    out = [g] * (pres.p - 1)
+    tail = pres.power_tails[g - 1]
+    for k in range(pres.n, g, -1):
+        for _ in range(tail[k - 1]):
+            out.extend(naive_inverse_letters(pres, k))
+    return out
+
+
 def naive_collect(pres: PcPresentation, word) -> Element:
     """Fixpoint rewriting on fully expanded letter strings.
 
-    The word is flattened to single generators (positive exponents only);
-    each pass fixes the leftmost violation: either an adjacent descending
-    pair, rewritten with a_j a_i -> a_i a_j [a_j, a_i], or p equal adjacent
-    letters, rewritten with the power relation.
+    The word is flattened to single generators, a letter a_g^-e becoming e
+    copies of `naive_inverse_letters(g)`; each pass fixes the leftmost
+    violation: either an adjacent descending pair, rewritten with
+    a_j a_i -> a_i a_j [a_j, a_i], or p equal adjacent letters, rewritten
+    with the power relation.
     """
     p = pres.p
     letters: list[int] = []
     for g, e in word:
         if e < 0:
-            raise ValueError("the naive oracle only handles positive exponents")
-        letters.extend([g] * e)
+            letters.extend(naive_inverse_letters(pres, g) * -e)
+        else:
+            letters.extend([g] * e)
 
     def tail_letters(el):
         out = []

@@ -44,6 +44,19 @@ def test_sigma_extension_validates(g57):
     assert gmap.images == inner.images
 
 
+def test_certify_automorphism_leaves_its_argument_unchanged(g57, profile57, rng):
+    gmap = check_homomorphism(g57, g57.generators)
+    auto = certify_automorphism(gmap)
+    assert auto is not gmap and auto.kind == "automorphism"
+    assert gmap.kind == "endomorphism"
+    # the same through the Frattini route that one_plus takes, and phi
+    # carries its derivation from construction on
+    d = make_derivation(g57, profile57.A, profile57.A.random_element(rng), g57.identity)
+    assert one_plus(d).kind == "automorphism"
+    assert d.alpha.kind == "endomorphism"
+    assert phi(g57, profile57, d.u, d.v).derivation.u == d.u
+
+
 def test_generator_swap_fails_hom_check(g57):
     images = list(g57.generators)
     images[0], images[1] = images[1], images[0]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcmax.errors import PresentationError
+from pcmax.maxclass import build_profile
 from pcmax.pcgroup import Element, PcPresentation
 
 from .conftest import SEED
@@ -102,6 +103,95 @@ def test_collect_negative_exponents(g57, rng):
         assert g57.collect(word) == g57.invert(g)
 
 
+# -- left division and signed letters against the oracle ---------------------
+
+
+@pytest.fixture(scope="session", params=["g35", "g55", "nonmetabelian57"])
+def oracle_pres(request):
+    value = request.getfixturevalue(request.param)
+    return value if isinstance(value, PcPresentation) else value.pres
+
+
+def elements_of(pres):
+    return st.lists(st.integers(0, pres.p - 1), min_size=pres.n,
+                    max_size=pres.n).map(Element)
+
+
+def letters(el, sign=1):
+    """The normal-form word of el, or of el^-1 when sign is -1."""
+    word = [(i + 1, e) for i, e in enumerate(el) if e]
+    return word if sign > 0 else [(g, -e) for g, e in reversed(word)]
+
+
+ORACLE_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_solve_matches_oracle(oracle_pres, data):
+    pres = oracle_pres
+    a, b = data.draw(elements_of(pres)), data.draw(elements_of(pres))
+    x = pres.solve(a, b)
+    assert x == naive_collect(pres, letters(a, -1) + letters(b))
+    assert pres.multiply(a, x) == b
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_invert_commutator_conjugate_match_oracle(oracle_pres, data):
+    pres = oracle_pres
+    a, b = data.draw(elements_of(pres)), data.draw(elements_of(pres))
+    assert pres.invert(a) == naive_collect(pres, letters(a, -1))
+    assert pres.commutator(a, b) == naive_collect(
+        pres, letters(a, -1) + letters(b, -1) + letters(a) + letters(b))
+    assert pres.conjugate(a, b) == naive_collect(
+        pres, letters(b, -1) + letters(a) + letters(b))
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_collect_signed_letters_matches_oracle(oracle_pres, data):
+    pres = oracle_pres
+    word = data.draw(st.lists(
+        st.tuples(st.integers(1, pres.n), st.integers(-2 * pres.p, 2 * pres.p)),
+        max_size=5))
+    assert pres.collect(word) == naive_collect(pres, word)
+
+
+def test_cached_conjugate_powers_match_oracle(oracle_pres):
+    # every form (a_j^e)^(a_g) the collector may cache, against both the
+    # e-copies expansion of a_j^(a_g) and the word a_g^-1 a_j^e a_g
+    pres = oracle_pres
+    for (j, g), cl in pres._conj_letters.items():
+        for e in range(2, pres.p):
+            form = pres._conj_power(j, e, g)
+            got = naive_collect(pres, form)
+            assert form == tuple(letters(got))
+            assert got == naive_collect(pres, list(cl) * e)
+            assert got == naive_collect(pres, [(g, -1), (j, e), (g, 1)])
+
+
+def test_collector_never_sees_negative_exponents(nonmetabelian58, monkeypatch, rng):
+    pres = nonmetabelian58.pres
+    original = PcPresentation._collect
+    stacks = []
+
+    def guarded(self, vec, stack):
+        assert all(e > 0 for _, e in stack), f"negative letter in {stack}"
+        stacks.append(len(stack))
+        return original(self, vec, stack)
+
+    monkeypatch.setattr(PcPresentation, "_collect", guarded)
+    for _ in range(20):
+        a, b = pres.random_element(rng), pres.random_element(rng)
+        pres.invert(a)
+        pres.commutator(a, b)
+        pres.conjugate(a, b)
+    pres.lower_central_series()
+    build_profile(pres, require_chain=True)
+    assert stacks
+
+
 # -- element operations ------------------------------------------------------
 
 
@@ -192,8 +282,8 @@ def test_commutator_identity_from_expansion(g57):
 
 
 def test_invert_agrees_with_order_power(g57, nonmetabelian58, rng):
-    # a^-1 = a^(order-1), and power() with positive exponents never runs
-    # the inverse-letter expansion, so this cross-checks it independently
+    # a^-1 = a^(order-1), and power() with positive exponents only
+    # multiplies, so this cross-checks solve() independently
     for pres in (g57, nonmetabelian58.pres):
         for _ in range(30):
             g = pres.random_element(rng)
