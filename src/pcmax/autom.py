@@ -324,21 +324,21 @@ def verify_thm_main1(pres: PcPresentation,
 def _quotient_isomorphic_to_reference(pres: PcPresentation,
                                       profile: MaxClassProfile):
     """G / G_{l+2} agrees with the reference metabelian quotient via the
-    generator dictionary, hom-checked in both directions."""
+    generator dictionary.
+
+    Only the forward map is hom-checked.  It hits every generator of the
+    reference quotient, so it is onto, and both consistent quotients have
+    order p^k, so it is bijective and its inverse is the backward
+    dictionary.  `build_profile` has already checked that G_{l+2} is the
+    suffix subgroup the truncation factors out.
+    """
     k = profile.l + 2
-    if profile.series.term(k) != pres.suffix_subgroup(k + 1):
-        return False, "series term is not the suffix subgroup"
     try:
         quo = pres.quotient_by_term(k)
         ref = build_blackburn_pc(pres.p, pres.n).quotient_by_term(k)
-        fwd = check_homomorphism(quo, ref.generators, codomain=ref)
-        bwd = check_homomorphism(ref, quo.generators, codomain=quo)
+        check_homomorphism(quo, ref.generators, codomain=ref)
     except (PresentationError, HomCheckFailed) as exc:
         return False, f"{exc}"
-    round1 = fwd.then(bwd)
-    round2 = bwd.then(fwd)
-    if not (round1.images == quo.generators and round2.images == ref.generators):
-        return False, "round trips are not the identity"
     return True, f"generator dictionary is an isomorphism on the order p^{k} quotients"
 
 

@@ -34,6 +34,7 @@ from .errors import PresentationError
 
 ALLOWED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 MAX_GENERATORS = 64
+CENTRALIZER_BUDGET = 10**6  # largest index [G : K] that centralizer_mod walks
 
 
 class Element(tuple):
@@ -159,9 +160,6 @@ class PcPresentation:
 
     def random_element(self, rng) -> Element:
         return Element(tuple(rng.randrange(self.p) for _ in range(self.n)))
-
-    def label_of(self, i: int) -> str:
-        return self.labels[i - 1]
 
     # -- collection -------------------------------------------------------
 
@@ -483,14 +481,14 @@ class PcPresentation:
             terms.append(nxt)
         return SeriesChain(self, tuple(terms))
 
-    def centralizer_mod(self, H: "Subgroup", K: "Subgroup", budget: int = 10**6) -> "Subgroup":
+    def centralizer_mod(self, H: "Subgroup", K: "Subgroup") -> "Subgroup":
         """{g in G : [h, g] in K for all h generating H}, for K normal, K <= H.
 
         Exhaustive: runs over canonical coset representatives of G/K (the
         condition is constant on K-cosets), so the index [G : K] must stay
-        within `budget`.  It is the general routine and the reference that
-        `maxclass.compute_G1`, which reads G_1 = C_G(G_2/G_4) off the top
-        layers instead, is tested against.
+        within `CENTRALIZER_BUDGET`.  It is the general routine and the
+        reference that `maxclass.compute_G1`, which reads G_1 = C_G(G_2/G_4)
+        off the top layers instead, is tested against.
         """
         for b in K.basis:
             if not H.contains(b):
@@ -498,9 +496,9 @@ class PcPresentation:
         if not K.is_normal():
             raise PresentationError("K is not normal")
         index = self.p ** (self.n - K.order_exponent)
-        if index > budget:
+        if index > CENTRALIZER_BUDGET:
             raise PresentationError(
-                f"index of K is {index}, beyond the enumeration budget {budget}"
+                f"index of K is {index}, beyond the enumeration budget {CENTRALIZER_BUDGET}"
             )
         reps = self._coset_reps(K)
         good = [g for g in reps if all(K.contains(self.commutator(h, g)) for h in H.basis)]
@@ -628,11 +626,6 @@ class Subgroup:
 
     def order(self) -> int:
         return self.pres.p ** len(self.basis)
-
-    def sift(self, x: Element) -> Element:
-        if self._unit_basis and self.contains(x):
-            return self.pres.identity
-        return _sift(self.pres, self.basis, self._pivots, x)
 
     def contains(self, x: Element) -> bool:
         if self._unit_basis:

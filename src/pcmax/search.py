@@ -138,8 +138,7 @@ def _assemble(p, n, l, base, sol, index, rng, perturb_powers):
 
 
 def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
-                         l_target: int | None = None,
-                         log=None) -> SearchResult | None:
+                         l_target: int | None = None) -> SearchResult | None:
     """Search for a consistent nonmetabelian maximal-class presentation.
 
     Returns the first hit, or None when the budget is exhausted.  The
@@ -185,7 +184,5 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
             continue
         if l_target is not None and profile.l != l_target:
             continue
-        if log:
-            log(f"hit after {tried} candidates (l = {profile.l})")
         return SearchResult(cand, tried, seed, profile.l)
     return None

@@ -3,13 +3,16 @@
 Everything here is deliberately naive and shares no code with the engine:
 the rewriter applies single relation steps to a fixpoint instead of running
 stack-based collection, the degree-of-commutativity oracle loops over every
-subgroup pair, coset counting enumerates transversals explicitly, and the
+subgroup pair, coset counting enumerates transversals explicitly, the
 pair-family oracle builds a derivation for every pair instead of
-certifying the family from its basis pairs.
+certifying the family from its basis pairs, the cross-model oracle compares
+every pair instead of translations by generators, and the class oracle
+walks the conjugacy class instead of checking one commutator per layer.
 """
 
 from __future__ import annotations
 
+from pcmax import blackburn
 from pcmax.derivations import make_derivation
 from pcmax.errors import ValidationFailed
 from pcmax.pcgroup import Element, PcPresentation
@@ -138,3 +141,43 @@ def enumerate_pair_family(pres, target):
                 yield (u, v), make_derivation(pres, target, u, v)
             except ValidationFailed:
                 yield (u, v), None
+
+
+def cross_model_all_pairs(p, n) -> bool:
+    """Ring addition against pc multiplication on all p^{2(n-1)} pairs of
+    M, and theta-multiplication against sigma on all p^{n-1} elements.
+
+    The models are looked up on the module at call time, so a test that
+    replaces `blackburn.build_m_presentation` corrupts this oracle too.
+    """
+    ring = blackburn.RingModule(p, n)
+    m = blackburn.build_m_presentation(p, n)
+    s = blackburn.sigma(p, n, m)
+    els = list(ring.elements())
+    if any(tuple(s.evaluate(m.element(u))) != ring.theta_mul(u) for u in els):
+        return False
+    return all(tuple(m.multiply(m.element(u), m.element(v))) == ring.add(u, v)
+               for u in els for v in els)
+
+
+def class_is_coset(pres, G2, g) -> bool:
+    """Whether the conjugacy class of g is the coset g G2, by walking it.
+
+    The class is the orbit of g under conjugation by the presentation
+    generators outside G2; they generate G, as G2, the derived subgroup,
+    lies in the Frattini subgroup.
+    """
+    conjugators = [a for a in pres.generators if not G2.contains(a)]
+    orbit = {g}
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a in conjugators:
+                y = pres.conjugate(x, a)
+                if y not in orbit:
+                    orbit.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return (len(orbit) == G2.order()
+            and all(G2.contains(pres.solve(g, y)) for y in orbit))

@@ -7,9 +7,11 @@ from collections import Counter
 
 import pytest
 
-from pcmax.autom import (build_H, certify_family, h_cap_inn_check,
-                         invert_automorphism, phi, verify_thm_main1,
-                         verify_thm_main2, verify_thm_metabelian)
+from pcmax.autom import (_quotient_isomorphic_to_reference, build_H,
+                         certify_family, h_cap_inn_check, invert_automorphism,
+                         phi, verify_thm_main1, verify_thm_main2,
+                         verify_thm_metabelian)
+from pcmax.blackburn import build_blackburn_pc
 from pcmax.derivations import kernel_contains, make_derivation, negate, one_plus
 from pcmax.errors import (HomCheckFailed, PreconditionRefused,
                           TheoremViolation)
@@ -365,6 +367,23 @@ def test_main1_nonmetabelian(nonmetabelian58):
                      "quotient-matches-reference", "A-family-validated",
                      "H-meets-Inn", "degree-bound", "bound"]:
         assert expected in names
+
+
+@pytest.mark.parametrize("name", ["nonmetabelian57", "nonmetabelian58"])
+def test_reference_quotient_dictionary_is_invertible(request, name):
+    # the driver hom-checks the forward dictionary only; the backward one
+    # and both round trips must hold as its bijectivity argument says
+    pres = request.getfixturevalue(name).pres
+    profile = build_profile(pres, require_chain=True)
+    k = profile.l + 2
+    quo = pres.quotient_by_term(k)
+    ref = build_blackburn_pc(pres.p, pres.n).quotient_by_term(k)
+    fwd = check_homomorphism(quo, ref.generators, codomain=ref)
+    bwd = check_homomorphism(ref, quo.generators, codomain=quo)
+    assert fwd.then(bwd).images == quo.generators
+    assert bwd.then(fwd).images == ref.generators
+    assert _quotient_isomorphic_to_reference(pres, profile) == (
+        True, f"generator dictionary is an isomorphism on the order p^{k} quotients")
 
 
 def test_main2_metabelian(g57):

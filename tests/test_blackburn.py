@@ -2,20 +2,26 @@
 module derivations from polynomials."""
 
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 
+from pcmax import blackburn
 from pcmax.blackburn import (RingModule, abelian_invariants,
-                             build_blackburn_pc, cross_model_check,
+                             build_blackburn_pc, build_m_presentation,
+                             cross_model_check,
                              module_derivation_from_polynomial, sigma,
                              theta_poly_to_shifted, verify_sigma)
 from pcmax.derivations import add as der_add
 from pcmax.derivations import bullet, evaluate, one_plus
 from pcmax.errors import PresentationError
+from pcmax.homs import check_homomorphism
 from pcmax.maxclass import build_profile
+from pcmax.pcgroup import PcPresentation
 
 from .conftest import SEED
+from .oracles import cross_model_all_pairs
 
 
 # -- ring module ---------------------------------------------------------------
@@ -135,15 +141,55 @@ def test_sigma_matches_theta():
 
 def test_cross_model_exhaustive_35():
     rep = cross_model_check(3, 5)
-    assert rep.ok and rep.exhaustive
-    assert rep.pairs_checked == 81 * 81
+    assert rep.ok and cross_model_all_pairs(3, 5)
+    assert (rep.pairs_checked, rep.equivariance_checked) == (81 * 4, 4)
 
 
-def test_cross_model_sampled_57():
-    rep = cross_model_check(5, 7, seed=SEED)
-    assert rep.ok and not rep.exhaustive
-    assert rep.pairs_checked == 10**5
-    assert rep.seed == SEED
+def test_cross_model_exact_57():
+    rep = cross_model_check(5, 7)
+    assert rep.ok
+    assert (rep.pairs_checked, rep.equivariance_checked) == (5 ** 6 * 6, 6)
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (3, 6), (5, 5)])
+def test_cross_model_certificate_matches_all_pairs_oracle(p, n):
+    assert cross_model_check(p, n).ok is cross_model_all_pairs(p, n) is True
+
+
+@pytest.mark.parametrize("corrupt", ["elementary-abelian", "top-of-s_1-tail",
+                                     "sigma-identity"])
+def test_cross_model_negative_controls(corrupt, monkeypatch):
+    # Certificate and oracle must both reject each corruption.  Changing the
+    # b_{n-1} coordinate of the power tail of s_1 keeps sigma an automorphism
+    # and is seen only by the translations by b_1.
+    p, n = 3, 5
+    tails = [list(t) for t in build_m_presentation(p, n).power_tails]
+    if corrupt == "elementary-abelian":
+        tails = [[0] * (n - 1)] * (n - 1)
+    elif corrupt == "top-of-s_1-tail":
+        tails[0][n - 2] = (tails[0][n - 2] + 1) % p
+    fake = PcPresentation(p, n - 1, tails, {})
+    if corrupt == "sigma-identity":
+        monkeypatch.setattr(blackburn, "sigma",
+                            lambda p, n, m: check_homomorphism(m, m.generators))
+    else:
+        monkeypatch.setattr(blackburn, "build_m_presentation", lambda p, n: fake)
+    rep = cross_model_check(p, n)
+    assert not rep.ok and rep.failure
+    assert not cross_model_all_pairs(p, n)
+
+
+def test_cross_model_makes_each_ring_vector_an_element_once(monkeypatch):
+    calls = Counter()
+    element = PcPresentation.element
+
+    def counting(self, exponents):
+        calls["element"] += 1
+        return element(self, exponents)
+
+    monkeypatch.setattr(PcPresentation, "element", counting)
+    assert cross_model_check(3, 5).ok
+    assert calls["element"] <= 3 ** 4 + 2 * 4
 
 
 def test_cross_model_identity_is_zero(m57):

@@ -1,7 +1,9 @@
 """Maximal-class validation, the distinguished subgroup, degree of
 commutativity, standard generators, exponent relations, conjugacy facts."""
 
+import dataclasses
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -14,7 +16,7 @@ from pcmax.maxclass import (build_profile, compute_G1, conjugacy_facts,
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import GRID, SEED
-from .oracles import brute_degree_of_commutativity
+from .oracles import brute_degree_of_commutativity, class_is_coset
 
 
 def test_validate_blackburn_fixtures(g35, g57):
@@ -274,3 +276,57 @@ def test_conjugacy_facts_random_outside_G1(g57, profile57):
 def test_conjugacy_facts_rejects_G1_member(g57, profile57):
     with pytest.raises(PresentationError):
         conjugacy_facts(g57, profile57, profile57.s1)
+
+
+def _group(request, name):
+    value = request.getfixturevalue(name)
+    return value if isinstance(value, PcPresentation) else value.pres
+
+
+@pytest.mark.parametrize("name", ["g57", "g36", "nonmetabelian57", "nonmetabelian58"])
+def test_conjugacy_certificate_matches_orbit_walk(request, name):
+    pres = _group(request, name)
+    profile = build_profile(pres, require_chain=True)
+    p = pres.p
+    rng = random.Random(SEED)
+    reps = {}  # one seeded g per G_2 coset outside G_1
+    while len(reps) < p * p - p:
+        g = pres.random_element(rng)
+        if not profile.G1.contains(g):
+            reps.setdefault(g[:2], g)
+    for g in reps.values():
+        rep = conjugacy_facts(pres, profile, g)
+        assert rep.orbit_is_coset is class_is_coset(pres, profile.G(2), g) is True
+        assert rep.ok and rep.orbit_size == p ** (pres.n - 2)
+
+
+@pytest.mark.parametrize("name", ["g57", "nonmetabelian58", "g54"])
+def test_conjugacy_negative_control_other_maximal_subgroup(request, name):
+    # with G_1 replaced by <s, G_2>, s_1 lies outside it but its class is
+    # not s_1 G_2; on the order p^4 group only the last layer sees that
+    pres = build_blackburn_pc(5, 4) if name == "g54" else _group(request, name)
+    profile = build_profile(pres, require_chain=True)
+    G2 = profile.G(2)
+    fake = dataclasses.replace(
+        profile, G1=pres.subgroup_from_generators([profile.s, *G2.basis]))
+    rep = conjugacy_facts(pres, fake, profile.s1)
+    assert not rep.ok and not rep.orbit_is_coset and rep.orbit_size is None
+    assert not class_is_coset(pres, G2, profile.s1)
+
+
+def test_conjugacy_facts_commutators_are_linear_in_n(nonmetabelian58, nm_profile58,
+                                                     monkeypatch):
+    # walking the class of s would take 2 p^{n-2} = 31 250 conjugations here
+    calls = Counter()
+    for name in ("commutator", "conjugate"):
+        original = getattr(PcPresentation, name)
+
+        def counting(self, a, b, name=name, original=original):
+            calls[name] += 1
+            return original(self, a, b)
+
+        monkeypatch.setattr(PcPresentation, name, counting)
+    assert conjugacy_facts(nonmetabelian58.pres, nm_profile58, nm_profile58.s).ok
+    # one commutator per layer 1..n-2, then [g, z] for z spanning G_{n-1}
+    # and [g, g]; no conjugations
+    assert calls == {"commutator": 8}
