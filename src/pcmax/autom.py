@@ -196,7 +196,6 @@ def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResu
     s, s1 = profile.s, profile.s1
     A = profile.A
     G2, G3 = profile.G(2), profile.G(3)
-    s1_inv = pres.invert(s1)
     for i in range(pres.p):
         si = pres.power(s, i)
         for z in profile.G(n - 1).elements():
@@ -204,7 +203,7 @@ def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResu
             if pres.conjugate(s, g) != s:
                 return CheckResult("H-meets-Inn", False,
                                    "candidate does not centralize s")
-            val = pres.multiply(s1_inv, pres.conjugate(s1, g))
+            val = pres.solve(s1, pres.conjugate(s1, g))
             if val.is_identity():
                 continue
             if A.contains(val):
@@ -399,7 +398,7 @@ def _preimage(pres: PcPresentation, gmap: GroupMap, g: Element) -> Element:
     """
     x = g
     for _ in range(pres.n + 2):
-        err = pres.multiply(pres.invert(gmap.evaluate(x)), g)
+        err = pres.solve(gmap.evaluate(x), g)
         if err.is_identity():
             return x
         x = pres.multiply(x, err)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InconsistentPresentation, PresentationError
+from .errors import HomCheckFailed, InconsistentPresentation, PresentationError
 from .homs import GroupMap, certify_automorphism, check_homomorphism
 from .pcgroup import ALLOWED_PRIMES, PcPresentation
 
@@ -206,7 +206,10 @@ def verify_sigma(p: int, n: int) -> SigmaReport:
     """sigma has order exactly p and agrees with theta-multiplication."""
     ring = RingModule(p, n)
     m = build_m_presentation(p, n)
-    s = sigma(p, n, m)
+    try:
+        s = sigma(p, n, m)
+    except HomCheckFailed as exc:
+        return SigmaReport(False, False, False, False, f"sigma fails {exc.relation} on M")
     is_auto = s.kind == "automorphism"
     # order p: sigma^p fixes every generator, sigma is not the identity
     powers = s
@@ -256,7 +259,10 @@ def cross_model_check(p: int, n: int) -> CrossModelReport:
     """
     ring = RingModule(p, n)
     m = build_m_presentation(p, n)
-    s = sigma(p, n, m)
+    try:
+        s = sigma(p, n, m)
+    except HomCheckFailed as exc:
+        return CrossModelReport(False, 0, 0, f"sigma fails {exc.relation} on M")
     basis = [ring.basis(i) for i in range(1, ring.rank + 1)]
     pairs = 0
     for u in ring.elements():

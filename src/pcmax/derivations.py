@@ -97,16 +97,8 @@ def make_derivation(pres: PcPresentation, target: Subgroup, u: Element,
         ) from exc
     d = Derivation(pres, target, u, v, alpha)
     # the derived generator values must also lie in the target
-    k = target.suffix_start()
     for i, im in enumerate(alpha.images):
-        if k is not None:
-            # coset of a suffix subgroup is determined by the prefix
-            in_coset = im[: k - 1] == pres.generators[i][: k - 1]
-        else:
-            in_coset = target.contains(
-                pres.multiply(pres.invert(pres.generators[i]), im)
-            )
-        if not in_coset:
+        if not target.contains(pres.solve(pres.generators[i], im)):
             raise ValidationFailed(f"derived value of generator {i + 1} leaves the target")
     return d
 
@@ -117,7 +109,7 @@ def zero_derivation(pres: PcPresentation, target: Subgroup) -> Derivation:
 
 def evaluate(d: Derivation, g: Element) -> Element:
     """gd = g^-1 * (g alpha); lands in the target subgroup."""
-    return d.pres.multiply(d.pres.invert(g), d.alpha.evaluate(g))
+    return d.pres.solve(g, d.alpha.evaluate(g))
 
 
 def add(d1: Derivation, d2: Derivation) -> Derivation:

@@ -16,9 +16,12 @@ test may be fed to the higher layers.
 
 Conventions fixed here and used everywhere else:
 
-* words and products read left to right: `multiply(a, b)` is "a then b";
+* products read left to right: `multiply(a, b)` is "a then b", and every
+  product of normal forms goes through it, the overlaps of the
+  consistency test included;
 * `solve(a, b)` is the x with a x = b, i.e. a^-1 b; every division goes
-  through it, so `invert(a) = solve(a, 1)`;
+  through it, so `invert(a) = solve(a, 1)`, and subgroup bases and coset
+  representatives are reduced by left division (`_sift`);
 * `conjugate(a, b) = b^-1 a b = solve(b, ab)` and
   `commutator(a, b) = a^-1 b^-1 a b = solve(ba, ab)`;
 * the suffix subgroups Gamma_k = <a_k, ..., a_n> form a central series, so
@@ -162,28 +165,6 @@ class PcPresentation:
         return Element(tuple(rng.randrange(self.p) for _ in range(self.n)))
 
     # -- collection -------------------------------------------------------
-
-    def collect(self, word) -> Element:
-        """Normal form of a word of (generator index, signed exponent) pairs,
-        read left to right.
-
-        A letter a_g^-e stands for the letters of the normal form of
-        (a_g^e)^-1, computed by `solve`, so the collector only ever sees
-        positive exponents.
-        """
-        stack = []
-        for g, e in reversed(list(word)):
-            if not 1 <= g <= self.n:
-                raise PresentationError(f"generator index {g} out of range 1..{self.n}")
-            e = int(e)
-            if e > 0:
-                stack.append((g, e))
-            elif e < 0:
-                inv = self.invert(self.power(self.generators[g - 1], -e))
-                stack.extend((k + 1, c) for k, c in reversed(list(enumerate(inv))) if c)
-        vec = [0] * self.n
-        self._collect(vec, stack)
-        return Element(vec)
 
     def _collect(self, vec, stack):
         # Collection from the left.  `vec` is the collected prefix in normal
@@ -362,43 +343,41 @@ class PcPresentation:
             a_j (a_i^p)   = (a_j a_i) a_i^{p-1}   for j > i
             a_i^p a_i     = a_i (a_i^p)
 
-        Failures are reported in-band, naming the first bad overlap.
+        Each side is one `multiply` of normal forms: the products a_j a_i
+        are collected once, a_j^p is its power tail and a_j^{p-1} the
+        element with p - 1 at position j.  `multiply(a, b)` starts from a
+        as the collected prefix, which is exactly what collecting the
+        letters of a from the empty word gives, so every side is collected
+        as the word it stands for.  Failures are reported in-band, naming
+        the first bad overlap.
         """
-        p = self.p
+        p, n = self.p, self.n
+        mul = self.multiply
+        gens = self.generators
+        tails = self.power_tails
+        tops = tuple(Element((0,) * k + (p - 1,) + (0,) * (n - 1 - k)) for k in range(n))
+        prod = {(j, i): mul(gens[j - 1], gens[i - 1])
+                for j in range(2, n + 1) for i in range(1, j)}
         checked = 0
-
-        def letters(el):
-            return [(k + 1, e) for k, e in enumerate(el) if e]
-
-        for k in range(3, self.n + 1):
+        for k in range(3, n + 1):
             for j in range(2, k):
                 for i in range(1, j):
                     checked += 1
-                    ji = self.collect([(j, 1), (i, 1)])
-                    lhs = self.collect([(k, 1)] + letters(ji))
-                    kj = self.collect([(k, 1), (j, 1)])
-                    rhs = self.collect(letters(kj) + [(i, 1)])
-                    if lhs != rhs:
+                    if mul(gens[k - 1], prod[j, i]) != mul(prod[k, j], gens[i - 1]):
                         return ConsistencyReport(
                             False, checked, f"associativity overlap a_{k}(a_{j} a_{i})"
                         )
-        for j in range(2, self.n + 1):
+        for j in range(2, n + 1):
             for i in range(1, j):
                 checked += 1
-                lhs = self.collect([(j, p - 1)] + letters(self.collect([(j, 1), (i, 1)])))
-                rhs = self.collect(letters(self.power_tails[j - 1]) + [(i, 1)])
-                if lhs != rhs:
+                if mul(tops[j - 1], prod[j, i]) != mul(tails[j - 1], gens[i - 1]):
                     return ConsistencyReport(False, checked, f"power overlap a_{j}^p a_{i}")
                 checked += 1
-                lhs = self.collect([(j, 1)] + letters(self.power_tails[i - 1]))
-                rhs = self.collect(letters(self.collect([(j, 1), (i, 1)])) + [(i, p - 1)])
-                if lhs != rhs:
+                if mul(gens[j - 1], tails[i - 1]) != mul(prod[j, i], tops[i - 1]):
                     return ConsistencyReport(False, checked, f"power overlap a_{j} a_{i}^p")
-        for i in range(1, self.n + 1):
+        for i in range(1, n + 1):
             checked += 1
-            lhs = self.collect(letters(self.power_tails[i - 1]) + [(i, 1)])
-            rhs = self.collect([(i, 1)] + letters(self.power_tails[i - 1]))
-            if lhs != rhs:
+            if mul(tails[i - 1], gens[i - 1]) != mul(gens[i - 1], tails[i - 1]):
                 return ConsistencyReport(False, checked, f"power overlap a_{i}^p a_{i}")
         return ConsistencyReport(True, checked)
 
@@ -465,7 +444,10 @@ class PcPresentation:
             if normal_closure:
                 for g in self.generators:
                     queue.append(self.conjugate(x, g))
-        return Subgroup(self, _canonicalize(self, basis))
+        # full reduction: each member sifted against the later ones
+        for m in range(len(basis) - 2, -1, -1):
+            basis[m] = _sift(self, basis[m + 1 :], pivots[m + 1 :], basis[m])
+        return Subgroup(self, basis)
 
     def lower_central_series(self) -> "SeriesChain":
         """gamma_1 = G, gamma_{i+1} = [gamma_i, G], down to the trivial group."""
@@ -505,14 +487,15 @@ class PcPresentation:
         return self.subgroup_from_generators(list(K.basis) + good)
 
     def _coset_reps(self, K: "Subgroup"):
-        start = _coset_canon(self, K, self.identity)
-        seen = {start}
-        frontier = [start]
+        """The elements with K's pivot coordinates zero, one per coset of a
+        normal K, found by sifting the products g a_i from the identity."""
+        seen = {self.identity}
+        frontier = [self.identity]
         while frontier:
             nxt = []
             for g in frontier:
                 for a in self.generators:
-                    r = _coset_canon(self, K, self.multiply(g, a))
+                    r = _sift(self, K.basis, K._pivots, self.multiply(g, a))
                     if r not in seen:
                         seen.add(r)
                         nxt.append(r)
@@ -577,20 +560,6 @@ def _sift(pres, basis, pivots, x):
     return x
 
 
-def _canonicalize(pres, basis):
-    """Full reduction: leading coefficients 1, later pivots cleared."""
-    basis = list(basis)
-    pivots = [b.leading_index() for b in basis]
-    for m in range(len(basis) - 1, -1, -1):
-        b = basis[m]
-        for k in range(m + 1, len(basis)):
-            c = b[pivots[k] - 1]
-            if c:
-                b = pres.multiply(b, pres.invert(pres.power(basis[k], c)))
-        basis[m] = b
-    return tuple(basis)
-
-
 class Subgroup:
     """A subgroup held as a canonical echelonized basis.
 
@@ -608,17 +577,6 @@ class Subgroup:
         )
         self._abelian = None
         self._normal = None
-        # contiguous suffix <a_k, ..., a_n>: coset membership is a prefix test
-        self._suffix_start = (
-            self._pivots[0]
-            if self._unit_basis
-            and self._pivots == tuple(range(self._pivots[0], pres.n + 1))
-            else None
-        ) if self.basis else pres.n + 1
-
-    def suffix_start(self):
-        """k when this subgroup is exactly <a_k, ..., a_n>, else None."""
-        return self._suffix_start
 
     @property
     def order_exponent(self) -> int:
@@ -723,13 +681,3 @@ class SeriesChain:
 
     def __repr__(self) -> str:
         return f"SeriesChain(order_exponents={list(self.order_exponents())})"
-
-
-def _coset_canon(pres, K, g):
-    """Canonical representative of gK: pivot coordinates cleared by right
-    multiplication with basis members of K."""
-    for b, lead in zip(K.basis, K._pivots):
-        c = g[lead - 1]
-        if c:
-            g = pres.multiply(g, pres.invert(pres.power(b, c)))
-    return g

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and shares no code with the engine:
 the rewriter applies single relation steps to a fixpoint instead of running
-stack-based collection, the degree-of-commutativity oracle loops over every
+stack-based collection, the overlap test rewrites each bracketing as a word
+with it, the degree-of-commutativity oracle loops over every
 subgroup pair, coset counting enumerates transversals explicitly, the
 pair-family oracle builds a derivation for every pair instead of
 certifying the family from its basis pairs, the cross-model oracle compares
@@ -75,6 +76,49 @@ def naive_collect(pres: PcPresentation, word) -> Element:
         vec[g - 1] += 1
     assert all(c < p for c in vec)
     return Element(vec)
+
+
+def naive_consistency_check(pres: PcPresentation):
+    """(ok, overlaps checked, failure) of the overlap test, with both
+    bracketings of every overlap rewritten as words by `naive_collect`.
+
+    The overlaps, their order and the failure texts are those of
+    `PcPresentation.consistency_check`; a bracket is collected first and
+    its normal-form letters are spliced into the outer word.
+    """
+    p, n = pres.p, pres.n
+
+    def word(el):
+        return [(k + 1, e) for k, e in enumerate(el) if e]
+
+    def nc(*parts):
+        return naive_collect(pres, [letter for part in parts for letter in part])
+
+    def tail(i):
+        return word(pres.power_tails[i - 1])
+
+    checked = 0
+    for k in range(3, n + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                checked += 1
+                lhs = nc([(k, 1)], word(nc([(j, 1), (i, 1)])))
+                rhs = nc(word(nc([(k, 1), (j, 1)])), [(i, 1)])
+                if lhs != rhs:
+                    return False, checked, f"associativity overlap a_{k}(a_{j} a_{i})"
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            checked += 1
+            if nc([(j, p - 1)], word(nc([(j, 1), (i, 1)]))) != nc(tail(j), [(i, 1)]):
+                return False, checked, f"power overlap a_{j}^p a_{i}"
+            checked += 1
+            if nc([(j, 1)], tail(i)) != nc(word(nc([(j, 1), (i, 1)])), [(i, p - 1)]):
+                return False, checked, f"power overlap a_{j} a_{i}^p"
+    for i in range(1, n + 1):
+        checked += 1
+        if nc(tail(i), [(i, 1)]) != nc([(i, 1)], tail(i)):
+            return False, checked, f"power overlap a_{i}^p a_{i}"
+    return True, checked, None
 
 
 def brute_degree_of_commutativity(pres, series, G1) -> int:

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from pcmax import blackburn
+from pcmax import blackburn, cli
 from pcmax.blackburn import (RingModule, abelian_invariants,
                              build_blackburn_pc, build_m_presentation,
                              cross_model_check,
@@ -177,6 +177,25 @@ def test_cross_model_negative_controls(corrupt, monkeypatch):
     rep = cross_model_check(p, n)
     assert not rep.ok and rep.failure
     assert not cross_model_all_pairs(p, n)
+
+
+def test_selftest_reports_a_bad_s_2_tail(monkeypatch, capsys):
+    # Moving the s_3 coordinate of the power tail of s_2 keeps M consistent
+    # but makes sigma fail a relation: both reports fail, and the selftest
+    # prints FAIL lines and exits 2 instead of raising.
+    p, n = 3, 5
+    tails = [list(t) for t in build_m_presentation(p, n).power_tails]
+    tails[1][2] = (tails[1][2] + 1) % p
+    fake = PcPresentation(p, n - 1, tails, {})
+    assert fake.consistency_check().ok
+    monkeypatch.setattr(blackburn, "build_m_presentation", lambda p, n: fake)
+    for rep in (verify_sigma(p, n), cross_model_check(p, n)):
+        assert not rep.ok and rep.failure.startswith("sigma fails")
+    assert cli.main(["selftest"]) == 2
+    out = capsys.readouterr().out
+    assert "selftest cross-model: FAIL\n" in out
+    assert "selftest sigma: FAIL\n" in out
+    assert out.endswith("selftest result: FAIL\n")
 
 
 def test_cross_model_makes_each_ring_vector_an_element_once(monkeypatch):

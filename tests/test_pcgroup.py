@@ -1,6 +1,7 @@
 """Collection engine, element operations, subgroups, series, consistency."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from pcmax.maxclass import build_profile
 from pcmax.pcgroup import Element, PcPresentation
 
 from .conftest import SEED
-from .oracles import coset_count, naive_collect
+from .oracles import coset_count, naive_collect, naive_consistency_check
 
 
 def heisenberg(p=5):
@@ -50,27 +51,37 @@ def test_rejects_out_of_range_entries():
 # -- collection -------------------------------------------------------------
 
 
+def collect(pres, word):
+    """The product of the letters a_g^e of a word, a letter with e < 0 being
+    the inverse of a_g^-e."""
+    x = pres.identity
+    for g, e in word:
+        a = pres.power(pres.generator(g), abs(e))
+        x = pres.multiply(x, a if e >= 0 else pres.invert(a))
+    return x
+
+
 def test_collect_empty_word_is_identity(g57):
-    assert g57.collect([]) == g57.identity
+    assert collect(g57, []) == g57.identity
 
 
 def test_collect_single_power(g57):
-    el = g57.collect([(1, 2)])
+    el = collect(g57, [(1, 2)])
     assert el == Element((2, 0, 0, 0, 0, 0, 0))
 
 
 def test_collect_index_out_of_range(g57):
     with pytest.raises(PresentationError):
-        g57.collect([(8, 1)])
+        collect(g57, [(8, 1)])
     with pytest.raises(PresentationError):
-        g57.collect([(0, 1)])
+        collect(g57, [(0, 1)])
 
 
 def test_collect_commutator_correction_against_naive_oracle(g57):
     # s_1 * s in that order picks up the commutator correction s_2
     word = [(2, 1), (1, 1)]
     expected = naive_collect(g57, word)
-    got = g57.collect(word)
+    got = collect(g57, word)
     assert got == expected
     assert got == Element((1, 1, 1, 0, 0, 0, 0))
 
@@ -79,28 +90,28 @@ def test_collect_commutator_correction_against_naive_oracle(g57):
 def test_collect_matches_naive_oracle_random_words(g35, trial):
     rng = random.Random(SEED + trial)
     word = [(rng.randrange(1, g35.n + 1), rng.randrange(1, 4)) for _ in range(6)]
-    assert g35.collect(word) == naive_collect(g35, word)
+    assert collect(g35, word) == naive_collect(g35, word)
 
 
 def test_collect_well_defined_under_insertions(g57, rng):
     # inserting g g^-1 pairs anywhere must not change the normal form
     for _ in range(50):
         word = [(rng.randrange(1, 8), rng.randrange(-4, 5)) for _ in range(5)]
-        base = g57.collect(word)
+        base = collect(g57, word)
         shuffled = list(word)
         for _ in range(3):
             pos = rng.randrange(len(shuffled) + 1)
             g = rng.randrange(1, 8)
             e = rng.randrange(1, 5)
             shuffled[pos:pos] = [(g, e), (g, -e)]
-        assert g57.collect(shuffled) == base
+        assert collect(g57, shuffled) == base
 
 
 def test_collect_negative_exponents(g57, rng):
     for _ in range(50):
         g = g57.random_element(rng)
         word = [(i + 1, -e) for i, e in reversed(list(enumerate(g))) if e]
-        assert g57.collect(word) == g57.invert(g)
+        assert collect(g57, word) == g57.invert(g)
 
 
 # -- left division and signed letters against the oracle ---------------------
@@ -155,7 +166,7 @@ def test_collect_signed_letters_matches_oracle(oracle_pres, data):
     word = data.draw(st.lists(
         st.tuples(st.integers(1, pres.n), st.integers(-2 * pres.p, 2 * pres.p)),
         max_size=5))
-    assert pres.collect(word) == naive_collect(pres, word)
+    assert collect(pres, word) == naive_collect(pres, word)
 
 
 def test_cached_conjugate_powers_match_oracle(oracle_pres):
@@ -221,7 +232,7 @@ def test_associativity_seeded(g57):
        st.lists(st.tuples(st.integers(1, 5), st.integers(-6, 6)), max_size=8))
 def test_collect_is_homomorphic_on_words(w1, w2):
     pres = build_cached_g55()
-    assert pres.multiply(pres.collect(w1), pres.collect(w2)) == pres.collect(list(w1) + list(w2))
+    assert pres.multiply(collect(pres, w1), collect(pres, w2)) == collect(pres, list(w1) + list(w2))
 
 
 _G55_CACHE = {}
@@ -371,6 +382,44 @@ def test_subgroup_elements_enumeration(g55):
         assert sub.contains(el)
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_subgroup_basis_independent_of_generating_list(oracle_pres, data):
+    # the canonical basis depends on the subgroup only: the reversed list,
+    # and the list with a member g replaced by g h or by h g for h in the
+    # subgroup generated by the other members, give the same one
+    pres = oracle_pres
+    gens = data.draw(st.lists(elements_of(pres), min_size=2, max_size=4))
+    H = pres.subgroup_from_generators(gens)
+    assert all(H.contains(g) for g in gens)
+    for b in H.basis:
+        assert b[b.leading_index() - 1] == 1
+        assert not any(x[b.leading_index() - 1] for x in H.basis if x is not b)
+    assert pres.subgroup_from_generators(gens[::-1]).basis == H.basis
+    for pos, g in enumerate(gens):
+        h = pres.identity
+        for x in data.draw(st.permutations(gens[:pos] + gens[pos + 1 :])):
+            h = pres.multiply(h, pres.power(x, data.draw(st.integers(0, pres.p - 1))))
+        for moved in (pres.multiply(g, h), pres.multiply(h, g)):
+            changed = gens[:pos] + [moved] + gens[pos + 1 :]
+            assert pres.subgroup_from_generators(changed).basis == H.basis
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_coset_reps_of_normal_subgroups(oracle_pres, k):
+    # series terms and the normal closure of a_k: one representative per
+    # coset, each with K's pivot coordinates zero
+    pres = oracle_pres
+    for K in (pres.lower_central_series().term(k),
+              pres.subgroup_from_generators([pres.generator(k)], normal_closure=True)):
+        assert K.is_normal()
+        reps = pres._coset_reps(K)
+        index = pres.p ** (pres.n - K.order_exponent)
+        assert len(reps) == len(set(reps)) == index == coset_count(pres, K)
+        for r in reps:
+            assert not any(r[piv - 1] for piv in K._pivots)
+
+
 # -- series ---------------------------------------------------------------------
 
 
@@ -497,6 +546,55 @@ def test_consistency_detects_corruption(g57):
     report = corrupted.consistency_check()
     assert not report.ok
     assert report.failure
+
+
+def _corrupted(pres, rng):
+    """pres with one tail coordinate (a power tail or a commutator tail,
+    within its allowed support) moved by a nonzero amount."""
+    p, n = pres.p, pres.n
+    pts = [list(t) for t in pres.power_tails]
+    cts = {pair: list(t) for pair, t in pres.commutator_tails.items()}
+    slots = [(None, i, k) for i in range(n) for k in range(i + 1, n)]
+    slots += [((j, i), None, k) for j in range(2, n + 1) for i in range(1, j)
+              for k in range(j, n)]
+    pair, i, k = rng.choice(slots)
+    row = pts[i] if pair is None else cts.setdefault(pair, [0] * n)
+    row[k] = (row[k] + rng.randrange(1, p)) % p
+    return PcPresentation(p, n, pts, cts)
+
+
+def test_consistency_check_matches_naive_oracle(g35, g55, g57, m57, nonmetabelian57,
+                                               nonmetabelian58):
+    # the six pinned presentations and 15 seeded corruptions of each
+    rng = random.Random(SEED)
+    pinned = [g35, g55, g57, m57, nonmetabelian57.pres, nonmetabelian58.pres]
+    corrupted = [_corrupted(pres, rng) for pres in pinned for _ in range(15)]
+    verdicts = []
+    for pres in pinned + corrupted:
+        report = pres.consistency_check()
+        assert (report.ok, report.overlaps_checked, report.failure) == \
+            naive_consistency_check(pres)
+        verdicts.append(report.ok)
+    # the corruptions reach both verdicts
+    assert all(verdicts[:6]) and not all(verdicts[6:]) and any(verdicts[6:])
+
+
+def test_consistency_check_collects_each_product_once(nonmetabelian58, monkeypatch):
+    # the n(n-1)/2 products a_j a_i once, then one product per overlap side
+    pres = nonmetabelian58.pres
+    pres.consistency_check()  # fill the conjugate-power cache
+    original = PcPresentation._collect
+    calls = 0
+
+    def counting(self, vec, stack):
+        nonlocal calls
+        calls += 1
+        return original(self, vec, stack)
+
+    monkeypatch.setattr(PcPresentation, "_collect", counting)
+    report = pres.consistency_check()
+    assert report.ok
+    assert calls <= comb(pres.n, 2) + 2 * report.overlaps_checked
 
 
 def test_digest_is_stable(g57):
