@@ -103,14 +103,13 @@ def _cmd_analyze(args) -> int:
         f"order: {pres.p}^{pres.n}",
         f"consistency: pass ({rep.overlaps_checked} overlaps)",
     ]
-    series = pres.lower_central_series()
-    mc = validate_maximal_class(pres, series)
+    mc = validate_maximal_class(pres)
     lines.append(f"series-order-exponents: {' '.join(str(e) for e in mc.layer_orders)}")
     lines.append(f"nilpotency-class: {mc.nilpotency_class}")
     lines.append(f"maximal-class: {'yes' if mc.ok else 'no (' + str(mc.failure) + ')'}")
-    lines.append(f"standard-chain: {'yes' if mc.standard_chain else 'no'}")
-    if mc.ok and mc.standard_chain and pres.n >= 4:
-        profile = build_profile(pres, series=series)
+    lines.append(f"standard-chain: {'yes' if mc.ok else 'no'}")
+    if mc.ok and pres.n >= 4:
+        profile = build_profile(pres)
         lines.append(f"degree-of-commutativity: {profile.l}")
         lines.append(f"r: {profile.r}")
         lines.append(f"t: {profile.t}")

@@ -69,7 +69,10 @@ def make_derivation(pres: PcPresentation, target: Subgroup, u: Element,
     The candidate endomorphism sends a_1 to a_1*u and a_2 to a_2*v, with the
     images of the chain generators a_{i+1} = [a_i, a_1] derived; it must
     pass the homomorphism check, otherwise ValidationFailed is raised (a
-    legal outcome for arbitrary u, v).
+    legal outcome for arbitrary u, v).  Every a_i^-1 (a_i alpha) then lies
+    in the target T with no further test: modulo the normal T the images
+    of a_1, a_2 are a_1, a_2, so the derived image of a_{i+1} is
+    [a_i, a_1] = a_{i+1} modulo T.
     """
     if target.pres is not pres:
         raise PresentationError("target subgroup belongs to a different group")
@@ -95,12 +98,7 @@ def make_derivation(pres: PcPresentation, target: Subgroup, u: Element,
             f"images u={tuple(u)}, v={tuple(v)} do not extend to an "
             f"endomorphism ({exc.relation})"
         ) from exc
-    d = Derivation(pres, target, u, v, alpha)
-    # the derived generator values must also lie in the target
-    for i, im in enumerate(alpha.images):
-        if not target.contains(pres.solve(pres.generators[i], im)):
-            raise ValidationFailed(f"derived value of generator {i + 1} leaves the target")
-    return d
+    return Derivation(pres, target, u, v, alpha)
 
 
 def zero_derivation(pres: PcPresentation, target: Subgroup) -> Derivation:

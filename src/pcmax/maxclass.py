@@ -2,11 +2,11 @@
 
 A group of order p^n has maximal class when its nilpotency class is n - 1;
 the lower central series then has |G : G_2| = p^2 and layers of order p
-below that.  Everything in this module works with the generator ordering
-convention of the engine: generator 1 is an element s outside the
-distinguished maximal subgroup, generator 2 is s_1, and generator i+1 is
-the chain element s_i = [s_{i-1}, s], so that the series terms are the
-suffix subgroups G_i = <a_{i+1}, ..., a_n>.
+below that.  By the engine's convention generator 1 is an element s
+outside the distinguished maximal subgroup, generator 2 is s_1 and
+generator i+1 is s_i = [s_{i-1}, s].  That the series terms are the suffix
+subgroups G_i = <a_{i+1}, ..., a_n> is certified from the tails by
+`chain_series`, not assumed.
 """
 
 from __future__ import annotations
@@ -24,120 +24,114 @@ class MaxClassReport:
     order_exponent: int
     nilpotency_class: int
     layer_orders: tuple
-    standard_chain: bool
+    series: SeriesChain     # the lower central series
     failure: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def validate_maximal_class(pres: PcPresentation, series: SeriesChain | None = None) -> MaxClassReport:
-    """Confirm class n-1 with layer sizes p^2, p, ..., p along the series.
+def _layers_spanned(pres: PcPresentation, stop: int) -> bool:
+    """For 2 <= k < stop, some tail [a_k, a_j], j < k, has a nonzero a_{k+1}
+    coordinate, i.e. [Gamma_k, G] Gamma_{k+2} = Gamma_{k+1}."""
+    return all(any(pres.commutator_tail(k, j)[k] for j in range(1, k))
+               for k in range(2, stop))
 
-    Also records whether the computed series terms coincide with the suffix
-    subgroups of the presentation ("standard chain"), which the theorem
-    drivers require.
+
+def chain_series(pres: PcPresentation) -> SeriesChain | None:
+    """The lower central series G, Gamma_3, ..., Gamma_{n+1} = 1 of a
+    consistent presentation, certified from its tails; None if it fails.
+
+    The support rules make the suffixes Gamma_k = <a_k, ..., a_n> a central
+    series with G/Gamma_3 abelian, so gamma_k <= Gamma_{k+1} for k >= 2.
+    Modulo Gamma_{k+2}, [Gamma_k, G] is spanned by the tails [a_k, a_j] with
+    j < k.  If one of them has a nonzero a_{k+1} coordinate for each
+    2 <= k < n, induction gives gamma_k Gamma_{k+2} = Gamma_{k+1}, so
+    gamma_{n-1} = Gamma_n and, downwards, gamma_k = Gamma_{k+1}.  By
+    orders, for n >= 2 that holds exactly when the group has maximal
+    class.  n^2/2 tail lookups and no group arithmetic.
     """
-    series = series or pres.lower_central_series()
+    n = pres.n
+    if n < 2 or not _layers_spanned(pres, n):
+        return None
+    return SeriesChain(pres, [pres.suffix_subgroup(k) for k in (1, *range(3, n + 2))])
+
+
+def validate_maximal_class(pres: PcPresentation) -> MaxClassReport:
+    """Confirm class n-1 with layer sizes p^2, p, ..., p along the lower
+    central series of a consistent presentation.
+
+    The group has maximal class exactly when `chain_series` certifies the
+    suffix chain as its series; only otherwise is the series computed by
+    normal closures, for the report's layer orders and failure.
+    """
+    series = chain_series(pres) or pres.lower_central_series()
     n = pres.n
     cls = series.nilpotency_class()
     exps = series.order_exponents()
-    standard = all(
-        series.term(i) == pres.suffix_subgroup(i + 1) for i in range(2, len(series) + 1)
-    )
     if cls != n - 1:
-        return MaxClassReport(False, n, cls, exps, standard,
+        return MaxClassReport(False, n, cls, exps, series,
                               f"nilpotency class {cls} != {n - 1}")
     if n >= 2 and exps[0] - exps[1] != 2:
-        return MaxClassReport(False, n, cls, exps, standard,
+        return MaxClassReport(False, n, cls, exps, series,
                               f"|G : G_2| = p^{exps[0] - exps[1]} != p^2")
     for i in range(2, n):
         if exps[i - 1] - exps[i] != 1:
-            return MaxClassReport(False, n, cls, exps, standard,
+            return MaxClassReport(False, n, cls, exps, series,
                                   f"|G_{i} : G_{i + 1}| != p")
-    return MaxClassReport(True, n, cls, exps, standard)
+    return MaxClassReport(True, n, cls, exps, series)
 
 
-def compute_G1(pres: PcPresentation, series: SeriesChain | None = None) -> Subgroup:
+def compute_G1(pres: PcPresentation) -> Subgroup:
     """The distinguished maximal subgroup G_1 = C_G(G_2/G_4), read off the
-    top layers of the lower central series.
+    tails [a_3, a_1] and [a_3, a_2].
 
-    Needs |G : G_2| = p^2 and |G_2 : G_3| = |G_3 : G_4| = p.  Take x, the
-    first generator outside G_2, and y, the first with h = [x, y] outside
-    G_3: then x, y span G/G_2 = F_p^2 and h spans G_2/G_3.  Let w span
-    G_3/G_4 and psi(g) be the coordinate of [h, g] on w modulo G_4.  As
-    G_3/G_4 is central in G/G_4, [h, gg'] = [h, g'][h, g]^g' makes psi a
-    homomorphism G -> F_p; it kills G_2 since [G_2, G_2] <= G_4, and it is
-    nonzero since [G_2, G] = G_3 > G_4.  Every element of G_2 is h^k modulo
-    G_3 and [G_3, G] <= G_4, so C_G(G_2/G_4) = ker psi, which is
-    <x^psi(y) y^-psi(x), G_2>: a few commutators and one subgroup closure.
-    `PcPresentation.centralizer_mod`, which walks the p^4 cosets of G_4, is
-    the exhaustive reference the tests compare this with.
+    If the layer condition of `chain_series` fails for some k <= 4, the top
+    layers of the series are not of order p^2, p, p.  Otherwise let psi(g)
+    be the a_4 coordinate of [a_3, g].  As Gamma_4/Gamma_5 is central, psi
+    is a homomorphism G -> F_p; it kills Gamma_3, and it is nonzero by the
+    condition at k = 3.  Gamma_3 is <a_3> modulo Gamma_4 and [Gamma_4, G]
+    <= Gamma_5, so ker psi = C_G(Gamma_3/Gamma_5) =
+    <a_1^psi(a_2) a_2^-psi(a_1), Gamma_3>, whose echelon basis is written
+    down directly.  On a group of maximal class G_2 = Gamma_3 and G_4 =
+    Gamma_5, so this is G_1.  `PcPresentation.centralizer_mod`, which walks
+    the p^4 cosets of G_4, is the exhaustive reference the tests compare
+    this with.
     """
-    if pres.n < 4:
+    n, p = pres.n, pres.p
+    if n < 4:
         raise PresentationError("the distinguished maximal subgroup needs n >= 4")
-    if series is None:
-        series = pres.lower_central_series()
-    G2, G3, G4 = series.term(2), series.term(3), series.term(4)
-    exps = (pres.n, G2.order_exponent, G3.order_exponent, G4.order_exponent)
-    if (exps[0] - exps[1], exps[1] - exps[2], exps[2] - exps[3]) != (2, 1, 1):
+    if not _layers_spanned(pres, min(n, 5)):
         raise PresentationError(
             "the distinguished maximal subgroup needs top layers of order p^2, p, p")
-    x = next(g for g in pres.generators if not G2.contains(g))
-    for y in pres.generators:
-        h = pres.commutator(x, y)
-        if not G3.contains(h):
-            break
-    else:
-        raise PresentationError("the generators do not span G/G_2")
-    w = next(b for b in G3.basis if not G4.contains(b))
-
-    def psi(g):
-        c = pres.commutator(h, g)
-        for k in range(pres.p):
-            if G4.contains(c):
-                return k
-            c = pres.solve(w, c)  # w^-1 c = c w^-1 modulo G_4
-        raise PresentationError("[G_2, G] is not contained in G_3")
-
-    psi_x, psi_y = psi(x), psi(y)
-    kernel = pres.multiply(pres.power(x, psi_y), pres.power(y, -psi_x))
-    return pres.subgroup_from_generators([kernel, *G2.basis])
+    psi1, psi2 = pres.commutator_tail(3, 1)[3], pres.commutator_tail(3, 2)[3]
+    head = (1, -psi1 * pow(psi2, -1, p) % p) if psi2 else (0, 1)
+    return Subgroup(pres, [Element(head + (0,) * (n - 2)), *pres.generators[2:]])
 
 
 def degree_of_commutativity(pres: PcPresentation, series: SeriesChain,
                             G1: Subgroup) -> int:
-    """Largest l with [G_i, G_j] <= G_{i+j+l} for all i, j >= 1; equals n - 3
-    when G_1 is abelian.
+    """Largest l <= n - 3 with [G_i, G_j] <= G_{i+j+l} for all i, j >= 1,
+    where G_k = 1 for k >= n.
 
-    Containments with i + j + l > n are implied for maximal class and are
-    skipped; the test suite cross-checks against a full double loop.
+    Let x_i be the first basis member of G_i (of G_1 for i = 1); on a group
+    of maximal class G_i = <x_i, ..., x_{n-1}>, so [G_i, G_j] is the normal
+    closure of the [x_a, x_b] with a >= i and b >= j.  The G_k are normal
+    and descend, so l is the minimum of n - 3 and of w([x_a, x_b]) - a - b
+    over a < b, where w(c) is the largest k with c in G_k: C(n-1, 2)
+    commutators, each lowering a running bound until it fits.
     """
     n = pres.n
-    if G1.is_abelian():
-        return n - 3
-
-    def term(i):
-        if i <= 1:
-            return G1 if i == 1 else pres.full_subgroup()
-        return series.term(i)
-
-    def holds(l):
-        for i in range(1, n):
-            for j in range(i, n):
-                if i + j + l > n:
-                    continue
-                gi, gj, gk = term(i), term(j), term(i + j + l)
-                for x in gi.basis:
-                    for y in gj.basis:
-                        if not gk.contains(pres.commutator(x, y)):
-                            return False
-        return True
-
-    for l in range(n - 3, -1, -1):
-        if holds(l):
-            return l
-    raise PresentationError("no degree of commutativity >= 0; input is not maximal class")
+    xs = [G1.basis[0], *(series.term(i).basis[0] for i in range(2, n))]
+    l = n - 3
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            c = pres.commutator(xs[a - 1], xs[b - 1])
+            while l >= 0 and not series.term(a + b + l).contains(c):
+                l -= 1
+    if l < 0:
+        raise PresentationError("no degree of commutativity >= 0; input is not maximal class")
+    return l
 
 
 def standard_generators(pres: PcPresentation, series: SeriesChain, G1: Subgroup):
@@ -206,23 +200,17 @@ class MaxClassProfile:
         return self.s_chain[i - 1]
 
 
-def build_profile(pres: PcPresentation, require_chain: bool = False,
-                  series: SeriesChain | None = None) -> MaxClassProfile:
-    """Compute the full profile; raises when the input is not maximal class
-    (or, with require_chain, when the generator chain does not span).
-    Callers that already hold the lower central series pass it in."""
-    if series is None:
-        series = pres.lower_central_series()
-    report = validate_maximal_class(pres, series)
+def build_profile(pres: PcPresentation, require_chain: bool = False) -> MaxClassProfile:
+    """Compute the full profile of a consistent presentation; raises when
+    the input is not maximal class (or, with require_chain, when the
+    generator chain does not span).  On a group of maximal class the
+    validated series is the suffix chain certified by `chain_series`."""
+    report = validate_maximal_class(pres)
     if not report.ok:
         raise PresentationError(f"not a group of maximal class: {report.failure}")
-    if not report.standard_chain:
-        raise PresentationError(
-            "series terms do not match the suffix subgroups; reorder the "
-            "generators to the standard convention"
-        )
+    series = report.series
     n = pres.n
-    G1 = compute_G1(pres, series)
+    G1 = compute_G1(pres)
     l = degree_of_commutativity(pres, series, G1)
     r = n - l - 1
     t = max(r, (n + 2) // 2)  # ceil((n+1)/2)

@@ -142,9 +142,10 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
     """Search for a consistent nonmetabelian maximal-class presentation.
 
     Returns the first hit, or None when the budget is exhausted.  The
-    result has passed consistency_check, validate_maximal_class (with the
-    standard chain) and has a nonabelian derived subgroup; with l_target
-    set, the degree of commutativity must match it exactly.
+    result has passed consistency_check and validate_maximal_class, its
+    chain s_{i+1} = [s_i, s] spans the series, and it has a nonabelian
+    derived subgroup; with l_target set, the degree of commutativity must
+    match it exactly.
     """
     if n <= p + 1:
         raise PresentationError("nonmetabelian fixtures need n > p + 1")
@@ -172,12 +173,10 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
             continue
         if not cand.consistency_check().ok:
             continue
-        series = cand.lower_central_series()
-        report = validate_maximal_class(cand, series)
-        if not (report.ok and report.standard_chain):
+        if not validate_maximal_class(cand).ok:
             continue
         try:
-            profile = build_profile(cand, require_chain=True, series=series)
+            profile = build_profile(cand, require_chain=True)
         except PresentationError:
             continue
         if profile.metabelian:

@@ -132,6 +132,8 @@ def test_build_and_analyze(tmp_path):
 
 def test_analyze_builds_lower_central_series_once(nonmetabelian58, tmp_path,
                                                   monkeypatch, capsys):
+    # the 5^8 fixture's series is certified from its tails; the "wide-top"
+    # group is not of maximal class, so its series is computed, once
     from pcmax import cli
 
     calls = []
@@ -141,11 +143,25 @@ def test_analyze_builds_lower_central_series_once(nonmetabelian58, tmp_path,
         calls.append(self)
         return series(self)
 
+    monkeypatch.setattr(PcPresentation, "lower_central_series", counting)
     path = tmp_path / "nm58.grp"
     groupfile.dump(nonmetabelian58.pres, path)
-    monkeypatch.setattr(PcPresentation, "lower_central_series", counting)
     assert cli.main(["analyze", str(path)]) == 0
     assert "degree-of-commutativity: 2" in capsys.readouterr().out
+    assert len(calls) == 0
+
+    wide_top = PcPresentation(5, 4, [(0,) * 4] * 4, {(2, 1): (0, 0, 1, 0)})
+    groupfile.dump(wide_top, path)
+    assert cli.main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.split("\n")[3:] == [
+        "order: 5^4",
+        "consistency: pass (20 overlaps)",
+        "series-order-exponents: 4 1 0",
+        "nilpotency-class: 2",
+        "maximal-class: no (nilpotency class 2 != 3)",
+        "standard-chain: no",
+        "",
+    ]
     assert len(calls) == 1
 
 

@@ -10,6 +10,8 @@ from pcmax.derivations import (add, bullet, check_lemma_down, compose,
                                make_derivation, negate, one_plus,
                                zero_derivation)
 from pcmax.errors import PresentationError
+from pcmax.maxclass import build_profile
+from pcmax.pcgroup import PcPresentation
 
 from .conftest import SEED
 
@@ -82,6 +84,19 @@ def test_eval_lands_in_target(g57):
     for d in _sample_derivations(g57, A, rng, 5):
         for _ in range(50):
             assert A.contains(evaluate(d, g57.random_element(rng)))
+
+
+@pytest.mark.parametrize("name", ["g57", "nonmetabelian57", "nonmetabelian58"])
+def test_derived_generator_values_lie_in_target(request, name):
+    # make_derivation does not test this: modulo the normal target the
+    # chain-derived image of a_{i+1} is [a_i, a_1] = a_{i+1}
+    value = request.getfixturevalue(name)
+    pres = value if isinstance(value, PcPresentation) else value.pres
+    A = build_profile(pres, require_chain=True).A
+    rng = random.Random(SEED)
+    for d in _sample_derivations(pres, A, rng, 20):
+        for a, image in zip(pres.generators, d.alpha.images):
+            assert A.contains(pres.solve(a, image))
 
 
 def test_cocycle_law_battery(g57):

@@ -1,5 +1,6 @@
-"""Maximal-class validation, the distinguished subgroup, degree of
-commutativity, standard generators, exponent relations, conjugacy facts."""
+"""Maximal-class validation, the series certificate, the distinguished
+subgroup, degree of commutativity, standard generators, exponent relations,
+conjugacy facts."""
 
 import dataclasses
 import random
@@ -10,9 +11,10 @@ import pytest
 
 from pcmax.blackburn import build_blackburn_pc
 from pcmax.errors import PresentationError
-from pcmax.maxclass import (build_profile, compute_G1, conjugacy_facts,
-                            degree_of_commutativity, standard_generators,
-                            validate_maximal_class, verify_exponent_relations)
+from pcmax.maxclass import (build_profile, chain_series, compute_G1,
+                            conjugacy_facts, degree_of_commutativity,
+                            standard_generators, validate_maximal_class,
+                            verify_exponent_relations)
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import GRID, SEED
@@ -22,14 +24,18 @@ from .oracles import brute_degree_of_commutativity, class_is_coset
 def test_validate_blackburn_fixtures(g35, g57):
     assert validate_maximal_class(g35).nilpotency_class == 4
     rep = validate_maximal_class(g57)
-    assert rep.ok and rep.nilpotency_class == 6 and rep.standard_chain
+    assert rep.ok and rep.nilpotency_class == 6
+    assert rep.series.terms == g57.lower_central_series().terms
 
 
 def test_validate_rejects_elementary_abelian():
     pres = PcPresentation(3, 3, [(0, 0, 0)] * 3, {})
     rep = validate_maximal_class(pres)
-    assert not rep.ok
+    assert not rep.ok and chain_series(pres) is None
     assert "class" in rep.failure
+    # order p: no suffix subgroup Gamma_3 exists to compare the series with
+    rep = validate_maximal_class(PcPresentation(3, 1, [(0,)], {}))
+    assert not rep.ok and rep.failure == "nilpotency class 1 != 0"
 
 
 def test_compute_G1(g57):
@@ -53,7 +59,7 @@ def test_compute_G1_requires_n4():
 def _G1_against_oracle(pres):
     """compute_G1, after checking it against the exhaustive coset walk."""
     series = pres.lower_central_series()
-    G1 = compute_G1(pres, series)
+    G1 = compute_G1(pres)
     assert G1 == pres.centralizer_mod(series.term(2), series.term(4))
     assert pres.n - G1.order_exponent == 1
     return G1
@@ -78,6 +84,67 @@ def _rebased(pres, b1, b2):
         p, n, [coords(pres.power(g, p)) for g in gens],
         {(j + 1, i + 1): coords(pres.commutator(gens[j], gens[i]))
          for j in range(n) for i in range(j)})
+
+
+@pytest.fixture(scope="module")
+def structure_inputs(nonmetabelian57, nonmetabelian58):
+    """The GRID groups and both searched fixtures, each also on the pc
+    sequences (s s_1, s, s_2, ...) and (s_1, s, s_2, ...)."""
+    groups = [build_blackburn_pc(p, n) for p, n in GRID]
+    groups += [nonmetabelian57.pres, nonmetabelian58.pres]
+    inputs = []
+    for pres in groups:
+        s, s1 = pres.generators[:2]
+        inputs += [pres, _rebased(pres, pres.multiply(s, s1), s), _rebased(pres, s1, s)]
+    assert all(pres.consistency_check().ok for pres in inputs)
+    return inputs
+
+
+def test_chain_series_matches_lower_central_series(structure_inputs):
+    for pres in structure_inputs:
+        assert chain_series(pres).terms == pres.lower_central_series().terms, pres
+    # on (s_1, s, s_2, ...) the a_1 = s_1 tails [a_k, a_1] miss a_{k+1} for
+    # k >= 3 (l >= 1 on every input), so the witness is [a_k, a_2]
+    for pres in structure_inputs[2::3]:
+        for k in range(3, pres.n):
+            assert not pres.commutator_tail(k, 1)[k] and pres.commutator_tail(k, 2)[k]
+
+
+def _random_presentation(rng, p, n):
+    """Tails whose coordinates allowed by the support rules are nonzero with
+    probability 1/10, except that [a_k, a_1] has a nonzero a_{k+1}
+    coordinate with probability 9/10, so that all layers are reached."""
+    def tail(start, chain=False):
+        t = [rng.randrange(1, p) if k >= start and rng.random() < 0.1 else 0
+             for k in range(n)]
+        if chain and start < n and rng.random() < 0.9:
+            t[start] = rng.randrange(1, p)
+        return t
+
+    return PcPresentation(p, n, [tail(i + 1) for i in range(n)],
+                          {(j, i): tail(j, i == 1) for j in range(2, n + 1) for i in range(1, j)})
+
+
+def test_chain_certificate_decides_maximal_class_on_random_presentations():
+    rng = random.Random(SEED)
+    classes = {n: Counter() for n in range(2, 7)}
+    for n in classes:
+        while sum(classes[n].values()) < 200:
+            pres = _random_presentation(rng, rng.choice((3, 5)), n)
+            if not pres.consistency_check().ok:
+                continue
+            series = pres.lower_central_series()
+            suffix_chain = [pres.suffix_subgroup(k) for k in (1, *range(3, n + 2))]
+            certified = chain_series(pres) is not None
+            assert certified == (list(series.terms) == suffix_chain), pres.canonical_text()
+            # maximal class by the layer orders of the computed series
+            assert certified == (series.order_exponents() == (n, *range(n - 2, -1, -1)))
+            assert certified == validate_maximal_class(pres).ok
+            classes[n][series.nilpotency_class()] += 1
+    # both verdicts at every n >= 3, and failures at every depth at n = 6
+    for n in range(3, 7):
+        assert classes[n][n - 1] >= 50 and classes[n].total() - classes[n][n - 1] >= 20
+    assert set(classes[6]) == {2, 3, 4, 5}
 
 
 @pytest.mark.parametrize("p,n", GRID)
@@ -112,6 +179,7 @@ def test_compute_G1_matches_centralizer_mod_off_the_suffix(g57, nonmetabelian58)
 ], ids=["abelian", "wide-top", "wide-third-layer"])
 def test_compute_G1_rejects_other_top_layers(pres):
     assert pres.consistency_check().ok
+    assert chain_series(pres) is None and not validate_maximal_class(pres).ok
     with pytest.raises(PresentationError, match="top layers"):
         compute_G1(pres)
 
@@ -127,7 +195,7 @@ def test_standard_generators_ignore_labels(g57):
         g57.p, g57.n, g57.power_tails, g57.commutator_tails,
         labels=[f"x{i}" for i in range(7)])
     series = relabeled.lower_central_series()
-    G1 = compute_G1(relabeled, series)
+    G1 = compute_G1(relabeled)
     s, s1, chain = standard_generators(relabeled, series, G1)
     assert s == relabeled.generator(1)
     assert s1 == relabeled.generator(2)
@@ -137,16 +205,44 @@ def test_standard_generators_ignore_labels(g57):
 def test_degree_of_commutativity_metabelian(g57, g35):
     for pres, expect in [(g57, 4), (g35, 2)]:
         series = pres.lower_central_series()
-        G1 = compute_G1(pres, series)
+        G1 = compute_G1(pres)
         assert degree_of_commutativity(pres, series, G1) == expect
 
 
-def test_degree_of_commutativity_matches_brute_force(g55, nonmetabelian58):
-    for pres in [g55, nonmetabelian58.pres]:
+def test_degree_of_commutativity_matches_brute_force(structure_inputs):
+    # seeded random groups of maximal class add inputs on which only the
+    # commutators [x_1, x_b] with G_1 pin l
+    rng = random.Random(SEED)
+    random_groups = []
+    while len(random_groups) < 100:
+        n = rng.randint(4, 6)
+        pres = _random_presentation(rng, rng.choice((3, 5, 7)), n)
+        if (pres.consistency_check().ok
+                and pres.lower_central_series().nilpotency_class() == n - 1):
+            random_groups.append(pres)
+    for pres in [*structure_inputs, *random_groups]:
         series = pres.lower_central_series()
-        G1 = compute_G1(pres, series)
+        G1 = compute_G1(pres)
         fast = degree_of_commutativity(pres, series, G1)
-        assert fast == brute_degree_of_commutativity(pres, series, G1)
+        assert fast == brute_degree_of_commutativity(pres, series, G1), pres
+
+
+def test_structure_reads_tails_and_few_commutators(nonmetabelian58, monkeypatch):
+    pres = nonmetabelian58.pres
+    n = pres.n
+    calls = Counter()
+    for name in ("_collect", "commutator"):
+        original = getattr(PcPresentation, name)
+
+        def counting(self, *args, name=name, original=original):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(PcPresentation, name, counting)
+    G1 = compute_G1(pres)
+    assert calls == {}
+    assert degree_of_commutativity(pres, chain_series(pres), G1) == 2
+    assert calls["commutator"] <= comb(n - 1, 2)
 
 
 def test_nonmetabelian_fixture_dc(nm_profile58):
@@ -157,7 +253,7 @@ def test_nonmetabelian_fixture_dc(nm_profile58):
 
 def test_standard_generators_blackburn(g57):
     series = g57.lower_central_series()
-    G1 = compute_G1(g57, series)
+    G1 = compute_G1(g57)
     s, s1, chain = standard_generators(g57, series, G1)
     assert s == g57.generator(1)
     assert s1 == g57.generator(2)

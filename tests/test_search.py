@@ -1,7 +1,5 @@
 """The randomized fixture search: determinism, oracle guarantees, budget."""
 
-from collections import Counter
-
 import pytest
 
 from pcmax.errors import PresentationError
@@ -24,31 +22,38 @@ def test_search_is_deterministic(nonmetabelian58):
 def test_search_result_passes_the_oracle(nonmetabelian58):
     pres = nonmetabelian58.pres
     assert pres.consistency_check().ok
-    rep = validate_maximal_class(pres)
-    assert rep.ok and rep.standard_chain
+    assert validate_maximal_class(pres).ok
     profile = build_profile(pres, require_chain=True)
     assert not profile.metabelian
     assert profile.l == nonmetabelian58.l == 2
 
 
 def test_search_builds_one_series_per_candidate(monkeypatch):
+    # each consistent candidate is validated once, and its series is read
+    # off the tails rather than computed
     from pcmax import search
     from pcmax.pcgroup import PcPresentation
 
-    calls = Counter()
+    consistent, validated, series = [], [], []
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def recording(log, fn, keep=lambda result: True):
+        def wrapper(pres):
+            result = fn(pres)
+            if keep(result):
+                log.append(pres)
+            return result
         return wrapper
 
+    monkeypatch.setattr(PcPresentation, "consistency_check", recording(
+        consistent, PcPresentation.consistency_check, lambda report: report.ok))
     monkeypatch.setattr(PcPresentation, "lower_central_series",
-                        counting("series", PcPresentation.lower_central_series))
+                        recording(series, PcPresentation.lower_central_series))
     monkeypatch.setattr(search, "validate_maximal_class",
-                        counting("validate", search.validate_maximal_class))
+                        recording(validated, search.validate_maximal_class))
     assert search_nonmetabelian(5, 7, seed=SEED, budget=5000, l_target=1)
-    assert calls["series"] == calls["validate"] > 0
+    # the first consistency check is the reference group's, in build_blackburn_pc
+    assert validated == consistent[1:] and validated
+    assert series == []
 
 
 def test_search_different_seed_still_hits():
