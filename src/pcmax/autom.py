@@ -34,19 +34,19 @@ Three drivers verify the statements this package exists to check:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
-from . import __version__
+from . import DEFAULT_SEED, __version__
 from .blackburn import build_blackburn_pc
 from .derivations import kernel_contains, make_derivation, one_plus
-from .errors import (HomCheckFailed, PreconditionRefused, PresentationError,
-                     TheoremViolation, ValidationFailed)
+from .errors import (HomCheckFailed, InconsistentPresentation,
+                     PreconditionRefused, PresentationError, TheoremViolation,
+                     ValidationFailed)
 from .homs import GroupMap, check_homomorphism, inner_automorphism
 from .maxclass import (MaxClassProfile, build_profile,
                        require_theorem_hypotheses, verify_exponent_relations)
 from .pcgroup import Element, PcPresentation, Subgroup
-
-DEFAULT_SEED = 0x5EED_C0DE_2026  # fixed default seed, echoed in every report
 
 
 def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
@@ -63,8 +63,7 @@ def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
     return GroupMap(pres, alpha.images, alpha.kind, derivation=d)
 
 
-@dataclass(frozen=True)
-class AutFamily:
+class AutFamily(NamedTuple):
     """phi_{u,v} over a subgroup of target x target, certified from the
     members on its basis pairs; the other members are never built."""
 
@@ -108,28 +107,28 @@ def build_H(pres: PcPresentation, profile: MaxClassProfile) -> AutFamily:
     return certify_family(pres, profile, profile.A, fixes_s=True)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """A driver's verdict, built once from its checks.  Refusals raise
+    PreconditionRefused instead of producing a report."""
+
     driver: str
     input_digest: str
     input_description: str
-    profile: dict
+    profile: MappingProxyType   # read-only view of the profile lines
     seed: int
-    checks: list = field(default_factory=list)
-    achieved_exponent: int | None = None
-    required_exponent: int | None = None
-    status: str = "pass"          # pass | theorem-violation | refused
+    checks: tuple
+    achieved_exponent: int
+    required_exponent: int
 
     @property
     def ok(self) -> bool:
-        return self.status == "pass" and all(c.passed for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def render(self) -> str:
         lines = [
@@ -145,28 +144,30 @@ class VerificationReport:
             status = "pass" if c.passed else "FAIL"
             detail = f" ({c.detail})" if c.detail else ""
             lines.append(f"check {c.name}: {status}{detail}")
-        if self.achieved_exponent is not None:
-            lines.append(f"achieved-exponent: {self.achieved_exponent}")
-        if self.required_exponent is not None:
-            lines.append(f"required-exponent: {self.required_exponent}")
-        lines.append(f"result: {self.status if self.status != 'pass' else ('pass' if self.ok else 'FAIL')}")
+        lines.append(f"achieved-exponent: {self.achieved_exponent}")
+        lines.append(f"required-exponent: {self.required_exponent}")
+        lines.append(f"result: {'pass' if self.ok else 'theorem-violation'}")
         return "\n".join(lines) + "\n"
 
 
-def _base_report(driver, pres, profile: MaxClassProfile, seed) -> VerificationReport:
+def _report(driver, pres, profile: MaxClassProfile, seed, checks,
+            achieved: int, required: int) -> VerificationReport:
     return VerificationReport(
         driver=driver,
         input_digest=pres.digest(),
         input_description=f"pc group of order {pres.p}^{pres.n}",
-        profile={
+        profile=MappingProxyType({
             "order": f"{pres.p}^{pres.n}",
             "class": profile.series.nilpotency_class(),
             "l": profile.l,
             "r": profile.r,
             "t": profile.t,
             "metabelian": profile.metabelian,
-        },
+        }),
         seed=seed,
+        checks=tuple(checks),
+        achieved_exponent=achieved,
+        required_exponent=required,
     )
 
 
@@ -224,25 +225,22 @@ def verify_thm_metabelian(pres: PcPresentation,
     """Every pair of derived-subgroup values extends to an automorphism;
     the achieved family order is p^{2(n-2)}."""
     _require_consistent(pres)
-    return _metabelian_report(pres, build_profile(pres, require_chain=True), seed)
+    profile = build_profile(pres, require_chain=True)
+    check, exponent = _derived_pair_family(pres, profile)
+    return _report("metabelian", pres, profile, seed, [check], exponent, exponent)
 
 
-def _metabelian_report(pres: PcPresentation, profile: MaxClassProfile,
-                       seed: int) -> VerificationReport:
-    """The metabelian driver's report on a consistent presentation whose
-    profile is already built."""
+def _derived_pair_family(pres: PcPresentation, profile: MaxClassProfile):
+    """The family over G_2 of a metabelian group: its check and its order
+    exponent."""
     if not profile.metabelian:
         raise PreconditionRefused("input group is not metabelian")
-    report = _base_report("metabelian", pres, profile, seed)
     fam = certify_family(pres, profile, profile.G(2))
-    report.checks.append(CheckResult("derived-pair-family-validated", True, fam.detail))
-    report.achieved_exponent = report.required_exponent = fam.claimed_order_exponent
-    return report
+    return (CheckResult("derived-pair-family-validated", True, fam.detail),
+            fam.claimed_order_exponent)
 
 
 def _require_consistent(pres: PcPresentation):
-    from .errors import InconsistentPresentation
-
     rep = pres.consistency_check()
     if not rep.ok:
         raise InconsistentPresentation(rep.failure)
@@ -258,23 +256,14 @@ def verify_thm_main1(pres: PcPresentation,
     required = math.ceil((3 * n - 2 * p + 5) / 2)
 
     if profile.metabelian:
-        report = _metabelian_report(pres, profile, seed)
-        report.driver = "main1"
-        report.required_exponent = required
-        achieved = report.achieved_exponent
-        report.checks.append(CheckResult(
-            "bound", achieved >= required,
-            f"metabelian branch: 2(n-2) = {achieved} >= {required}"))
-        if achieved < required:
-            report.status = "theorem-violation"
-        return report
-
-    report = _base_report("main1", pres, profile, seed)
-    report.required_exponent = required
+        check, achieved = _derived_pair_family(pres, profile)
+        bound = CheckResult("bound", achieved >= required,
+                            f"metabelian branch: 2(n-2) = {achieved} >= {required}")
+        return _report("main1", pres, profile, seed, [check, bound], achieved, required)
 
     # stage 1: A = G_r is abelian and the action on it is the standard one
     A = profile.A
-    report.checks.append(CheckResult("A-abelian", A.is_abelian()))
+    checks = [CheckResult("A-abelian", A.is_abelian())]
     sim_ok = True
     for i in range(profile.r, n):
         si = profile.chain_element(i)
@@ -284,40 +273,36 @@ def verify_thm_main1(pres: PcPresentation,
         if pres.commutator(si, profile.s) != profile.chain_element(i + 1):
             sim_ok = False
             break
-    report.checks.append(CheckResult(
+    checks.append(CheckResult(
         "module-similarity", sim_ok,
         "[s_i, s_1] = 1 and [s_i, s] = s_{i+1} for i >= r"))
 
     # stage 2: exponent relations (exact for i >= r, congruences mod N)
     exp_rep = verify_exponent_relations(pres, profile)
-    report.checks.append(CheckResult(
+    checks.append(CheckResult(
         "exponent-relations", exp_rep.ok,
         f"exact from i = {exp_rep.exact_from}, congruences mod N "
         f"{'hold' if exp_rep.congruence_all and exp_rep.head_congruences else 'fail'}"))
 
     # stage 3: G/N is the same group as the reference quotient
     iso_ok, iso_detail = _quotient_isomorphic_to_reference(pres, profile)
-    report.checks.append(CheckResult("quotient-matches-reference", iso_ok, iso_detail))
+    checks.append(CheckResult("quotient-matches-reference", iso_ok, iso_detail))
 
     # stage 4: the family over A
     fam = certify_family(pres, profile, A)
-    report.checks.append(CheckResult("A-family-validated", True, fam.detail))
+    checks.append(CheckResult("A-family-validated", True, fam.detail))
 
     # stage 5: trivial intersection with the inner automorphisms
-    inn_check = h_cap_inn_check(pres, profile)
-    report.checks.append(inn_check)
+    checks.append(h_cap_inn_check(pres, profile))
 
     achieved = (n - 1) + (n - profile.r)  # = n + l
-    report.achieved_exponent = achieved
-    report.checks.append(CheckResult(
+    checks.append(CheckResult(
         "degree-bound", 2 * profile.l >= n - 2 * p + 5,
         f"2l = {2 * profile.l} >= n - 2p + 5 = {n - 2 * p + 5}"))
-    report.checks.append(CheckResult(
+    checks.append(CheckResult(
         "bound", achieved >= required,
         f"c = (n-1) + (n-r) = {achieved} >= {required}"))
-    if not report.ok:
-        report.status = "theorem-violation"
-    return report
+    return _report("main1", pres, profile, seed, checks, achieved, required)
 
 
 def _quotient_isomorphic_to_reference(pres: PcPresentation,
@@ -356,37 +341,32 @@ def verify_thm_main2(pres: PcPresentation,
     p, n = pres.p, pres.n
     t = profile.t
     required = n - 2 * p + 7
-    report = _base_report("main2", pres, profile, seed)
-    report.required_exponent = required
 
     Gt = profile.G(t)
     fam = certify_family(pres, profile, Gt)
-    report.checks.append(CheckResult("Gt-family-validated", True, fam.detail))
+    checks = [CheckResult("Gt-family-validated", True, fam.detail)]
     kernel_ok = all(kernel_contains(m.derivation, Gt) for m in fam.basis_members)
-    report.checks.append(CheckResult(
+    checks.append(CheckResult(
         "kernel-contains-Gt", kernel_ok,
         f"G_{t} lies in the kernel of each of the {len(fam.basis_members)} "
         f"basis derivations, a property closed under products"))
-    report.checks.append(CheckResult(
+    checks.append(CheckResult(
         "family-commutes", kernel_ok,
         f"derivations killing the abelian G_{t} compose as "
         f"(1+d)(1+d') = 1+d+d' = (1+d')(1+d)"))
-    report.checks.append(CheckResult(
+    checks.append(CheckResult(
         "composition-is-parameter-product", kernel_ok,
         "phi_{u,v} . phi_{u',v'} = phi_{uu',vv'}, by the same identity"))
-    report.checks.append(CheckResult(
+    checks.append(CheckResult(
         "conjugation-closure", True,
         f"the family is all of Der(G, G_{t}), the kernel of "
         f"Aut(G) -> Aut(G/G_{t}), normal as G_{t} is characteristic"))
 
     achieved = 2 * (n - t)
-    report.achieved_exponent = achieved
-    report.checks.append(CheckResult(
+    checks.append(CheckResult(
         "bound", achieved >= required,
         f"2(n-t) = {achieved} >= n - 2p + 7 = {required}"))
-    if not report.ok:
-        report.status = "theorem-violation"
-    return report
+    return _report("main2", pres, profile, seed, checks, achieved, required)
 
 
 def _preimage(pres: PcPresentation, gmap: GroupMap, g: Element) -> Element:

@@ -19,8 +19,8 @@ so the two models cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import HomCheckFailed, InconsistentPresentation, PresentationError
 from .homs import GroupMap, certify_automorphism, check_homomorphism
@@ -193,8 +193,7 @@ def sigma(p: int, n: int, m_pres: PcPresentation | None = None) -> GroupMap:
     return certify_automorphism(gmap)
 
 
-@dataclass
-class SigmaReport:
+class SigmaReport(NamedTuple):
     ok: bool
     is_automorphism: bool
     order_is_p: bool
@@ -227,8 +226,7 @@ def verify_sigma(p: int, n: int) -> SigmaReport:
     return SigmaReport(ok, is_auto, order_is_p, matches, failure)
 
 
-@dataclass
-class CrossModelReport:
+class CrossModelReport(NamedTuple):
     ok: bool
     pairs_checked: int
     equivariance_checked: int

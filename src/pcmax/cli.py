@@ -11,7 +11,8 @@ same seed; timings go to standard error.  Every check in a verify report is
 exhaustive or a certificate whose argument its detail names, so the drivers
 take no sampling budgets; the seed drives only the selftest's samples and
 is echoed in every report.  Artifacts are written only to explicitly named
-paths.
+paths.  Each verb imports only the modules it runs, so `analyze` loads no
+automorphism code.
 
 Exit codes: 0 success, 1 usage error, 2 theorem violation or failed
 selftest, 3 precondition refusal, 4 inconsistent or unreadable input.
@@ -23,9 +24,7 @@ import argparse
 import sys
 import time
 
-from . import __version__, blackburn, groupfile
-from .autom import (DEFAULT_SEED, verify_thm_main1, verify_thm_main2,
-                    verify_thm_metabelian)
+from . import DEFAULT_SEED, __version__, groupfile
 from .errors import (InconsistentPresentation, PreconditionRefused,
                      PresentationError, TheoremViolation)
 from .maxclass import build_profile, validate_maximal_class
@@ -78,6 +77,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_build(args) -> int:
+    from . import blackburn
+
     pres = blackburn.build_blackburn_pc(args.p, args.n)
     text = groupfile.dumps(pres)
     if args.out:
@@ -122,9 +123,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import autom
+
     pres = groupfile.load(args.path)
-    driver = {"metabelian": verify_thm_metabelian, "main1": verify_thm_main1,
-              "main2": verify_thm_main2}[args.theorem]
+    driver = {"metabelian": autom.verify_thm_metabelian,
+              "main1": autom.verify_thm_main1,
+              "main2": autom.verify_thm_main2}[args.theorem]
     t0 = time.perf_counter()
     report = driver(pres, seed=args.seed)
     sys.stdout.write(report.render())
@@ -136,8 +140,8 @@ def _cmd_verify(args) -> int:
 def _cmd_selftest(args) -> int:
     import random
 
-    from .autom import build_H
-    from .blackburn import cross_model_check, verify_sigma
+    from .autom import build_H, verify_thm_metabelian
+    from .blackburn import build_blackburn_pc, cross_model_check, verify_sigma
     from .derivations import bullet, evaluate, make_derivation, one_plus
 
     failures = []
@@ -147,7 +151,7 @@ def _cmd_selftest(args) -> int:
         if not ok:
             failures.append(name)
 
-    pres = blackburn.build_blackburn_pc(3, 5)
+    pres = build_blackburn_pc(3, 5)
     check("construction", pres.consistency_check().ok)
     profile = build_profile(pres)
     check("maximal-class", profile.series.nilpotency_class() == 4)
@@ -187,6 +191,8 @@ def _cmd_selftest(args) -> int:
 def _cmd_export(args) -> int:
     if args.model == "pc":
         return _cmd_build(args)
+    from . import blackburn
+
     ring = blackburn.RingModule(args.p, args.n)
     lines = [
         f"ring-model p={args.p} n={args.n}",

@@ -14,8 +14,9 @@ Layout (whitespace-separated, one item per line, order fixed):
 Tail rows are full exponent vectors of length n; commutator rows may be
 omitted for trivial tails, but the writer always emits all of them.  The
 reader enforces the support rules and rejects a second p, n, labels, power
-or comm line for the same item and a power row for a generator outside
-1..n, so a malformed file cannot reach the arithmetic layer.
+or comm line for the same item, a power row for a generator outside 1..n,
+repeated labels, numbers that are not ASCII digits and files that are not
+UTF-8, so a malformed file cannot reach the arithmetic layer.
 """
 
 from __future__ import annotations
@@ -83,11 +84,14 @@ def load(path) -> PcPresentation:
             text = fh.read()
     except OSError as exc:
         raise PresentationError(f"cannot read group file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PresentationError(f"group file is not UTF-8 text: {exc}") from exc
     return loads(text)
 
 
 def _int(token: str, what: str) -> int:
-    try:
+    """An optionally signed run of ASCII digits; `int` alone would also
+    read other scripts' digits, underscores and a leading plus."""
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
         return int(token)
-    except ValueError as exc:
-        raise PresentationError(f"bad {what} in group file: {token!r}") from exc
+    raise PresentationError(f"bad {what} in group file: {token!r}")

@@ -11,15 +11,14 @@ subgroups G_i = <a_{i+1}, ..., a_n> is certified from the tails by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import PreconditionRefused, PresentationError
 from .pcgroup import Element, PcPresentation, SeriesChain, Subgroup
 
 
-@dataclass
-class MaxClassReport:
+class MaxClassReport(NamedTuple):
     ok: bool
     order_exponent: int
     nilpotency_class: int
@@ -164,8 +163,7 @@ def standard_generators(pres: PcPresentation, series: SeriesChain, G1: Subgroup)
     return s, s1, tuple(chain)
 
 
-@dataclass
-class MaxClassProfile:
+class MaxClassProfile(NamedTuple):
     """The named structural data of one maximal-class group."""
 
     pres: PcPresentation
@@ -231,8 +229,7 @@ def build_profile(pres: PcPresentation, require_chain: bool = False) -> MaxClass
     )
 
 
-@dataclass
-class ExponentReport:
+class ExponentReport(NamedTuple):
     ok: bool
     exact_from: int          # smallest i >= 1 such that the relation is exact for all j >= i
     congruence_all: bool     # product lies in N for every i >= 1
@@ -291,8 +288,7 @@ def verify_exponent_relations(pres: PcPresentation, profile: MaxClassProfile) ->
     return ExponentReport(ok, exact_from, congruence_all, head, profile.r, failure)
 
 
-@dataclass
-class ConjugacyReport:
+class ConjugacyReport(NamedTuple):
     ok: bool
     orbit_size: int | None   # p^{n-2} when the class is certified
     expected_orbit: int

@@ -31,7 +31,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PresentationError
 
@@ -62,8 +62,7 @@ class Element(tuple):
         return "<" + "*".join(parts) + ">"
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     ok: bool
     overlaps_checked: int
     failure: str | None = None
@@ -113,6 +112,8 @@ class PcPresentation:
                 raise PresentationError("wrong number of generator labels")
             if any((not lab) or any(c.isspace() for c in lab) for lab in labels):
                 raise PresentationError("labels must be nonempty and whitespace-free")
+            if len(set(labels)) != n:
+                raise PresentationError("generator labels must be distinct")
         self.labels = labels or tuple(f"a{i}" for i in range(1, n + 1))
 
         self.identity = Element((0,) * n)

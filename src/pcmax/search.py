@@ -22,7 +22,7 @@ returned fixture has passed the same checks as any user-supplied input.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blackburn import build_blackburn_pc
 from .errors import PresentationError
@@ -30,8 +30,7 @@ from .maxclass import build_profile, validate_maximal_class
 from .pcgroup import PcPresentation
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     pres: PcPresentation
     candidates_tried: int
     seed: int

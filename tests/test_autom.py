@@ -1,16 +1,15 @@
 """Generator-image maps, the phi family, the s-fixing subgroup, intersection
 with inner automorphisms, and the three verification drivers."""
 
-import dataclasses
 import itertools
 from collections import Counter
 
 import pytest
 
-from pcmax.autom import (_quotient_isomorphic_to_reference, build_H,
-                         certify_family, h_cap_inn_check, invert_automorphism,
-                         phi, verify_thm_main1, verify_thm_main2,
-                         verify_thm_metabelian)
+from pcmax.autom import (CheckResult, _quotient_isomorphic_to_reference,
+                         build_H, certify_family, h_cap_inn_check,
+                         invert_automorphism, phi, verify_thm_main1,
+                         verify_thm_main2, verify_thm_metabelian)
 from pcmax.blackburn import build_blackburn_pc
 from pcmax.derivations import kernel_contains, make_derivation, negate, one_plus
 from pcmax.errors import (HomCheckFailed, PreconditionRefused,
@@ -269,7 +268,7 @@ def test_h_cap_inn_nonmetabelian(nonmetabelian58, nm_profile58):
 
 
 def test_h_cap_inn_refuses_without_spanning_chain(nonmetabelian58, nm_profile58):
-    profile = dataclasses.replace(nm_profile58, chain_spans=False)
+    profile = nm_profile58._replace(chain_spans=False)
     with pytest.raises(PreconditionRefused, match="does not span"):
         h_cap_inn_check(nonmetabelian58.pres, profile)
 
@@ -403,3 +402,19 @@ def test_driver_reports_render_deterministically(g35):
     r2 = verify_thm_metabelian(g35, seed=123).render()
     assert r1 == r2
     assert "seed: 123" in r1
+
+
+def test_report_with_a_failing_check_is_a_violation(g57):
+    rep = verify_thm_main2(g57)
+    assert rep.ok and rep.render().endswith("result: pass\n")
+    *head, bound = rep.checks
+    failing = rep._replace(checks=(*head, CheckResult("bound", False, bound.detail)))
+    assert not failing.ok
+    text = failing.render()
+    assert f"check bound: FAIL ({bound.detail})\n" in text
+    assert text.endswith("result: theorem-violation\n")
+    assert text.replace("FAIL", "pass").replace("theorem-violation", "pass") == rep.render()
+    with pytest.raises(AttributeError):
+        rep.checks = ()
+    with pytest.raises(TypeError):
+        rep.profile["t"] = 0

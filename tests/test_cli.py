@@ -1,12 +1,15 @@
 """Group file round trips and the command-line interface, including exit
 codes and byte-identical reports."""
 
+import json
+import os
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pcmax
 from pcmax import groupfile
 from pcmax.errors import PresentationError
 from pcmax.pcgroup import PcPresentation
@@ -88,6 +91,41 @@ def test_power_row_outside_range_exit_4(tmp_path, line):
     res = run_cli("analyze", str(path))
     assert res.returncode == 4
     assert "outside 1..5" in res.stdout
+
+
+def test_non_utf8_file_exit_4(tmp_path, g57):
+    path = tmp_path / "bom.grp"
+    path.write_bytes(b"\xff\xfe" + groupfile.dumps(g57).encode())
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 4
+    assert "not UTF-8" in res.stdout
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("old, new", [
+    ("p 5", "p \u0665"),                                        # Arabic-Indic five
+    ("comm 3 1 : 0 0 0 1 0 0 0", "comm 3 1 : 0 0 0 \u0661 0 0 0"),  # Arabic-Indic one
+    ("n 7", "n +7"),
+    ("power 1 : 0 0 0 0 0 0 0", "power 1 : 0 0 0 0 0 0 0_0"),
+])
+def test_non_ascii_digit_exit_4(tmp_path, g57, old, new):
+    text = groupfile.dumps(g57)
+    assert old in text
+    path = tmp_path / "digits.grp"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 4
+    assert "bad " in res.stdout
+
+
+def test_duplicate_labels_exit_4(tmp_path, g57):
+    text = groupfile.dumps(g57)
+    assert "labels s s_1 s_2" in text
+    path = tmp_path / "labels.grp"
+    path.write_text(text.replace("labels s s_1 s_2", "labels s s_1 s_1"))
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 4
+    assert "labels must be distinct" in res.stdout
 
 
 def test_trivial_comm_rows_may_be_omitted(g57):
@@ -212,6 +250,37 @@ def test_usage_error_exit_1():
 def test_missing_file_exit_4():
     res = run_cli("analyze", "/nonexistent/file.grp")
     assert res.returncode == 4
+
+
+VERB_RUNS = {
+    "analyze": [["analyze", "{g57}"], ["analyze", "{nm58}"]],
+    "verify": [["verify", "main1", "{g57}"], ["verify", "main1", "{nm58}"]],
+    "selftest": [["selftest"]],
+}
+NOT_FOR_ANALYZE = ["pcmax.autom", "pcmax.blackburn", "pcmax.derivations",
+                   "pcmax.homs", "pcmax.search"]
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_RUNS))
+def test_verb_imports_only_its_modules(verb, g57_file, nonmetabelian58, tmp_path):
+    # A fresh interpreter without site start-up, as pytest itself has
+    # imported dataclasses; the loaded modules go to stderr.
+    nm58 = tmp_path / "nm58.grp"
+    groupfile.dump(nonmetabelian58.pres, nm58)
+    runs = [[a.format(g57=g57_file, nm58=nm58) for a in argv] for argv in VERB_RUNS[verb]]
+    code = ("import json, sys\nfrom pcmax import cli\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "json.dump([codes, sorted(sys.modules)], sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pcmax.__file__)))
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    codes, modules = json.loads(res.stderr)
+    assert codes == [0] * len(runs)
+    assert "dataclasses" not in modules
+    if verb == "analyze":
+        assert not set(NOT_FOR_ANALYZE) & set(modules)
+    else:
+        assert "pcmax.autom" in modules
 
 
 def test_reports_are_byte_identical(g57_file):

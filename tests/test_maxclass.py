@@ -2,7 +2,6 @@
 subgroup, degree of commutativity, standard generators, exponent relations,
 conjugacy facts."""
 
-import dataclasses
 import random
 from collections import Counter
 from math import comb
@@ -403,8 +402,8 @@ def test_conjugacy_negative_control_other_maximal_subgroup(request, name):
     pres = build_blackburn_pc(5, 4) if name == "g54" else _group(request, name)
     profile = build_profile(pres, require_chain=True)
     G2 = profile.G(2)
-    fake = dataclasses.replace(
-        profile, G1=pres.subgroup_from_generators([profile.s, *G2.basis]))
+    fake = profile._replace(
+        G1=pres.subgroup_from_generators([profile.s, *G2.basis]))
     rep = conjugacy_facts(pres, fake, profile.s1)
     assert not rep.ok and not rep.orbit_is_coset and rep.orbit_size is None
     assert not class_is_coset(pres, G2, profile.s1)
