@@ -85,9 +85,6 @@ class RingModule:
     def negate(self, a):
         return self.reduce([-x for x in a])
 
-    def scalar_mul(self, c: int, a):
-        return self.reduce([c * x for x in a])
-
     def theta_mul(self, a):
         """Multiplication by theta = 1 + (theta-1): b_i -> b_i + b_{i+1}."""
         v = list(a)

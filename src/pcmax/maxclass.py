@@ -139,6 +139,8 @@ def standard_generators(pres: PcPresentation, series: SeriesChain, G1: Subgroup)
     s is the first presentation generator outside G_1 and s_1 the first one
     in G_1 but not G_2; the chain must span the series (s_i generates G_i
     modulo G_{i+1}), which holds when n > p + 1 or the group is metabelian.
+    It then ends: s_{n-1} lies in G_{n-1}, the last nontrivial term of the
+    lower central series, which is central, so [s_{n-1}, s] = 1.
     """
     n = pres.n
     s = next((g for g in pres.generators if not G1.contains(g)), None)
@@ -158,8 +160,6 @@ def standard_generators(pres: PcPresentation, series: SeriesChain, G1: Subgroup)
             raise PresentationError(
                 f"chain element s_{i} does not generate G_{i} modulo G_{i + 1}"
             )
-    if any(pres.commutator(chain[-1], s)):
-        raise PresentationError("chain does not terminate at the last series term")
     return s, s1, tuple(chain)
 
 

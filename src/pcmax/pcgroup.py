@@ -504,12 +504,14 @@ class PcPresentation:
         return sorted(seen)
 
     def quotient_by_term(self, k: int) -> "PcPresentation":
-        """Quotient by the suffix subgroup <a_{k+1}, ..., a_n>.
+        """Quotient by the suffix subgroup <a_{k+1}, ..., a_n>: the truncated
+        presentation on the first k generators.
 
-        Returns the truncated presentation on the first k generators.  By
-        the generator ordering convention the suffix subgroup is the series
-        term being factored; callers that rely on that identification check
-        it against the computed series.
+        The presentation must be consistent; the truncation then is too, so
+        it is not checked.  The truncated relations define a group Q of
+        order at most p^k.  The suffix is normal, so G/<a_{k+1}, ..., a_n>
+        has order p^k, and the images of a_1, ..., a_k satisfy the truncated
+        relations there; it is a quotient of Q, so |Q| = p^k.
         """
         if not 1 <= k <= self.n:
             raise PresentationError(f"quotient size {k} out of range 1..{self.n}")
@@ -521,14 +523,7 @@ class PcPresentation:
             for (j, i), t in self.commutator_tails.items()
             if j <= k
         }
-        quo = PcPresentation(self.p, k, pts, cts, labels=self.labels[:k])
-        report = quo.consistency_check()
-        if not report.ok:
-            raise PresentationError(
-                f"truncation at {k} is not consistent ({report.failure}); "
-                "the suffix subgroup is not a valid series term"
-            )
-        return quo
+        return PcPresentation(self.p, k, pts, cts, labels=self.labels[:k])
 
     # -- identity / serialization -------------------------------------------
 
@@ -594,27 +589,6 @@ class Subgroup:
         return not any(_sift(self.pres, self.basis, self._pivots, x))
 
     __contains__ = contains
-
-    def elements(self):
-        """All p^k members, as ordered products over the basis."""
-        pres = self.pres
-        if self._unit_basis:
-            import itertools
-
-            zero = [0] * pres.n
-            for combo in itertools.product(range(pres.p), repeat=len(self._pivots)):
-                vec = zero[:]
-                for piv, c in zip(self._pivots, combo):
-                    vec[piv - 1] = c
-                yield Element(vec)
-            return
-        els = [pres.identity]
-        for b in reversed(self.basis):
-            powers = [pres.identity]
-            for _ in range(pres.p - 1):
-                powers.append(pres.multiply(powers[-1], b))
-            els = [pres.multiply(pw, x) for pw in powers for x in els]
-        yield from els
 
     def random_element(self, rng) -> Element:
         x = self.pres.identity

@@ -8,7 +8,9 @@ subgroup pair, coset counting enumerates transversals explicitly, the
 pair-family oracle builds a derivation for every pair instead of
 certifying the family from its basis pairs, the cross-model oracle compares
 every pair instead of translations by generators, and the class oracle
-walks the conjugacy class instead of checking one commutator per layer.
+walks the conjugacy class instead of checking one commutator per layer,
+and the H-meets-Inn oracle scans the p^2 conjugations that can fix s
+instead of reading the intersection off the profile.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from pcmax import blackburn
 from pcmax.derivations import make_derivation
 from pcmax.errors import ValidationFailed
-from pcmax.pcgroup import Element, PcPresentation
+from pcmax.pcgroup import Element, PcPresentation, Subgroup
 
 
 def naive_inverse_letters(pres: PcPresentation, g: int) -> list[int]:
@@ -172,6 +174,46 @@ def coset_count(pres, H) -> int:
     return len(seen)
 
 
+def subgroup_elements(H: Subgroup) -> list[Element]:
+    """All p^k members of H, as the ordered products b_1^c_1 ... b_k^c_k
+    over its echelon basis."""
+    pres = H.pres
+    els = [pres.identity]
+    for b in reversed(H.basis):
+        powers = [pres.identity]
+        for _ in range(pres.p - 1):
+            powers.append(pres.multiply(powers[-1], b))
+        els = [pres.multiply(pw, x) for pw in powers for x in els]
+    return els
+
+
+def h_cap_inn_scan(pres, profile) -> str | None:
+    """None when no inner automorphism but the identity fixes s and sends
+    s_1 into s_1 A, else what fails, by scanning the p^2 candidates s^a z,
+    z in G_{n-1}.
+
+    Each candidate must centralize s (the chain argument puts C_G(s) among
+    them), and each value s_1^-1 s_1^g must be trivial or lie in G_2 but
+    outside G_3 and A.
+    """
+    s, s1, A = profile.s, profile.s1, profile.A
+    G2, G3 = profile.G(2), profile.G(3)
+    for a in range(pres.p):
+        sa = pres.power(s, a)
+        for z in subgroup_elements(profile.G(pres.n - 1)):
+            g = pres.multiply(sa, z)
+            if pres.conjugate(s, g) != s:
+                return "candidate does not centralize s"
+            val = pres.solve(s1, pres.conjugate(s1, g))
+            if val.is_identity():
+                continue
+            if A.contains(val):
+                return f"nontrivial intersection witness v = {tuple(val)}"
+            if not G2.contains(val) or G3.contains(val):
+                return "intersection value not in G_2 minus G_3"
+    return None
+
+
 def enumerate_pair_family(pres, target):
     """Every pair (u, v) of target x target, u in the outer loop, with the
     derivation a_1 -> u, a_2 -> v it extends to, or None when it does not.
@@ -179,8 +221,9 @@ def enumerate_pair_family(pres, target):
     Yields ((u, v), derivation) lazily, so a caller looking for a
     non-extending pair may stop at the first.
     """
-    for u in target.elements():
-        for v in target.elements():
+    members = subgroup_elements(target)
+    for u in members:
+        for v in members:
             try:
                 yield (u, v), make_derivation(pres, target, u, v)
             except ValidationFailed:

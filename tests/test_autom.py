@@ -2,6 +2,7 @@
 with inner automorphisms, and the three verification drivers."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -16,9 +17,12 @@ from pcmax.errors import (HomCheckFailed, PreconditionRefused,
                           TheoremViolation)
 from pcmax.homs import (certify_automorphism, check_homomorphism,
                         inner_automorphism)
-from pcmax.maxclass import build_profile
+from pcmax.maxclass import build_profile, chain_series
+from pcmax.search import search_nonmetabelian
 
-from .oracles import enumerate_pair_family
+from .conftest import GRID, SEED
+from .oracles import enumerate_pair_family, h_cap_inn_scan, subgroup_elements
+from .test_maxclass import _random_presentation
 
 
 # -- homomorphism checking -------------------------------------------------------
@@ -89,7 +93,7 @@ def test_inner_identity(g57):
 
 
 def test_inner_central_is_identity(g57, profile57):
-    for z in profile57.G(6).elements():
+    for z in subgroup_elements(profile57.G(6)):
         assert inner_automorphism(g57, z).is_identity()
 
 
@@ -264,7 +268,9 @@ def test_h_cap_inn_nonmetabelian(nonmetabelian58, nm_profile58):
     res = h_cap_inn_check(nonmetabelian58.pres, nm_profile58)
     assert res.passed, res.detail
     assert res.detail.startswith("chain argument: C_G(s) <= <s>G_7")
-    assert "5^2 candidates scanned" in res.detail
+    assert "in the central G_7" in res.detail
+    assert "= s_2^a mod G_3, outside G_3 >= A = G_5" in res.detail
+    assert "candidates scanned" not in res.detail
 
 
 def test_h_cap_inn_refuses_without_spanning_chain(nonmetabelian58, nm_profile58):
@@ -273,21 +279,81 @@ def test_h_cap_inn_refuses_without_spanning_chain(nonmetabelian58, nm_profile58)
         h_cap_inn_check(nonmetabelian58.pres, profile)
 
 
-def test_h_cap_inn_conjugations_are_quadratic_in_p(nonmetabelian58, nm_profile58,
-                                                   monkeypatch):
-    # walking the orbit of s would take 2 p^{n-2} = 31 250 conjugations here
+def _count_calls(monkeypatch, calls, owner, *names):
+    """Count into `calls` every call of the named attributes of `owner`."""
+    for name in names:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+
+def test_h_cap_inn_makes_no_group_operation(nonmetabelian58, nm_profile58, monkeypatch):
+    # the intersection is read off the profile: no group operation; and
+    # main1 checks consistency once for the input and once for the
+    # reference group, not again for their truncations
     from pcmax.pcgroup import PcPresentation
 
+    pres = nonmetabelian58.pres
     calls = Counter()
-    conjugate = PcPresentation.conjugate
+    _count_calls(monkeypatch, calls, PcPresentation, "multiply", "conjugate",
+                 "commutator", "solve", "consistency_check")
+    assert h_cap_inn_check(pres, nm_profile58).passed
+    assert calls.total() == 0
+    assert verify_thm_main1(pres).ok
+    assert calls["consistency_check"] == 2
 
-    def counting(self, a, b):
-        calls["conjugate"] += 1
-        return conjugate(self, a, b)
 
-    monkeypatch.setattr(PcPresentation, "conjugate", counting)
-    assert h_cap_inn_check(nonmetabelian58.pres, nm_profile58).passed
-    assert calls["conjugate"] <= 2 * 5 ** 2
+def _main1_oracle_inputs(nonmetabelian57, nonmetabelian58):
+    """The pinned fixtures, three searched ones each at (5,7) with l = 1,
+    (5,8), (5,9) and (7,10), the reference grid, and 1 000 seeded random
+    maximal-class groups with p in {3, 5, 7}: 300 of order p^4, 500 of
+    order p^5 and 200 of order p^6 (consistent random presentations grow
+    rare with n)."""
+    inputs = [nonmetabelian57.pres, nonmetabelian58.pres]
+    for p, n, l_target in [(5, 7, 1), (5, 8, None), (5, 9, None), (7, 10, None)]:
+        for seed in range(1, 4):
+            found = search_nonmetabelian(p, n, seed=seed, budget=5000, l_target=l_target)
+            assert found is not None
+            inputs.append(found.pres)
+    inputs += [build_blackburn_pc(p, n) for p, n in GRID]
+    rng = random.Random(SEED)
+    quota = {4: 300, 5: 500, 6: 200}
+    while any(quota.values()):
+        n = rng.choice([n for n, left in quota.items() if left])
+        pres = _random_presentation(rng, rng.choice((3, 5, 7)), n)
+        if pres.consistency_check().ok and chain_series(pres) is not None:
+            inputs.append(pres)
+            quota[n] -= 1
+    return inputs
+
+
+def test_main1_certificates_match_the_dropped_checks(nonmetabelian57, nonmetabelian58):
+    # A-abelian, module-similarity, H-meets-Inn and the consistency of
+    # truncations are certified from the profile in src/; here each is
+    # recomputed the way the drivers used to
+    spanning = scanned = 0
+    for pres in _main1_oracle_inputs(nonmetabelian57, nonmetabelian58):
+        for k in range(1, pres.n + 1):
+            assert pres.quotient_by_term(k).consistency_check().ok, (k, pres.canonical_text())
+        profile = build_profile(pres)
+        if not profile.chain_spans:
+            continue
+        spanning += 1
+        n, s, s1 = pres.n, profile.s, profile.s1
+        assert profile.A.is_abelian()
+        for i in range(profile.r, n):
+            si = profile.chain_element(i)
+            assert pres.commutator(si, s1).is_identity()
+            assert pres.commutator(si, s) == profile.chain_element(i + 1)
+        assert pres.commutator(profile.chain_element(n - 1), s).is_identity()
+        if profile.r > 2:
+            scanned += 1
+            assert h_cap_inn_scan(pres, profile) is None, pres.canonical_text()
+    assert spanning >= 900 and scanned >= 80, (spanning, scanned)
 
 
 def test_phi_group_iso_against_summed_derivations(g57, profile57, rng):
@@ -331,17 +397,8 @@ def test_main1_builds_profile_and_checks_consistency_once(g57, monkeypatch):
     from pcmax.pcgroup import PcPresentation
 
     calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(autom, "build_profile",
-                        counting("build_profile", autom.build_profile))
-    monkeypatch.setattr(PcPresentation, "consistency_check",
-                        counting("consistency_check", PcPresentation.consistency_check))
+    _count_calls(monkeypatch, calls, autom, "build_profile")
+    _count_calls(monkeypatch, calls, PcPresentation, "consistency_check")
     assert verify_thm_main1(g57).ok
     assert calls == {"build_profile": 1, "consistency_check": 1}
 

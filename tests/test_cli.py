@@ -3,6 +3,7 @@ codes and byte-identical reports."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -288,6 +289,16 @@ def test_reports_are_byte_identical(g57_file):
     b = run_cli("verify", "metabelian", g57_file, "--seed", "99")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+@pytest.mark.parametrize("theorem", ["main1", "main2"])
+def test_timings_go_to_stderr_only(g57_file, theorem):
+    plain = run_cli("verify", theorem, g57_file)
+    timed = run_cli("verify", theorem, g57_file, "--timings")
+    assert timed.stdout == plain.stdout
+    assert timed.returncode == plain.returncode == 0
+    assert plain.stderr == ""
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", timed.stderr)
 
 
 def test_report_embeds_version_digest_seed_budgets(g57_file):
