@@ -295,7 +295,7 @@ def _quotient_isomorphic_to_reference(pres: PcPresentation,
     Only the forward map is hom-checked.  It hits every generator of the
     reference quotient, so it is onto.  Both quotients are truncations of
     consistent presentations (the driver checked the input, and
-    `build_blackburn_pc` checks the reference), so both are consistent of
+    `build_blackburn_pc` certifies the reference), so both are consistent of
     order p^k; the map is bijective and its inverse is the backward
     dictionary.  `build_profile` has already checked that G_{l+2} is the
     suffix subgroup the truncation factors out.

@@ -27,7 +27,8 @@ from .homs import GroupMap, certify_automorphism, check_homomorphism
 from .pcgroup import ALLOWED_PRIMES, PcPresentation
 
 __all__ = [
-    "RingModule", "build_m_presentation", "build_blackburn_pc", "sigma",
+    "RingModule", "certify_ring_model", "build_m_presentation",
+    "build_blackburn_pc", "sigma",
     "verify_sigma",
     "cross_model_check", "abelian_invariants",
     "module_derivation_from_polynomial", "theta_poly_to_shifted",
@@ -133,15 +134,69 @@ def _ring_power_tails(ring: RingModule):
             for i in range(ring.rank)]
 
 
+def certify_ring_model(pres: PcPresentation, ring: RingModule) -> None:
+    """Certify `pres` consistent from its relations in the ring model;
+    raise InconsistentPresentation naming the first relation that fails.
+
+    The presentation is either the reference group, on s, s_1, ...,
+    s_{n-1}, or M, on s_1, ..., s_{n-1}, where n - 1 is `ring.rank`.
+
+    * `RingModule.reduce` is the normal-form map of a triangular lattice
+      with p on the diagonal (see `cross_model_check`), so |R| = p^{n-1}.
+      With x = theta - 1 and f = ((1 + x)^p - 1)/x, the rows of that
+      lattice are x^{i-1} f cut off at x^{n-1}: it is the ideal
+      (f, x^{n-1}).  So theta^p - 1 = x f acts on R as 0, and
+      (a, m)(b, m') = (a + b, theta^b m + m') is a group C_p x| R of
+      order p^n.
+    * Send s to (1, 0) and s_i to (0, b_i).  Then (1, 0)^p = 1,
+      (0, m)^p = (0, p m), [(0, m), (1, 0)] = (0, (theta - 1) m) and
+      [(0, m), (0, m')] = 1.  On normal forms the map is the identity on
+      exponent vectors, e <-> (e_1, (e_2, ..., e_n)), so the relations
+      hold in the model exactly when s^p = 1, the power tail of s_i is
+      the normal form of p b_i, the tail of [s_i, s] is (theta - 1) b_i
+      and no other commutator tail exists.  For M only the power tails
+      and the absence of commutator tails are compared.
+    * The images (1, 0) and (0, b_i) generate the model.  By von Dyck's
+      theorem the presented group maps onto it, a group of order p^n
+      (p^{n-1} for M).  A presentation on n generators of relative order
+      p has at most p^n normal forms, so it has exactly p^n: it is
+      consistent.
+
+    That is O(n) ring reductions and no collection.  The overlap test
+    (`PcPresentation.consistency_check`) is this certificate's oracle in
+    the tests.
+    """
+    acting = pres.n - ring.rank  # 1 when a_1 stands for s
+    if pres.p != ring.p or acting not in (0, 1):
+        raise PresentationError(f"{pres!r} does not match {ring!r}")
+    if acting and any(pres.power_tails[0]):
+        raise InconsistentPresentation("a_1^p = tail fails in the ring model")
+    expected = {}
+    for i in range(1, ring.rank + 1):
+        k = i + acting
+        b = ring.basis(i)
+        # p b_i is reduced here, not taken from `_ring_power_tails`, so that
+        # the builders' tails are checked rather than compared with themselves
+        if pres.power_tails[k - 1][acting:] != ring.reduce([ring.p * c for c in b]):
+            raise InconsistentPresentation(f"a_{k}^p = tail fails in the ring model")
+        if acting:
+            comm = ring.poly_mul((0, 1), b)
+            if any(comm):
+                expected[(k, 1)] = (0,) + comm
+    for j, i in sorted(expected.keys() | pres.commutator_tails.keys()):
+        if pres.commutator_tail(j, i) != expected.get((j, i), pres.identity):
+            raise InconsistentPresentation(
+                f"[a_{j}, a_{i}] = tail fails in the ring model")
+
+
 def build_m_presentation(p: int, n: int) -> PcPresentation:
-    """M = <s_1, ..., s_{n-1}> as an abelian pc presentation of order p^{n-1}."""
+    """M = <s_1, ..., s_{n-1}> as an abelian pc presentation of order
+    p^{n-1}, certified by `certify_ring_model`."""
     ring = RingModule(p, n)
     pts = [list(t) for t in _ring_power_tails(ring)]
     labels = tuple(f"s_{i}" for i in range(1, n))
     pres = PcPresentation(p, ring.rank, pts, {}, labels=labels)
-    report = pres.consistency_check()
-    if not report.ok:
-        raise InconsistentPresentation(f"M presentation inconsistent: {report.failure}")
+    certify_ring_model(pres, ring)
     return pres
 
 
@@ -150,8 +205,10 @@ def build_blackburn_pc(p: int, n: int) -> PcPresentation:
 
     Generator 1 is s, generator i+1 is s_i.  The power tails of the s_i are
     produced by ring-model reduction (the raw exponents C(p,k) are >= p and
-    must be collected); a consistency failure here would indicate an
-    implementation bug and is surfaced loudly.
+    must be collected).  The result is certified consistent by
+    `certify_ring_model`: its relations hold in C_p x| R, a group of order
+    p^n.  That takes O(n) ring reductions, where the overlap test takes
+    O(n^3) collections.
     """
     if n < 4:
         raise PresentationError(f"need n >= 4, got {n}")
@@ -168,11 +225,7 @@ def build_blackburn_pc(p: int, n: int) -> PcPresentation:
         cts[(j, 1)] = tuple(vec)  # [s_{j-1}, s] = s_j
     labels = ("s",) + tuple(f"s_{i}" for i in range(1, n))
     pres = PcPresentation(p, n, pts, cts, labels=labels)
-    report = pres.consistency_check()
-    if not report.ok:
-        raise InconsistentPresentation(
-            f"constructed presentation inconsistent: {report.failure}"
-        )
+    certify_ring_model(pres, ring)
     return pres
 
 
@@ -187,7 +240,9 @@ def sigma(p: int, n: int, m_pres: PcPresentation | None = None) -> GroupMap:
             vec[i + 1] = 1
         images.append(m.element(vec))
     gmap = check_homomorphism(m, images)
-    return certify_automorphism(gmap)
+    # The Frattini subgroup of M is M^p = <s_p, ..., s_{n-1}>, see
+    # `abelian_invariants`.
+    return certify_automorphism(gmap, range(p, m.n + 1))
 
 
 class SigmaReport(NamedTuple):
@@ -275,31 +330,19 @@ def cross_model_check(p: int, n: int) -> CrossModelReport:
 
 
 def abelian_invariants(p: int, n: int):
-    """Orders of the invariant factors of M, extracted by powering.
+    """Orders of the invariant factors of M, in ascending order.
 
-    The rank of M^{p^k} / M^{p^{k+1}} counts invariant factors of order
-    > p^k, which pins down the factor multiset exactly.
+    With x = theta - 1, f = ((1 + x)^p - 1)/x is Eisenstein, so p is a
+    unit times x^{p-1}, and p b_i is a unit times b_{i+p-1} plus higher
+    terms.  Hence M^{p^k} = <s_{1+k(p-1)}, ..., s_{n-1}> has order
+    p^{max(0, n-1-k(p-1))}, and M^{p^k}/M^{p^{k+1}} has rank p - 1 while
+    (k + 1)(p - 1) <= n - 1.  Writing n - 1 = q(p - 1) + r with
+    0 <= r < p - 1, the factors are r of order p^{q+1} and, when q >= 1,
+    p - 1 - r of order p^q.
     """
-    m = build_m_presentation(p, n)
-    layer_ranks = []
-    gens = list(m.generators)
-    while True:
-        sub = m.subgroup_from_generators(gens)
-        layer_ranks.append(sub.order_exponent)
-        if sub.order_exponent == 0:
-            break
-        gens = [m.power(b, p) for b in sub.basis]
-    # layer_ranks[k] = log_p |M^{p^k}|
-    factors = []
-    for k in range(len(layer_ranks) - 1):
-        count_gt = layer_ranks[k] - layer_ranks[k + 1]
-        factors.append(count_gt)
-    # factors[k] = number of invariant factors of order > p^k
-    orders = []
-    for k in range(len(factors) - 1, -1, -1):
-        extra = factors[k] - (factors[k + 1] if k + 1 < len(factors) else 0)
-        orders.extend([p ** (k + 1)] * extra)
-    return sorted(orders)
+    RingModule(p, n)  # validates p and n
+    q, r = divmod(n - 1, p - 1)
+    return [p ** q] * ((p - 1 - r) if q else 0) + [p ** (q + 1)] * r
 
 
 def module_derivation_from_polynomial(p, n, coeffs, pres=None, basis="theta-1"):

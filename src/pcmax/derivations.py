@@ -146,31 +146,20 @@ def bullet(d1: Derivation, d2: Derivation) -> Derivation:
 
 
 def one_plus(d: Derivation) -> GroupMap:
-    """The companion endomorphism g -> g*(gd), flagged as an automorphism
-    when invertibility is established.
+    """The companion endomorphism g -> g*(gd), certified as an automorphism
+    or rejected.
 
-    Invertibility holds whenever the target lies in the Frattini subgroup
-    (the image then supplements it), and also whenever d is nilpotent, where
-    1 - d + d^2 - ... inverts 1 + d; for a standard maximal-class
-    presentation the Frattini subgroup is the suffix <a_3, ..., a_n>, which
-    contains every series term G_r with r >= 2.
+    `make_derivation` requires the standard chain, and the presentation is
+    consistent, so for n >= 3 the Frattini subgroup is
+    Gamma_3 = <a_3, ..., a_n>.  It lies in [G, G], as a_{i+1} = [a_i, a_1].
+    Both a_2^p (by the support rule) and a_1^p lie in Gamma_3: otherwise
+    G/Gamma_3 would be cyclic, so G would be cyclic, against
+    [a_2, a_1] = a_3 != 1.  So G/Gamma_3 is elementary abelian of rank 2,
+    and 1+d is invertible exactly when its image matrix on a_1, a_2 is.
     """
-    alpha = d.alpha
-    pres = d.pres
     from .homs import certify_automorphism
 
-    if (
-        pres.has_standard_chain()
-        and pres.power_tails[0][1] == 0
-        and all(b.leading_index() >= 3 for b in d.target.basis)
-    ):
-        # Under the chain convention [G, G] = <a_3, ..., a_n>, and with
-        # a_1^p, a_2^p in that suffix the quotient by it is elementary
-        # abelian of rank 2, so the suffix is the Frattini subgroup and
-        # invertibility reduces to the 2x2 image matrix on the first two
-        # coordinates.
-        return certify_automorphism(alpha, frattini_pivots=range(3, pres.n + 1))
-    return certify_automorphism(alpha)
+    return certify_automorphism(d.alpha, range(3, d.pres.n + 1))
 
 
 def kernel_of(d: Derivation) -> Subgroup:

@@ -6,7 +6,7 @@ class PresentationError(ValueError):
 
 
 class InconsistentPresentation(PresentationError):
-    """A presentation failed its overlap consistency test."""
+    """A presentation failed its overlap consistency test or certificate."""
 
 
 class HomCheckFailed(ValueError):

@@ -7,10 +7,14 @@ with it, the degree-of-commutativity oracle loops over every
 subgroup pair, coset counting enumerates transversals explicitly, the
 pair-family oracle builds a derivation for every pair instead of
 certifying the family from its basis pairs, the cross-model oracle compares
-every pair instead of translations by generators, and the class oracle
+every pair instead of translations by generators, the class oracle
 walks the conjugacy class instead of checking one commutator per layer,
-and the H-meets-Inn oracle scans the p^2 conjugations that can fix s
-instead of reading the intersection off the profile.
+the H-meets-Inn oracle scans the p^2 conjugations that can fix s
+instead of reading the intersection off the profile, the automorphism
+oracle closes the images to a subgroup instead of reading the Frattini
+quotient, the invariant factors of M are extracted by powering instead of
+read off the closed form, and the semidirect-product model multiplies in
+C_p x| R instead of collecting.
 """
 
 from __future__ import annotations
@@ -268,3 +272,63 @@ def class_is_coset(pres, G2, g) -> bool:
         frontier = nxt
     return (len(orbit) == G2.order()
             and all(G2.contains(pres.solve(g, y)) for y in orbit))
+
+
+def image_generates_group(gmap) -> bool:
+    """Whether the images of a validated endomorphism generate its domain,
+    i.e. whether it is an automorphism, by closing them to a subgroup and
+    comparing its order with the group's."""
+    pres = gmap.domain
+    return pres.subgroup_from_generators(gmap.images).order_exponent == pres.n
+
+
+def powering_abelian_invariants(p, n):
+    """Orders of the invariant factors of M, extracted by powering.
+
+    The rank of M^{p^k} / M^{p^{k+1}} counts invariant factors of order
+    > p^k, which pins down the factor multiset exactly.
+    """
+    m = blackburn.build_m_presentation(p, n)
+    layer_ranks = []
+    gens = list(m.generators)
+    while True:
+        sub = m.subgroup_from_generators(gens)
+        layer_ranks.append(sub.order_exponent)
+        if sub.order_exponent == 0:
+            break
+        gens = [m.power(b, p) for b in sub.basis]
+    # layer_ranks[k] = log_p |M^{p^k}|; factors[k] = number of invariant
+    # factors of order > p^k
+    factors = [layer_ranks[k] - layer_ranks[k + 1] for k in range(len(layer_ranks) - 1)]
+    orders = []
+    for k in range(len(factors) - 1, -1, -1):
+        extra = factors[k] - (factors[k + 1] if k + 1 < len(factors) else 0)
+        orders.extend([p ** (k + 1)] * extra)
+    return sorted(orders)
+
+
+def _theta_power(ring, m, b):
+    for _ in range(b % ring.p):
+        m = ring.theta_mul(m)
+    return m
+
+
+def semidirect_multiply(ring, x, y):
+    """(a, m)(b, m') = (a + b, theta^b m + m') in C_p x| R, with R the ring
+    model of `blackburn.RingModule`.  Elements are exponent vectors of the
+    reference presentation: e stands for (e_1, (e_2, ..., e_n))."""
+    a, m = x[0], tuple(x[1:])
+    b, m2 = y[0], tuple(y[1:])
+    return ((a + b) % ring.p,) + ring.add(_theta_power(ring, m, b), m2)
+
+
+def semidirect_invert(ring, x):
+    """(a, m)^-1 = (-a, -theta^-a m)."""
+    a, m = x[0], tuple(x[1:])
+    return ((-a) % ring.p,) + ring.reduce([-c for c in _theta_power(ring, m, -a)])
+
+
+def semidirect_commutator(ring, x, y):
+    """x^-1 y^-1 x y in C_p x| R."""
+    inv = semidirect_multiply(ring, semidirect_invert(ring, x), semidirect_invert(ring, y))
+    return semidirect_multiply(ring, inv, semidirect_multiply(ring, x, y))

@@ -14,14 +14,15 @@ from pcmax.autom import (CheckResult, _quotient_isomorphic_to_reference,
 from pcmax.blackburn import build_blackburn_pc
 from pcmax.derivations import kernel_contains, make_derivation, negate, one_plus
 from pcmax.errors import (HomCheckFailed, PreconditionRefused,
-                          TheoremViolation)
+                          TheoremViolation, ValidationFailed)
 from pcmax.homs import (certify_automorphism, check_homomorphism,
                         inner_automorphism)
 from pcmax.maxclass import build_profile, chain_series
 from pcmax.search import search_nonmetabelian
 
 from .conftest import GRID, SEED
-from .oracles import enumerate_pair_family, h_cap_inn_scan, subgroup_elements
+from .oracles import (enumerate_pair_family, h_cap_inn_scan,
+                      image_generates_group, subgroup_elements)
 from .test_maxclass import _random_presentation
 
 
@@ -31,7 +32,7 @@ from .test_maxclass import _random_presentation
 def test_identity_images_validate(g57):
     gmap = check_homomorphism(g57, g57.generators)
     assert gmap.kind == "endomorphism"
-    assert certify_automorphism(gmap).kind == "automorphism"
+    assert certify_automorphism(gmap, range(3, 8)).kind == "automorphism"
 
 
 def test_sigma_extension_validates(g57):
@@ -43,7 +44,7 @@ def test_sigma_extension_validates(g57):
             im = g57.multiply(im, g57.generator(i + 1))
         images.append(im)
     gmap = check_homomorphism(g57, images)
-    assert certify_automorphism(gmap).kind == "automorphism"
+    assert certify_automorphism(gmap, range(3, 8)).kind == "automorphism"
     # and it agrees with conjugation by s
     inner = inner_automorphism(g57, g57.generator(1))
     assert gmap.images == inner.images
@@ -51,7 +52,7 @@ def test_sigma_extension_validates(g57):
 
 def test_certify_automorphism_leaves_its_argument_unchanged(g57, profile57, rng):
     gmap = check_homomorphism(g57, g57.generators)
-    auto = certify_automorphism(gmap)
+    auto = certify_automorphism(gmap, range(3, 8))
     assert auto is not gmap and auto.kind == "automorphism"
     assert gmap.kind == "endomorphism"
     # the same through the Frattini route that one_plus takes, and phi
@@ -155,7 +156,35 @@ def test_certify_rejects_noninjective():
     images = (pres.identity, pres.generator(2))
     gmap = check_homomorphism(pres, images)
     with pytest.raises(HomCheckFailed):
-        certify_automorphism(gmap)
+        certify_automorphism(gmap, ())
+
+
+def test_frattini_certificate_matches_the_image_subgroup_oracle(
+        g57, profile57, nonmetabelian58, nm_profile58, rng):
+    # one_plus reads invertibility off G/Gamma_3; the oracle closes the
+    # images to a subgroup.  Over the abelian G_1 of the reference group,
+    # values with a_2-coordinate p - 1 send a_2 into Gamma_3: those
+    # endomorphisms are not automorphisms.
+    derivations = []
+    for pres, target in [(g57, profile57.G(1)), (g57, profile57.A),
+                         (nonmetabelian58.pres, nm_profile58.A)]:
+        for _ in range(6):
+            u, v = target.random_element(rng), target.random_element(rng)
+            try:
+                derivations.append(make_derivation(pres, target, u, v))
+            except ValidationFailed:
+                pass
+    s1_inverse = g57.invert(g57.generator(2))
+    derivations.append(make_derivation(g57, profile57.G(1), g57.identity, s1_inverse))
+    outcomes = Counter()
+    for d in derivations:
+        try:
+            certified = one_plus(d).kind == "automorphism"
+        except HomCheckFailed:
+            certified = False
+        assert certified is image_generates_group(d.alpha)
+        outcomes[certified] += 1
+    assert outcomes[True] >= 8 and outcomes[False] >= 1, outcomes
 
 
 # -- the phi family ---------------------------------------------------------------------
@@ -293,8 +322,8 @@ def _count_calls(monkeypatch, calls, owner, *names):
 
 def test_h_cap_inn_makes_no_group_operation(nonmetabelian58, nm_profile58, monkeypatch):
     # the intersection is read off the profile: no group operation; and
-    # main1 checks consistency once for the input and once for the
-    # reference group, not again for their truncations
+    # main1 checks consistency once, for the input: the reference group is
+    # certified from its ring model, and truncations are not re-checked
     from pcmax.pcgroup import PcPresentation
 
     pres = nonmetabelian58.pres
@@ -304,7 +333,7 @@ def test_h_cap_inn_makes_no_group_operation(nonmetabelian58, nm_profile58, monke
     assert h_cap_inn_check(pres, nm_profile58).passed
     assert calls.total() == 0
     assert verify_thm_main1(pres).ok
-    assert calls["consistency_check"] == 2
+    assert calls["consistency_check"] == 1
 
 
 def _main1_oracle_inputs(nonmetabelian57, nonmetabelian58):

@@ -10,18 +10,21 @@ import pytest
 from pcmax import blackburn, cli
 from pcmax.blackburn import (RingModule, abelian_invariants,
                              build_blackburn_pc, build_m_presentation,
-                             cross_model_check,
+                             certify_ring_model, cross_model_check,
                              module_derivation_from_polynomial, sigma,
                              theta_poly_to_shifted, verify_sigma)
 from pcmax.derivations import add as der_add
 from pcmax.derivations import bullet, evaluate, one_plus
-from pcmax.errors import PresentationError
+from pcmax.errors import InconsistentPresentation, PresentationError
 from pcmax.homs import check_homomorphism
 from pcmax.maxclass import build_profile
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import SEED
-from .oracles import cross_model_all_pairs
+from .oracles import (cross_model_all_pairs, image_generates_group,
+                      powering_abelian_invariants, semidirect_commutator,
+                      semidirect_invert, semidirect_multiply)
+from .test_autom import _count_calls
 
 
 # -- ring module ---------------------------------------------------------------
@@ -107,6 +110,115 @@ def test_blackburn_commutator_relations(g57):
 def test_blackburn_requires_n4():
     with pytest.raises(PresentationError):
         build_blackburn_pc(5, 3)
+
+
+def test_reference_builds_make_no_collection(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, PcPresentation, "_collect", "consistency_check")
+    assert build_blackburn_pc(5, 40).n == 40
+    assert build_m_presentation(5, 40).n == 39
+    assert calls.total() == 0
+
+
+def _corruptions(pres, rng, count):
+    """Seeded one-coordinate changes of a reference presentation: a power
+    tail coordinate, an [a_j, a_1] tail coordinate, or an added [a_j, a_i]
+    tail with i >= 2."""
+    p, n = pres.p, pres.n
+    for _ in range(count):
+        pts = [list(t) for t in pres.power_tails]
+        cts = {key: list(t) for key, t in pres.commutator_tails.items()}
+        kind = rng.randrange(3)
+        if kind == 0:
+            k = rng.randrange(1, n)
+            pts[k - 1][rng.randrange(k, n)] += rng.randrange(1, p)
+            pts[k - 1] = [e % p for e in pts[k - 1]]
+        else:
+            i = 1 if kind == 1 else rng.randrange(2, n - 1)
+            j = rng.randrange(i + 1, n)
+            tail = cts.setdefault((j, i), [0] * n)
+            c = rng.randrange(j, n)
+            tail[c] = (tail[c] + rng.randrange(1, p)) % p
+        yield PcPresentation(p, n, pts, cts, labels=pres.labels)
+
+
+def _certified(pres, ring):
+    try:
+        certify_ring_model(pres, ring)
+    except InconsistentPresentation:
+        return False
+    return True
+
+
+def test_ring_certificate_implies_the_overlap_test():
+    # the overlap test is the oracle: whatever the certificate passes must
+    # be consistent.  Every corruption changes a relation of the model, so
+    # the certificate should pass none of them.
+    rng = random.Random(SEED)
+    corrupted_passed = 0
+    for p in (3, 5, 7, 11):
+        for n in range(4, 21):
+            ring = RingModule(p, n)
+            pres = build_blackburn_pc(p, n)
+            assert _certified(pres, ring) and pres.consistency_check().ok, (p, n)
+            m = build_m_presentation(p, n)
+            assert _certified(m, ring) and m.consistency_check().ok, (p, n)
+            for bad in _corruptions(pres, rng, 6):
+                if _certified(bad, ring):
+                    assert bad.consistency_check().ok, bad.canonical_text()
+                    corrupted_passed += 1
+    assert corrupted_passed == 0
+
+
+def test_ring_certificate_rejects_the_corruptions_the_overlap_test_rejects():
+    # at (5,12): a power-tail coordinate, an [a_5, a_1] tail and an added
+    # [a_6, a_3] tail; each fails both tests
+    pres = build_blackburn_pc(5, 12)
+    ring = RingModule(5, 12)
+    for j, i, c in [(3, None, 6), (5, 1, 7), (6, 3, 8)]:
+        pts = [list(t) for t in pres.power_tails]
+        cts = {key: list(t) for key, t in pres.commutator_tails.items()}
+        row = pts[j - 1] if i is None else cts.setdefault((j, i), [0] * 12)
+        row[c] = (row[c] + 1) % 5
+        bad = PcPresentation(5, 12, pts, cts)
+        with pytest.raises(InconsistentPresentation):
+            certify_ring_model(bad, ring)
+        assert not bad.consistency_check().ok
+
+
+def test_build_rejects_a_shifted_power_tail(monkeypatch):
+    real = blackburn._ring_power_tails
+
+    def shifted(ring):
+        tails = real(ring)
+        tails[1] = (0,) + tails[1][:-1]  # the tail of s_2, one place up
+        return tails
+
+    monkeypatch.setattr(blackburn, "_ring_power_tails", shifted)
+    with pytest.raises(InconsistentPresentation, match=r"a_3\^p"):
+        build_blackburn_pc(5, 12)
+    with pytest.raises(InconsistentPresentation, match=r"a_2\^p"):
+        build_m_presentation(5, 12)
+
+
+def test_ring_certificate_rejects_a_mismatched_model():
+    with pytest.raises(PresentationError):
+        certify_ring_model(build_blackburn_pc(5, 7), RingModule(5, 6))
+    with pytest.raises(PresentationError):
+        certify_ring_model(build_blackburn_pc(5, 7), RingModule(7, 7))
+
+
+@pytest.mark.parametrize("p, n", [(5, 20), (7, 16), (11, 12), (5, 40)])
+def test_collector_matches_the_semidirect_model(p, n):
+    # the dictionary is the identity on exponent vectors
+    pres = build_blackburn_pc(p, n)
+    ring = RingModule(p, n)
+    rng = random.Random(SEED)
+    for _ in range(30):
+        x, y = pres.random_element(rng), pres.random_element(rng)
+        assert tuple(pres.multiply(x, y)) == semidirect_multiply(ring, x, y)
+        assert tuple(pres.invert(x)) == semidirect_invert(ring, x)
+        assert tuple(pres.commutator(x, y)) == semidirect_commutator(ring, x, y)
 
 
 def test_exponent_relation_exact_everywhere(g57, profile57):
@@ -223,6 +335,19 @@ def test_abelian_invariants_order():
         for d in invs:
             total *= d
         assert total == p ** (n - 1)
+
+
+def test_abelian_invariants_closed_form_and_frattini_suffix():
+    # against the powering oracle; and M^p, computed, is the suffix
+    # <s_p, ..., s_{n-1}> through which sigma is certified
+    for p in (3, 5, 7, 11):
+        for n in range(4, 22):
+            assert abelian_invariants(p, n) == powering_abelian_invariants(p, n), (p, n)
+            m = build_m_presentation(p, n)
+            mp = m.subgroup_from_generators([m.power(g, p) for g in m.generators])
+            assert mp.basis == m.generators[p - 1:], (p, n)
+            s = sigma(p, n, m)
+            assert s.kind == "automorphism" and image_generates_group(s)
 
 
 # -- module derivations ----------------------------------------------------------------
