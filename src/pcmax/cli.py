@@ -199,8 +199,7 @@ def _cmd_export(args) -> int:
         f"additive-order: {args.p}^{args.n - 1}",
         f"abelian-invariants: {' '.join(str(d) for d in blackburn.abelian_invariants(args.p, args.n))}",
     ]
-    for i in range(1, ring.rank + 1):
-        red = ring.reduce([args.p if k == i - 1 else 0 for k in range(ring.rank)])
+    for i, red in enumerate(blackburn._ring_power_tails(ring), 1):
         lines.append(f"p*b_{i} = {' '.join(str(c) for c in red)}")
     for i in range(1, ring.rank + 1):
         lines.append(

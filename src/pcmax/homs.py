@@ -23,7 +23,7 @@ _KIND_RANK = {"unvalidated": 0, "homomorphism": 1, "endomorphism": 2,
 
 class GroupMap:
     __slots__ = ("domain", "codomain", "images", "kind", "inner_by",
-                 "derivation", "_pow_cache")
+                 "derivation")
 
     def __init__(self, domain: PcPresentation, images, kind="unvalidated",
                  codomain: PcPresentation | None = None, inner_by=None,
@@ -37,35 +37,28 @@ class GroupMap:
         self.kind = kind
         self.inner_by = inner_by
         self.derivation = derivation
-        self._pow_cache = None
 
     def _with_kind(self, kind: str) -> "GroupMap":
-        """The same map in another validation state; the image-power cache,
-        a function of the images alone, is shared."""
-        gmap = GroupMap(self.domain, self.images, kind, codomain=self.codomain,
+        """The same map, with the same images, in another validation state."""
+        return GroupMap(self.domain, self.images, kind, codomain=self.codomain,
                         inner_by=self.inner_by, derivation=self.derivation)
-        gmap._pow_cache = self._pow_cache
-        return gmap
 
     # -- evaluation ---------------------------------------------------------
 
-    def _image_power(self, idx: int, e: int) -> Element:
-        if self._pow_cache is None:
-            self._pow_cache = [None] * self.domain.n
-        cache = self._pow_cache[idx]
-        if cache is None:
-            cache = [self.codomain.identity, self.images[idx]]
-            self._pow_cache[idx] = cache
-        while len(cache) <= e:
-            cache.append(self.codomain.multiply(cache[-1], self.images[idx]))
-        return cache[e]
-
     def evaluate(self, x: Element) -> Element:
-        acc = self.codomain.identity
-        for idx, e in enumerate(x):
+        """The image of x = a_1^{e_1} ... a_n^{e_n}: the word
+        img_1^{e_1} ... img_n^{e_n}, collected in one pass."""
+        stack = []
+        for idx in range(len(x) - 1, -1, -1):
+            e = x[idx]
             if e:
-                acc = self.codomain.multiply(acc, self._image_power(idx, e))
-        return acc
+                img = self.images[idx]
+                letters = [(k + 1, c) for k in range(len(img) - 1, -1, -1)
+                           if (c := img[k])]
+                stack.extend(letters * e)
+        vec = [0] * self.codomain.n
+        self.codomain._collect(vec, stack)
+        return Element(vec)
 
     def then(self, other: "GroupMap") -> "GroupMap":
         """Composition, self first: x -> other(self(x))."""
@@ -160,27 +153,34 @@ def certify_automorphism(gmap: GroupMap, frattini_pivots) -> GroupMap:
         raise PresentationError("only validated endomorphisms can be certified")
     pres = gmap.domain
     free = [i for i in range(1, pres.n + 1) if i not in frattini_pivots]
-    mat = [[gmap.images[c - 1][r - 1] for c in free] for r in free]
-    if _det_mod(mat, pres.p):
+    rows = [[gmap.images[c - 1][r - 1] for r in free] for c in free]
+    if len(row_reduce(rows, pres.p)[1]) == len(free):
         return gmap._with_kind("automorphism")
     raise HomCheckFailed("images do not generate the group modulo Frattini")
 
 
-def _det_mod(mat, p: int) -> int:
-    m = [row[:] for row in mat]
-    size = len(m)
-    det = 1
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col] % p), None)
+def row_reduce(rows, p: int):
+    """The reduced row echelon form of `rows` over F_p, and its pivot
+    columns in ascending order; the rank is the number of pivots.
+
+    Returns (rref, pivots): rref holds the nonzero rows only, row k having
+    a 1 in column pivots[k] and 0 in every other pivot column.
+    """
+    mat = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(mat)) if mat[k][col]), None)
         if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        inv = pow(m[col][col], -1, p)
-        det = det * m[col][col] % p
-        for r in range(col + 1, size):
-            f = m[r][col] * inv % p
-            if f:
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][col], -1, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for k in range(len(mat)):
+            f = mat[k][col]
+            if k != r and f:
+                mat[k] = [(x - f * y) % p for x, y in zip(mat[k], mat[r])]
+        pivots.append(col)
+        if len(pivots) == len(mat):
+            break
+    return mat[:len(pivots)], pivots

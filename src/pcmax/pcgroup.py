@@ -312,15 +312,15 @@ class PcPresentation:
 
     def conjugate(self, a: Element, b: Element) -> Element:
         """b^-1 * a * b, the x with b * x = a * b."""
-        lead = min(x.leading_index() or self.n + 1 for x in (a, b))
-        if lead >= self._abelian_start:
+        k = self._abelian_start - 1
+        if not any(a[:k]) and not any(b[:k]):
             return a
         return self.solve(b, self.multiply(a, b))
 
     def commutator(self, a: Element, b: Element) -> Element:
         """a^-1 * b^-1 * a * b, the x with b * a * x = a * b."""
-        lead = min(x.leading_index() or self.n + 1 for x in (a, b))
-        if lead >= self._abelian_start:
+        k = self._abelian_start - 1
+        if not any(a[:k]) and not any(b[:k]):
             return self.identity
         return self.solve(self.multiply(b, a), self.multiply(a, b))
 

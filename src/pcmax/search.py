@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .blackburn import build_blackburn_pc
 from .errors import PresentationError
+from .homs import row_reduce
 from .maxclass import build_profile, validate_maximal_class
 from .pcgroup import PcPresentation
 
@@ -77,38 +78,16 @@ def _linear_system(p: int, n: int, l: int):
     return variables, index, rows
 
 
-def _random_solution(p, variables, rows, rng):
-    """Random member of the solution space (free variables drawn uniformly)."""
-    nvars = len(variables)
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(nvars):
-        piv = next((k for k in range(r, len(mat)) if mat[k][col] % p), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][col] % p:
-                f = mat[k][col]
-                mat[k] = [(x - f * y) % p for x, y in zip(mat[k], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
+def _random_solution(p, nvars, rref, pivots, rng):
+    """Random member of the solution space of the system with reduced row
+    echelon form (rref, pivots): the free variables are drawn uniformly in
+    ascending order, and each pivot variable is solved for from its row."""
     sol = [0] * nvars
-    free = [c for c in range(nvars) if c not in pivots]
-    for c in free:
-        sol[c] = rng.randrange(p)
-    for k in range(len(pivots) - 1, -1, -1):
-        col = pivots[k]
-        acc = 0
-        for c in range(col + 1, nvars):
-            if mat[k][c]:
-                acc += mat[k][c] * sol[c]
-        sol[col] = (-acc) % p
+    for c in range(nvars):
+        if c not in pivots:
+            sol[c] = rng.randrange(p)
+    for row, col in zip(rref, pivots):
+        sol[col] = -sum(x * y for x, y in zip(row[col + 1:], sol[col + 1:])) % p
     return sol
 
 
@@ -154,13 +133,14 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
     rng = random.Random(seed)
     base = build_blackburn_pc(p, n)
     variables, index, rows = _linear_system(p, n, l)
+    rref, pivots = row_reduce(rows, p)
     top_var = index.get((2, 1, 3 + l))
     if top_var is None:
         raise PresentationError("no room for a nonzero chain commutator at this l")
     tried = 0
     while tried < budget:
         tried += 1
-        sol = _random_solution(p, variables, rows, rng)
+        sol = _random_solution(p, len(variables), rref, pivots, rng)
         if not sol[top_var]:
             continue
         perturb = rng.random() < 0.25

@@ -13,11 +13,16 @@ the H-meets-Inn oracle scans the p^2 conjugations that can fix s
 instead of reading the intersection off the profile, the automorphism
 oracle closes the images to a subgroup instead of reading the Frattini
 quotient, the invariant factors of M are extracted by powering instead of
-read off the closed form, and the semidirect-product model multiplies in
-C_p x| R instead of collecting.
+read off the closed form, the semidirect-product model multiplies in
+C_p x| R instead of collecting, a map is evaluated by multiplying in each
+generator's image power instead of collecting the whole word, and ranks and
+determinants over F_p come from enumerating a row span and from the
+Leibniz formula instead of from row reduction.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from pcmax import blackburn
 from pcmax.derivations import make_derivation
@@ -332,3 +337,36 @@ def semidirect_commutator(ring, x, y):
     """x^-1 y^-1 x y in C_p x| R."""
     inv = semidirect_multiply(ring, semidirect_invert(ring, x), semidirect_invert(ring, y))
     return semidirect_multiply(ring, inv, semidirect_multiply(ring, x, y))
+
+
+def fold_evaluate(gmap, x) -> Element:
+    """The image of x under a generator-image map, one multiplication per
+    nonzero exponent: img_1^{e_1} * ... * img_n^{e_n}, each power taken
+    on its own."""
+    cod = gmap.codomain
+    acc = cod.identity
+    for img, e in zip(gmap.images, x):
+        if e:
+            acc = cod.multiply(acc, cod.power(img, e))
+    return acc
+
+
+def row_span_size(rows, p) -> int:
+    """The number of distinct F_p combinations of the rows."""
+    width = len(rows[0]) if rows else 0
+    return len({
+        tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) % p for k in range(width))
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    })
+
+
+def leibniz_det(mat, p) -> int:
+    """The determinant mod p as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(mat))):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(len(perm)), 2))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= mat[r][c]
+        total += term
+    return total % p

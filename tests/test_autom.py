@@ -15,14 +15,15 @@ from pcmax.blackburn import build_blackburn_pc
 from pcmax.derivations import kernel_contains, make_derivation, negate, one_plus
 from pcmax.errors import (HomCheckFailed, PreconditionRefused,
                           TheoremViolation, ValidationFailed)
-from pcmax.homs import (certify_automorphism, check_homomorphism,
-                        inner_automorphism)
+from pcmax.homs import (GroupMap, certify_automorphism, check_homomorphism,
+                        inner_automorphism, row_reduce)
 from pcmax.maxclass import build_profile, chain_series
 from pcmax.search import search_nonmetabelian
 
 from .conftest import GRID, SEED
-from .oracles import (enumerate_pair_family, h_cap_inn_scan,
-                      image_generates_group, subgroup_elements)
+from .oracles import (enumerate_pair_family, fold_evaluate, h_cap_inn_scan,
+                      image_generates_group, leibniz_det, row_span_size,
+                      subgroup_elements)
 from .test_maxclass import _random_presentation
 
 
@@ -185,6 +186,68 @@ def test_frattini_certificate_matches_the_image_subgroup_oracle(
         assert certified is image_generates_group(d.alpha)
         outcomes[certified] += 1
     assert outcomes[True] >= 8 and outcomes[False] >= 1, outcomes
+
+
+def test_row_reduce_rank_matches_the_enumerated_span(rng):
+    for _ in range(60):
+        p = rng.choice((3, 5, 7))
+        rows = [[rng.randrange(p) for _ in range(rng.randint(1, 6))]]
+        rows += [[rng.randrange(p) for _ in rows[0]] for _ in range(rng.randint(0, 4))]
+        if len(rows) > 1 and rng.random() < 0.5:  # force a dependent row
+            c = rng.randrange(p)
+            rows[-1] = [(c * x + y) % p for x, y in zip(rows[0], rows[1])]
+        rref, pivots = row_reduce(rows, p)
+        assert p ** len(pivots) == row_span_size(rows, p) == row_span_size(rref, p)
+        assert pivots == sorted(pivots) and len(rref) == len(pivots)
+        for k, col in enumerate(pivots):
+            assert [row[col] for row in rref] == [int(r == k) for r in range(len(rref))]
+
+
+def test_row_reduce_full_rank_exactly_when_the_determinant_is_nonzero(rng):
+    outcomes = Counter()
+    for _ in range(60):
+        p = rng.choice((3, 5, 7))
+        size = rng.randint(1, 5)
+        mat = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
+        if size > 1 and rng.random() < 0.5:  # force a singular matrix
+            c = rng.randrange(p)
+            mat[-1] = [(c * x) % p for x in mat[0]]
+        invertible = len(row_reduce(mat, p)[1]) == size
+        assert invertible is (leibniz_det(mat, p) != 0)
+        outcomes[invertible] += 1
+    assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
+
+
+def test_evaluate_collects_the_word_the_fold_multiplies(
+        nonmetabelian57, nonmetabelian58, rng):
+    # endomorphisms of the reference 5^20, and the cross-codomain maps of
+    # main1's reference-quotient check
+    g = build_blackburn_pc(5, 20)
+    profile = build_profile(g, require_chain=True)
+    maps = [make_derivation(g, target, target.random_element(rng),
+                            target.random_element(rng)).alpha
+            for target in (profile.A, profile.G(1)) for _ in range(3)]
+    maps.append(inner_automorphism(g, g.random_element(rng)))
+    for result in (nonmetabelian57, nonmetabelian58):
+        k = result.l + 2
+        quo = result.pres.quotient_by_term(k)
+        ref = build_blackburn_pc(5, result.pres.n).quotient_by_term(k)
+        maps.append(check_homomorphism(quo, ref.generators, codomain=ref))
+    for gmap in maps:
+        words = [gmap.domain.random_element(rng) for _ in range(15)]
+        for x in [*words, gmap.domain.identity, *gmap.domain.generators]:
+            assert gmap.evaluate(x) == fold_evaluate(gmap, x)
+
+
+def test_evaluate_leaves_the_map_unchanged(g57, rng):
+    images = inner_automorphism(g57, g57.generator(2)).images
+    for gmap in (GroupMap(g57, images), check_homomorphism(g57, images)):
+        before = [getattr(gmap, slot) for slot in GroupMap.__slots__]
+        for _ in range(5):
+            gmap.evaluate(g57.random_element(rng))
+        after = [getattr(gmap, slot) for slot in GroupMap.__slots__]
+        assert all(a is b for a, b in zip(before, after)), GroupMap.__slots__
+        assert not any(isinstance(v, (list, dict)) for v in after)
 
 
 # -- the phi family ---------------------------------------------------------------------
