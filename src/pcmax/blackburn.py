@@ -28,10 +28,10 @@ from .pcgroup import ALLOWED_PRIMES, PcPresentation
 
 __all__ = [
     "RingModule", "certify_ring_model", "build_m_presentation",
-    "build_blackburn_pc", "sigma",
+    "reference_tails", "build_blackburn_pc", "sigma",
     "verify_sigma",
     "cross_model_check", "abelian_invariants",
-    "module_derivation_from_polynomial", "theta_poly_to_shifted",
+    "module_derivation_from_polynomial",
 ]
 
 
@@ -83,9 +83,6 @@ class RingModule:
     def add(self, a, b):
         return self.reduce([x + y for x, y in zip(a, b)])
 
-    def negate(self, a):
-        return self.reduce([-x for x in a])
-
     def theta_mul(self, a):
         """Multiplication by theta = 1 + (theta-1): b_i -> b_i + b_{i+1}."""
         v = list(a)
@@ -113,19 +110,6 @@ class RingModule:
 
     def __repr__(self) -> str:
         return f"RingModule(p={self.p}, n={self.n})"
-
-
-def theta_poly_to_shifted(p: int, coeffs):
-    """Rewrite a polynomial given on powers of theta onto powers of (theta-1)."""
-    out = [0] * len(coeffs)
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        # theta^k = (1 + (theta-1))^k
-        for j in range(k + 1):
-            if j < len(out):
-                out[j] += c * comb(k, j)
-    return [c % p for c in out]
 
 
 def _ring_power_tails(ring: RingModule):
@@ -200,29 +184,32 @@ def build_m_presentation(p: int, n: int) -> PcPresentation:
     return pres
 
 
+def reference_tails(ring: RingModule):
+    """The power tails and the nonzero commutator tails of the reference
+    group on s, s_1, ..., s_{n-1}, where n - 1 is `ring.rank`: s^p = 1, the
+    tail of s_i^p is the normal form of p b_i, and [s_{j-1}, s] = s_j for
+    2 <= j < n.  Uncertified; `build_blackburn_pc` certifies them."""
+    n = ring.rank + 1
+    zero = (0,) * n
+    pts = [zero] + [(0,) + t for t in _ring_power_tails(ring)]
+    cts = {(j, 1): zero[:j] + (1,) + zero[j + 1:] for j in range(2, n)}
+    return pts, cts
+
+
 def build_blackburn_pc(p: int, n: int) -> PcPresentation:
     """The metabelian maximal-class group of order p^n, as a pc presentation.
 
     Generator 1 is s, generator i+1 is s_i.  The power tails of the s_i are
     produced by ring-model reduction (the raw exponents C(p,k) are >= p and
-    must be collected).  The result is certified consistent by
-    `certify_ring_model`: its relations hold in C_p x| R, a group of order
-    p^n.  That takes O(n) ring reductions, where the overlap test takes
-    O(n^3) collections.
+    must be collected), see `reference_tails`.  The result is certified
+    consistent by `certify_ring_model`: its relations hold in C_p x| R, a
+    group of order p^n.  That takes O(n) ring reductions, where the overlap
+    test takes O(n^3) collections.
     """
     if n < 4:
         raise PresentationError(f"need n >= 4, got {n}")
     ring = RingModule(p, n)
-    m_tails = _ring_power_tails(ring)
-    zero = (0,) * n
-    pts = [zero]  # s^p = 1
-    for i in range(ring.rank):
-        pts.append((0,) + tuple(m_tails[i]))
-    cts = {}
-    for j in range(2, n):
-        vec = [0] * n
-        vec[j] = 1
-        cts[(j, 1)] = tuple(vec)  # [s_{j-1}, s] = s_j
+    pts, cts = reference_tails(ring)
     labels = ("s",) + tuple(f"s_{i}" for i in range(1, n))
     pres = PcPresentation(p, n, pts, cts, labels=labels)
     certify_ring_model(pres, ring)
@@ -345,20 +332,15 @@ def abelian_invariants(p: int, n: int):
     return [p ** q] * ((p - 1 - r) if q else 0) + [p ** (q + 1)] * r
 
 
-def module_derivation_from_polynomial(p, n, coeffs, pres=None, basis="theta-1"):
+def module_derivation_from_polynomial(p, n, coeffs, pres=None):
     """Derivation of the reference group into M determined by a polynomial.
 
     The derivation kills s and sends s_1 to (polynomial)(theta) * b_1,
     extended theta-equivariantly; it is validated by the homomorphism check
-    on its companion endomorphism.  `coeffs[k]` multiplies (theta-1)^k, or
-    theta^k with basis="theta".
+    on its companion endomorphism.  `coeffs[k]` multiplies (theta-1)^k.
     """
     from .derivations import make_derivation
 
-    if basis == "theta":
-        coeffs = theta_poly_to_shifted(p, coeffs)
-    elif basis != "theta-1":
-        raise PresentationError(f"unknown polynomial basis {basis!r}")
     g = pres or build_blackburn_pc(p, n)
     ring = RingModule(p, n)
     a_subgroup = g.suffix_subgroup(2)

@@ -101,10 +101,6 @@ def make_derivation(pres: PcPresentation, target: Subgroup, u: Element,
     return Derivation(pres, target, u, v, alpha)
 
 
-def zero_derivation(pres: PcPresentation, target: Subgroup) -> Derivation:
-    return make_derivation(pres, target, pres.identity, pres.identity)
-
-
 def evaluate(d: Derivation, g: Element) -> Element:
     """gd = g^-1 * (g alpha); lands in the target subgroup."""
     return d.pres.solve(g, d.alpha.evaluate(g))
@@ -121,19 +117,6 @@ def add(d1: Derivation, d2: Derivation) -> Derivation:
 def negate(d: Derivation) -> Derivation:
     pres = d.pres
     return make_derivation(pres, d.target, pres.invert(d.u), pres.invert(d.v))
-
-
-def compose(d1: Derivation, d2: Derivation):
-    """The pointwise composition g -> (g d1) d2, as a plain function.
-
-    Not a derivation in general; it is the correction term in `bullet`.
-    """
-    _same_space(d1, d2)
-
-    def product(g: Element) -> Element:
-        return evaluate(d2, evaluate(d1, g))
-
-    return product
 
 
 def bullet(d1: Derivation, d2: Derivation) -> Derivation:

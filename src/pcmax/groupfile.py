@@ -22,7 +22,7 @@ UTF-8, so a malformed file cannot reach the arithmetic layer.
 from __future__ import annotations
 
 from .errors import PresentationError
-from .pcgroup import PcPresentation
+from .pcgroup import MAX_GENERATORS, PcPresentation
 
 
 def dumps(pres: PcPresentation) -> str:
@@ -52,13 +52,13 @@ def loads(text: str) -> PcPresentation:
             if len(parts) < 3 or parts[2] != ":":
                 raise PresentationError(f"malformed power row: {ln!r}")
             table, key = powers, _int(parts[1], "generator index")
-            value = [_int(x, "exponent") for x in parts[3:]]
+            value = _ints(parts[3:], "exponent")
         elif parts[0] == "comm":
             if len(parts) < 4 or parts[3] != ":":
                 raise PresentationError(f"malformed comm row: {ln!r}")
             table = comms
-            key = (_int(parts[1], "generator index"), _int(parts[2], "generator index"))
-            value = [_int(x, "exponent") for x in parts[4:]]
+            key = tuple(_ints(parts[1:3], "generator index"))
+            value = _ints(parts[4:], "exponent")
         else:
             raise PresentationError(f"unrecognized line in group file: {ln!r}")
         if key in table:
@@ -87,6 +87,23 @@ def load(path) -> PcPresentation:
     except UnicodeDecodeError as exc:
         raise PresentationError(f"group file is not UTF-8 text: {exc}") from exc
     return loads(text)
+
+
+# The canonical spelling of every number a valid row holds: exponents below
+# p <= 61 and generator indices up to MAX_GENERATORS.  `_int` reads each of
+# these spellings as the same number.
+_NUMBERS = {str(k): k for k in range(MAX_GENERATORS + 1)}
+
+
+def _ints(tokens, what: str) -> list:
+    """The numbers of a row, looked up when every token is a canonical
+    spelling; otherwise read token by token by `_int`, which words the error
+    or reads a number (signed, zero-padded, large) for the checks of
+    `PcPresentation` to judge."""
+    try:
+        return list(map(_NUMBERS.__getitem__, tokens))
+    except KeyError:
+        return [_int(x, what) for x in tokens]
 
 
 def _int(token: str, what: str) -> int:

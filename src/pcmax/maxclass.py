@@ -113,21 +113,33 @@ def degree_of_commutativity(pres: PcPresentation, series: SeriesChain,
     """Largest l <= n - 3 with [G_i, G_j] <= G_{i+j+l} for all i, j >= 1,
     where G_k = 1 for k >= n.
 
-    Let x_i be the first basis member of G_i (of G_1 for i = 1); on a group
-    of maximal class G_i = <x_i, ..., x_{n-1}>, so [G_i, G_j] is the normal
-    closure of the [x_a, x_b] with a >= i and b >= j.  The G_k are normal
-    and descend, so l is the minimum of n - 3 and of w([x_a, x_b]) - a - b
-    over a < b, where w(c) is the largest k with c in G_k: C(n-1, 2)
-    commutators, each lowering a running bound until it fits.
+    Let x_i be the first basis member of G_i (of G_1 for i = 1), and w(c)
+    the largest k with c in G_k.  Then l is the minimum L of n - 3 and of
+    w([x_1, x_b]) - 1 - b over 2 <= b < n: only n - 2 commutators.  No
+    other pair can lower it, because [G_i, G_j] <= G_{i+j+L} for all i, j:
+
+    * i = 1, by downward induction on j (G_n = 1).  G_1 = <x_1> G_2 and
+      G_j = <x_j> G_{j+1}, so X = [G_1, G_j] lies in the normal closure of
+      the [x_1, x_b] with b >= j, times [G_2, G_j].  By the three-subgroup
+      lemma, with G_2 = [G_1, G], [G_2, G_j] <= [G_{j+1}, G_1] [X, G].  So
+      X <= N [X, G] with N = G_{1+j+L} normal, and G is nilpotent: X <= N.
+    * i >= 2, by induction on i: G_i = [G_{i-1}, G], so by the same lemma
+      [G_i, G_j] <= [G_{j+1}, G_{i-1}] [[G_{i-1}, G_j], G].
+
+    The brute-force minimum over all C(n-1, 2) pairs [x_a, x_b] is the test
+    oracle.  `series` is the suffix chain that `chain_series` certifies as
+    the lower central series, so G_k = <a_{k+1}, ..., a_n> for k >= 2.
+    [x_1, x_b] lies in G_{b+1} <= G_2, where c lies in G_k exactly when
+    c = 1 or its leading index exceeds k: w(c) is that index minus 1, and
+    c = 1 lowers nothing.
     """
     n = pres.n
-    xs = [G1.basis[0], *(series.term(i).basis[0] for i in range(2, n))]
     l = n - 3
-    for a in range(1, n):
-        for b in range(a + 1, n):
-            c = pres.commutator(xs[a - 1], xs[b - 1])
-            while l >= 0 and not series.term(a + b + l).contains(c):
-                l -= 1
+    x1 = G1.basis[0]
+    for b in range(2, n):
+        c = pres.commutator(x1, series.term(b).basis[0])
+        if any(c):
+            l = min(l, c.leading_index() - 2 - b)
     if l < 0:
         raise PresentationError("no degree of commutativity >= 0; input is not maximal class")
     return l
@@ -202,7 +214,12 @@ def build_profile(pres: PcPresentation, require_chain: bool = False) -> MaxClass
     """Compute the full profile of a consistent presentation; raises when
     the input is not maximal class (or, with require_chain, when the
     generator chain does not span).  On a group of maximal class the
-    validated series is the suffix chain certified by `chain_series`."""
+    validated series is the suffix chain certified by `chain_series`.
+
+    The group is metabelian when G_2 = Gamma_3 = <a_3, ..., a_n> is abelian,
+    that is when its generators commute pairwise.  On a consistent
+    presentation [a_j, a_i] is its tail, so that holds exactly when no
+    nonzero tail [a_j, a_i] has i >= 3."""
     report = validate_maximal_class(pres)
     if not report.ok:
         raise PresentationError(f"not a group of maximal class: {report.failure}")
@@ -212,7 +229,7 @@ def build_profile(pres: PcPresentation, require_chain: bool = False) -> MaxClass
     l = degree_of_commutativity(pres, series, G1)
     r = n - l - 1
     t = max(r, (n + 2) // 2)  # ceil((n+1)/2)
-    metabelian = series.term(2).is_abelian()
+    metabelian = all(i < 3 for _, i in pres.commutator_tails)
     chain_spans = True
     try:
         s, s1, chain = standard_generators(pres, series, G1)

@@ -17,8 +17,9 @@ test may be fed to the higher layers.
 Conventions fixed here and used everywhere else:
 
 * products read left to right: `multiply(a, b)` is "a then b", and every
-  product of normal forms goes through it, the overlaps of the
-  consistency test included;
+  product of two normal forms goes through it; a longer word is collected
+  from its letters in one pass, as `multiply` does (the overlap sides of
+  the consistency test, `homs.GroupMap.evaluate`);
 * `solve(a, b)` is the x with a x = b, i.e. a^-1 b; every division goes
   through it, so `invert(a) = solve(a, 1)`, and subgroup bases and coset
   representatives are reduced by left division (`_sift`);
@@ -30,7 +31,6 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
-import hashlib
 from typing import NamedTuple
 
 from .errors import PresentationError
@@ -97,10 +97,14 @@ class PcPresentation:
             pts.append(self._check_tail(tail, min_support=i + 1, what=f"power tail of a_{i}"))
         self.power_tails = tuple(pts)
 
+        zero = (0,) * n
+        zeros = (zero, [0] * n)
         cts = {}
         for (j, i), tail in dict(commutator_tails).items():
             if not (1 <= i < j <= n):
                 raise PresentationError(f"commutator pair ({j}, {i}) out of range")
+            if tail in zeros:
+                continue  # a trivial tail, as files spell most of them
             t = self._check_tail(tail, min_support=j + 1, what=f"tail of [a_{j}, a_{i}]")
             if any(t):
                 cts[(j, i)] = t
@@ -116,10 +120,8 @@ class PcPresentation:
                 raise PresentationError("generator labels must be distinct")
         self.labels = labels or tuple(f"a{i}" for i in range(1, n + 1))
 
-        self.identity = Element((0,) * n)
-        self.generators = tuple(
-            Element(tuple(1 if k == i else 0 for k in range(n))) for i in range(n)
-        )
+        self.identity = Element(zero)
+        self.generators = tuple(Element(zero[:k] + (1,) + zero[k + 1:]) for k in range(n))
         # Letter forms of the tails, for the collector.
         self._pt_letters = tuple(
             tuple((k + 1, e) for k, e in enumerate(t) if e) for t in self.power_tails
@@ -137,12 +139,12 @@ class PcPresentation:
         self._standard_chain = None  # lazy; see has_standard_chain()
 
     def _check_tail(self, tail, min_support, what):
-        t = tuple(int(e) for e in tail)
+        t = tuple(map(int, tail))
         if len(t) != self.n:
             raise PresentationError(f"{what}: expected vector of length {self.n}")
-        if any(not 0 <= e < self.p for e in t):
+        if min(t) < 0 or max(t) >= self.p:
             raise PresentationError(f"{what}: entries must lie in [0, {self.p})")
-        if any(e for e in t[: min_support - 1]):
+        if any(t[: min_support - 1]):
             raise PresentationError(f"{what}: support must start at index {min_support}")
         return Element(t)
 
@@ -324,14 +326,6 @@ class PcPresentation:
             return self.identity
         return self.solve(self.multiply(b, a), self.multiply(a, b))
 
-    def element_order(self, a: Element) -> int:
-        order = 1
-        x = a
-        while any(x):
-            x = self.power(x, self.p)
-            order *= self.p
-        return order
-
     # -- consistency --------------------------------------------------------
 
     def consistency_check(self) -> ConsistencyReport:
@@ -344,41 +338,64 @@ class PcPresentation:
             a_j (a_i^p)   = (a_j a_i) a_i^{p-1}   for j > i
             a_i^p a_i     = a_i (a_i^p)
 
-        Each side is one `multiply` of normal forms: the products a_j a_i
-        are collected once, a_j^p is its power tail and a_j^{p-1} the
-        element with p - 1 at position j.  `multiply(a, b)` starts from a
-        as the collected prefix, which is exactly what collecting the
-        letters of a from the empty word gives, so every side is collected
-        as the word it stands for.  Failures are reported in-band, naming
-        the first bad overlap.
+        Each side is a normal form u followed by a word w: the products
+        a_j a_i are collected once, a_j^p is its power tail and a_j^{p-1}
+        the element with p - 1 at position j.  A side is collected as
+        `multiply(u, w)` would collect it, u as the collected prefix and
+        the letters of w on the stack, which is exactly what collecting the
+        letters of u from the empty word gives; so every side is collected
+        as the word it stands for.  The letter stacks of the a_j a_i, the
+        power tails and the one-letter words are built once and copied per
+        side.  Failures are reported in-band, naming the first bad overlap.
         """
         p, n = self.p, self.n
-        mul = self.multiply
+        collect = self._collect
+
+        def letters(vec):
+            # the stack of a normal form: its letters, leftmost on top
+            return [(k + 1, vec[k]) for k in range(n - 1, -1, -1) if vec[k]]
+
+        def side(prefix, stack):
+            vec = list(prefix)
+            if stack:
+                collect(vec, stack.copy())
+            return vec
+
         gens = self.generators
         tails = self.power_tails
-        tops = tuple(Element((0,) * k + (p - 1,) + (0,) * (n - 1 - k)) for k in range(n))
-        prod = {(j, i): mul(gens[j - 1], gens[i - 1])
-                for j in range(2, n + 1) for i in range(1, j)}
+        # the normal forms a_i^{p-1}, and the letter stacks of the words a_i,
+        # a_i^{p-1} and of the power tails
+        tops = [(0,) * k + (p - 1,) + (0,) * (n - 1 - k) for k in range(n)]
+        one = [[(k + 1, 1)] for k in range(n)]
+        top = [[(k + 1, p - 1)] for k in range(n)]
+        tail = [letters(t) for t in tails]
+        prod = {}
+        prod_letters = {}
+        for j in range(2, n + 1):
+            for i in range(1, j):
+                vec = side(gens[j - 1], one[i - 1])
+                prod[j, i] = vec
+                prod_letters[j, i] = letters(vec)
         checked = 0
         for k in range(3, n + 1):
             for j in range(2, k):
                 for i in range(1, j):
                     checked += 1
-                    if mul(gens[k - 1], prod[j, i]) != mul(prod[k, j], gens[i - 1]):
+                    if side(gens[k - 1], prod_letters[j, i]) != side(prod[k, j], one[i - 1]):
                         return ConsistencyReport(
                             False, checked, f"associativity overlap a_{k}(a_{j} a_{i})"
                         )
         for j in range(2, n + 1):
             for i in range(1, j):
                 checked += 1
-                if mul(tops[j - 1], prod[j, i]) != mul(tails[j - 1], gens[i - 1]):
+                if side(tops[j - 1], prod_letters[j, i]) != side(tails[j - 1], one[i - 1]):
                     return ConsistencyReport(False, checked, f"power overlap a_{j}^p a_{i}")
                 checked += 1
-                if mul(gens[j - 1], tails[i - 1]) != mul(prod[j, i], tops[i - 1]):
+                if side(gens[j - 1], tail[i - 1]) != side(prod[j, i], top[i - 1]):
                     return ConsistencyReport(False, checked, f"power overlap a_{j} a_{i}^p")
         for i in range(1, n + 1):
             checked += 1
-            if mul(tails[i - 1], gens[i - 1]) != mul(gens[i - 1], tails[i - 1]):
+            if side(tails[i - 1], one[i - 1]) != side(gens[i - 1], tail[i - 1]):
                 return ConsistencyReport(False, checked, f"power overlap a_{i}^p a_{i}")
         return ConsistencyReport(True, checked)
 
@@ -528,18 +545,22 @@ class PcPresentation:
     # -- identity / serialization -------------------------------------------
 
     def canonical_text(self) -> str:
-        lines = [f"pcmax-group 1", f"p {self.p}", f"n {self.n}"]
-        lines.append("labels " + " ".join(self.labels))
-        for i in range(1, self.n + 1):
-            row = " ".join(str(e) for e in self.power_tails[i - 1])
-            lines.append(f"power {i} : {row}")
-        for j in range(2, self.n + 1):
+        n = self.n
+        lines = ["pcmax-group 1", f"p {self.p}", f"n {n}", "labels " + " ".join(self.labels)]
+        for i, t in enumerate(self.power_tails, start=1):
+            lines.append(f"power {i} : {' '.join(map(str, t))}")
+        zero = " ".join("0" * n)
+        cts = self.commutator_tails
+        for j in range(2, n + 1):
             for i in range(1, j):
-                row = " ".join(str(e) for e in self.commutator_tail(j, i))
-                lines.append(f"comm {j} {i} : {row}")
+                t = cts.get((j, i))
+                lines.append(f"comm {j} {i} : {' '.join(map(str, t)) if t else zero}")
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
+        # imported here: only the commands that print a digest pay for it
+        import hashlib
+
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
     def __repr__(self) -> str:

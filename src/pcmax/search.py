@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .blackburn import build_blackburn_pc
+from .blackburn import RingModule, reference_tails
 from .errors import PresentationError
 from .homs import row_reduce
 from .maxclass import build_profile, validate_maximal_class
@@ -42,39 +42,28 @@ def _linear_system(p: int, n: int, l: int):
     """Variables and F_p equations for the top-order equivariance relations.
 
     A variable (j, i, c) is the coefficient of s_c in U(j, i); pairs are
-    live when i + j + l <= n - 1.
+    live when i + j + l <= n - 1.  The equation of (j, i, c), for
+    1 <= i < j <= n - 1 and 1 <= c <= n - 1, has +1 at (j, i, c - 1) and
+    -1 at (j, i + 1, c), (j + 1, i, c) and (j + 1, i + 1, c), where those
+    are variables; it is built from the variables that occur in it, and
+    equations with none are left out.  Rows come in (j, i, c) order.
     """
-    def depth(j, i):
-        return i + j + l
-
-    def live(j, i):
-        return 1 <= i < j <= n - 1 and depth(j, i) <= n - 1
-
-    variables = []
-    index = {}
-    for j in range(2, n):
-        for i in range(1, j):
-            if live(j, i):
-                for c in range(depth(j, i), n):
-                    index[(j, i, c)] = len(variables)
-                    variables.append((j, i, c))
+    variables = [(j, i, c) for j in range(2, n) for i in range(1, j)
+                 for c in range(i + j + l, n)]
+    index = {var: k for k, var in enumerate(variables)}
+    equations = {}
+    for k, (j, i, c) in enumerate(variables):
+        if c + 1 < n:
+            equations.setdefault((j, i, c + 1), {})[k] = 1
+        for jj, ii in ((j, i - 1), (j - 1, i), (j - 1, i - 1)):
+            if 1 <= ii < jj:
+                equations.setdefault((jj, ii, c), {})[k] = p - 1
     rows = []
-    for j in range(2, n):
-        for i in range(1, j):
-            for c in range(1, n):
-                row = [0] * len(variables)
-                nonzero = False
-                if live(j, i) and (j, i, c - 1) in index:
-                    row[index[(j, i, c - 1)]] = 1
-                    nonzero = True
-                for (jj, ii) in ((j, i + 1), (j + 1, i), (j + 1, i + 1)):
-                    if jj == ii:
-                        continue
-                    if live(jj, ii) and (jj, ii, c) in index:
-                        row[index[(jj, ii, c)]] = (row[index[(jj, ii, c)]] - 1) % p
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
+    for key in sorted(equations):
+        row = [0] * len(variables)
+        for k, e in equations[key].items():
+            row[k] = e
+        rows.append(row)
     return variables, index, rows
 
 
@@ -91,9 +80,10 @@ def _random_solution(p, nvars, rref, pivots, rng):
     return sol
 
 
-def _assemble(p, n, l, base, sol, index, rng, perturb_powers):
-    pts = [list(t) for t in base.power_tails]
-    cts = {k: list(v) for k, v in base.commutator_tails.items()}
+def _assemble(p, n, l, base_tails, sol, index, rng, perturb_powers):
+    base_pts, base_cts = base_tails
+    pts = [list(t) for t in base_pts]
+    cts = {k: list(v) for k, v in base_cts.items()}
     for (j, i, c), idx in index.items():
         val = sol[idx]
         pair = (j + 1, i + 1)
@@ -131,7 +121,7 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
     if not 1 <= l < n - 3:
         raise PresentationError(f"target degree of commutativity {l} out of range")
     rng = random.Random(seed)
-    base = build_blackburn_pc(p, n)
+    base_tails = reference_tails(RingModule(p, n))
     variables, index, rows = _linear_system(p, n, l)
     rref, pivots = row_reduce(rows, p)
     top_var = index.get((2, 1, 3 + l))
@@ -144,7 +134,7 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
         if not sol[top_var]:
             continue
         perturb = rng.random() < 0.25
-        pts, cts = _assemble(p, n, l, base, sol, index, rng, perturb)
+        pts, cts = _assemble(p, n, l, base_tails, sol, index, rng, perturb)
         cts = {k: v for k, v in cts.items() if any(v)}
         try:
             cand = PcPresentation(p, n, pts, cts)

@@ -18,6 +18,12 @@ C_p x| R instead of collecting, a map is evaluated by multiplying in each
 generator's image power instead of collecting the whole word, and ranks and
 determinants over F_p come from enumerating a row span and from the
 Leibniz formula instead of from row reduction.
+
+The search's F_p system is also built row by row over every (j, i, c), as
+it once was, where the search builds each row from the variables in it.
+
+`zero_derivation` is not an oracle but a test helper the package has no
+use for.
 """
 
 from __future__ import annotations
@@ -223,6 +229,11 @@ def h_cap_inn_scan(pres, profile) -> str | None:
     return None
 
 
+def zero_derivation(pres: PcPresentation, target: Subgroup):
+    """The derivation with a_1 -> 1 and a_2 -> 1 into `target`."""
+    return make_derivation(pres, target, pres.identity, pres.identity)
+
+
 def enumerate_pair_family(pres, target):
     """Every pair (u, v) of target x target, u in the outer loop, with the
     derivation a_1 -> u, a_2 -> v it extends to, or None when it does not.
@@ -337,6 +348,32 @@ def semidirect_commutator(ring, x, y):
     """x^-1 y^-1 x y in C_p x| R."""
     inv = semidirect_multiply(ring, semidirect_invert(ring, x), semidirect_invert(ring, y))
     return semidirect_multiply(ring, inv, semidirect_multiply(ring, x, y))
+
+
+def dense_linear_system(p, n, l):
+    """(variables, index, rows) of the search's equivariance system: for
+    each (j, i, c) in order, +1 at (j, i, c - 1) and -1 at (j, i + 1, c),
+    (j + 1, i, c) and (j + 1, i + 1, c) where those are variables, and the
+    row kept when it has an entry."""
+    def live(j, i):
+        return 1 <= i < j <= n - 1 and i + j + l <= n - 1
+
+    variables = [(j, i, c) for j in range(2, n) for i in range(1, j) if live(j, i)
+                 for c in range(i + j + l, n)]
+    index = {var: k for k, var in enumerate(variables)}
+    rows = []
+    for j in range(2, n):
+        for i in range(1, j):
+            for c in range(1, n):
+                row = [0] * len(variables)
+                terms = [((j, i, c - 1), 1)] + [((jj, ii, c), -1) for jj, ii in
+                                                 ((j, i + 1), (j + 1, i), (j + 1, i + 1))]
+                for var, e in terms:
+                    if var in index:
+                        row[index[var]] = (row[index[var]] + e) % p
+                if any(row):
+                    rows.append(row)
+    return variables, index, rows
 
 
 def fold_evaluate(gmap, x) -> Element:

@@ -17,15 +17,14 @@ from pcmax.autom import (verify_thm_main1, verify_thm_main2,
 from pcmax.blackburn import (build_blackburn_pc, cross_model_check,
                              verify_sigma)
 from pcmax.derivations import (add, bullet, evaluate, kernel_contains,
-                               make_derivation, negate, one_plus,
-                               zero_derivation)
+                               make_derivation, negate, one_plus)
 from pcmax.errors import HomCheckFailed, PreconditionRefused
 from pcmax.homs import check_homomorphism
 from pcmax.maxclass import build_profile, conjugacy_facts
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import GRID, SEED
-from .oracles import cross_model_all_pairs
+from .oracles import cross_model_all_pairs, zero_derivation
 
 
 def report(number, name, elapsed=None):

@@ -119,6 +119,73 @@ def test_non_ascii_digit_exit_4(tmp_path, g57, old, new):
     assert "bad " in res.stdout
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # a non-ASCII digit inside an otherwise ASCII row
+    ("power 3 : 0 0 0 0 0 0 4", "power 3 : 0 0 \u0665 0 0 0 4",
+     "bad exponent in group file: '\u0665'"),
+    ("power 3 : 0 0 0 0 0 0 4", "power 3 : 0 0 +1 0 0 0 4",
+     "bad exponent in group file: '+1'"),
+    ("power 3 : 0 0 0 0 0 0 4", "power 3 : 0 0 1_0 0 0 0 4",
+     "bad exponent in group file: '1_0'"),
+    ("power 3 : 0 0 0 0 0 0 4", "power 3 : 0 0 -1 0 0 0 4",
+     "power tail of a_3: entries must lie in [0, 5)"),
+    ("power 3 : 0 0 0 0 0 0 4", "power 3 : 0 0 0 0 0 4",
+     "power tail of a_3: expected vector of length 7"),
+    ("comm 3 1 : 0 0 0 1 0 0 0", "comm +3 1 : 0 0 0 1 0 0 0",
+     "bad generator index in group file: '+3'"),
+    ("comm 3 1 : 0 0 0 1 0 0 0", "comm 3 1 : 0 0 0 1 0 0 007",
+     "tail of [a_3, a_1]: entries must lie in [0, 5)"),
+])
+def test_malformed_rows_keep_their_messages(tmp_path, g57, old, new, message):
+    text = groupfile.dumps(g57)
+    assert old in text
+    path = tmp_path / "row.grp"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    res = run_cli("analyze", str(path))
+    assert (res.returncode, res.stdout, res.stderr) == (4, f"bad input: {message}\n", "")
+
+
+@st.composite
+def tail_tables(draw):
+    """A presentation with random tails that obey the support rules; it
+    need not be consistent."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(1, 8))
+
+    def tail(start):
+        # zero below index `start`, anything in [0, p) from there on
+        free = draw(st.lists(st.integers(0, p - 1), min_size=n - start + 1,
+                             max_size=n - start + 1))
+        return [0] * (start - 1) + free
+
+    pts = [tail(i + 1) for i in range(1, n + 1)]
+    cts = {(j, i): tail(j + 1) for j in range(2, n + 1) for i in range(1, j)}
+    return PcPresentation(p, n, pts, cts)
+
+
+def _spelled_out(pres):
+    """The group file of `pres`, written out row by row."""
+    def row(t):
+        return " ".join(str(e) for e in t)
+
+    lines = ["pcmax-group 1", f"p {pres.p}", f"n {pres.n}", "labels " + " ".join(pres.labels)]
+    lines += [f"power {i} : {row(pres.power_tails[i - 1])}" for i in range(1, pres.n + 1)]
+    lines += [f"comm {j} {i} : {row(pres.commutator_tail(j, i))}"
+              for j in range(2, pres.n + 1) for i in range(1, j)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, derandomize=True)
+@given(tail_tables())
+def test_group_file_round_trips_random_tail_tables(pres):
+    text = pres.canonical_text()
+    assert text == _spelled_out(pres)
+    back = groupfile.loads(text)
+    assert back.power_tails == pres.power_tails
+    assert back.commutator_tails == pres.commutator_tails
+    assert back.canonical_text() == text
+
+
 def test_duplicate_labels_exit_4(tmp_path, g57):
     text = groupfile.dumps(g57)
     assert "labels s s_1 s_2" in text
@@ -282,6 +349,8 @@ def test_verb_imports_only_its_modules(verb, g57_file, nonmetabelian58, tmp_path
         assert not set(NOT_FOR_ANALYZE) & set(modules)
     else:
         assert "pcmax.autom" in modules
+    # the selftest runs a driver but prints no digest; the others print one
+    assert ("hashlib" in modules) == (verb != "selftest")
 
 
 def test_reports_are_byte_identical(g57_file):

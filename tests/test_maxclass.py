@@ -209,8 +209,15 @@ def test_degree_of_commutativity_metabelian(g57, g35):
 
 
 def test_degree_of_commutativity_matches_brute_force(structure_inputs):
-    # seeded random groups of maximal class add inputs on which only the
-    # commutators [x_1, x_b] with G_1 pin l
+    # l from the n - 2 commutators [x_1, x_b] and "metabelian" read off the
+    # tails must match the brute-force l over all pairs and an abelian G_2,
+    # over the series computed by normal closures.  Seeded random groups of maximal class add inputs on which
+    # only the commutators [x_1, x_b] with G_1 pin l; the pinned search hits
+    # and more reference groups add deeper inputs of both verdicts.
+    from pcmax.search import search_nonmetabelian
+
+    from .test_search import PINNED_HITS
+
     rng = random.Random(SEED)
     random_groups = []
     while len(random_groups) < 100:
@@ -219,11 +226,21 @@ def test_degree_of_commutativity_matches_brute_force(structure_inputs):
         if (pres.consistency_check().ok
                 and pres.lower_central_series().nilpotency_class() == n - 1):
             random_groups.append(pres)
-    for pres in [*structure_inputs, *random_groups]:
+    hits = [search_nonmetabelian(p, n, seed=seed, budget=5000, l_target=l).pres
+            for seed, p, n, l in PINNED_HITS]
+    references = [build_blackburn_pc(p, n)
+                  for p, n in ((3, 4), (5, 12), (7, 8), (7, 10), (11, 13))]
+    verdicts = set()
+    for pres in [*structure_inputs, *random_groups, *hits, *references]:
         series = pres.lower_central_series()
         G1 = compute_G1(pres)
         fast = degree_of_commutativity(pres, series, G1)
         assert fast == brute_degree_of_commutativity(pres, series, G1), pres
+        profile = build_profile(pres)
+        assert profile.l == fast, pres
+        assert profile.metabelian == series.term(2).is_abelian(), pres
+        verdicts.add(profile.metabelian)
+    assert verdicts == {True, False}
 
 
 def test_structure_reads_tails_and_few_commutators(nonmetabelian58, monkeypatch):
@@ -241,7 +258,13 @@ def test_structure_reads_tails_and_few_commutators(nonmetabelian58, monkeypatch)
     G1 = compute_G1(pres)
     assert calls == {}
     assert degree_of_commutativity(pres, chain_series(pres), G1) == 2
-    assert calls["commutator"] <= comb(n - 1, 2)
+    # only the commutators [x_1, x_b]; no other pair can lower l
+    assert calls["commutator"] <= n - 2
+    # "metabelian" is read off the tails too: build_profile adds only the
+    # n - 2 commutators of the chain s_{i+1} = [s_i, s]
+    calls.clear()
+    assert not build_profile(pres).metabelian
+    assert calls["commutator"] <= 2 * (n - 2)
 
 
 def test_nonmetabelian_fixture_dc(nm_profile58):

@@ -1,6 +1,7 @@
 """Collection engine, element operations, subgroups, series, consistency."""
 
 import random
+import re
 from math import comb
 
 import pytest
@@ -293,22 +294,31 @@ def test_commutator_identity_from_expansion(g57):
         assert lhs == rhs
 
 
+def _element_order(pres, a) -> int:
+    """Order of a, by raising to the p-th power until the identity."""
+    order = 1
+    while any(a):
+        a = pres.power(a, pres.p)
+        order *= pres.p
+    return order
+
+
 def test_invert_agrees_with_order_power(g57, nonmetabelian58, rng):
     # a^-1 = a^(order-1), and power() with positive exponents only
     # multiplies, so this cross-checks solve() independently
     for pres in (g57, nonmetabelian58.pres):
         for _ in range(30):
             g = pres.random_element(rng)
-            k = pres.element_order(g)
+            k = _element_order(pres, g)
             assert pres.invert(g) == pres.power(g, k - 1)
 
 
 def test_element_order_identity(g57):
-    assert g57.element_order(g57.identity) == 1
+    assert _element_order(g57, g57.identity) == 1
 
 
 def test_element_order_s_is_p(g57):
-    assert g57.element_order(g57.generator(1)) == 5
+    assert _element_order(g57, g57.generator(1)) == 5
 
 
 def test_element_order_s1_brute_force(g57):
@@ -319,7 +329,7 @@ def test_element_order_s1_brute_force(g57):
     while not x.is_identity():
         x = g57.multiply(x, s1)
         k += 1
-    assert g57.element_order(s1) == k == 25
+    assert _element_order(g57, s1) == k == 25
 
 
 # -- subgroups ----------------------------------------------------------------
@@ -566,18 +576,37 @@ def _corrupted(pres, rng):
 
 def test_consistency_check_matches_naive_oracle(g35, g55, g57, m57, nonmetabelian57,
                                                nonmetabelian58):
-    # the six pinned presentations and 15 seeded corruptions of each
+    # the pinned presentations, the reference 5^12 and 7^8, the pinned
+    # search hits at (5,9) and (7,10), and 15 seeded corruptions of each
+    from pcmax.blackburn import build_blackburn_pc
+    from pcmax.search import search_nonmetabelian
+
+    from .test_search import PINNED_HITS
+
+    hits = []
+    for key in ((1, 5, 9, None), (1, 7, 10, None)):
+        seed, p, n, _ = key
+        hit = search_nonmetabelian(p, n, seed=seed, budget=5000).pres
+        assert hit.digest() == PINNED_HITS[key][0]
+        hits.append(hit)
     rng = random.Random(SEED)
-    pinned = [g35, g55, g57, m57, nonmetabelian57.pres, nonmetabelian58.pres]
+    pinned = [g35, g55, g57, m57, nonmetabelian57.pres, nonmetabelian58.pres,
+              build_blackburn_pc(5, 12), build_blackburn_pc(7, 8), *hits]
     corrupted = [_corrupted(pres, rng) for pres in pinned for _ in range(15)]
     verdicts = []
+    kinds = set()
     for pres in pinned + corrupted:
         report = pres.consistency_check()
         assert (report.ok, report.overlaps_checked, report.failure) == \
             naive_consistency_check(pres)
         verdicts.append(report.ok)
-    # the corruptions reach both verdicts
-    assert all(verdicts[:6]) and not all(verdicts[6:]) and any(verdicts[6:])
+        if report.failure:
+            kinds.add(re.sub(r"\d+", "#", report.failure))
+    # the corruptions reach both verdicts and three kinds of failing overlap
+    assert all(verdicts[:len(pinned)])
+    assert not all(verdicts[len(pinned):]) and any(verdicts[len(pinned):])
+    assert kinds == {"associativity overlap a_#(a_# a_#)", "power overlap a_#^p a_#",
+                     "power overlap a_# a_#^p"}
 
 
 def test_consistency_check_collects_each_product_once(nonmetabelian58, monkeypatch):

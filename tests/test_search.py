@@ -38,6 +38,18 @@ def test_search_hits_are_pinned(key):
     assert (result.pres.digest(), result.candidates_tried) == PINNED_HITS[key]
 
 
+def test_linear_system_matches_the_dense_construction():
+    # same variables, rows and row order, so the same row reduction and draws
+    from pcmax.search import _linear_system
+
+    from .oracles import dense_linear_system
+
+    for p in (3, 5, 7):
+        for n in range(5, 13):
+            for l in range(0, n - 3):
+                assert _linear_system(p, n, l) == dense_linear_system(p, n, l), (p, n, l)
+
+
 def test_search_finds_fixture_quickly(nonmetabelian58):
     assert nonmetabelian58.candidates_tried <= 100
 
