@@ -41,11 +41,11 @@ from . import DEFAULT_SEED, __version__
 from .blackburn import build_blackburn_pc
 from .derivations import kernel_contains, make_derivation, one_plus
 from .errors import (HomCheckFailed, InconsistentPresentation,
-                     PreconditionRefused, PresentationError, TheoremViolation,
-                     ValidationFailed)
-from .homs import GroupMap, check_homomorphism, inner_automorphism
+                     PreconditionRefused, PresentationError, TheoremViolation)
+from .homs import GroupMap, check_homomorphism
 from .maxclass import (MaxClassProfile, build_profile,
-                       require_theorem_hypotheses, verify_exponent_relations)
+                       require_theorem_hypotheses, validate_maximal_class,
+                       verify_exponent_relations)
 from .pcgroup import Element, PcPresentation, Subgroup
 
 
@@ -54,7 +54,7 @@ def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
     """The automorphism s -> s*u, s_1 -> s_1*v for u, v in the target term.
 
     Built through the derivation calculus and certified; raises
-    ValidationFailed when the images do not extend (drivers convert that
+    HomCheckFailed when the images do not extend (drivers convert that
     into a theorem violation).
     """
     target = target or profile.A
@@ -87,12 +87,16 @@ def certify_family(pres: PcPresentation, profile: MaxClassProfile,
     pairs = [(one, b) for b in target.basis]
     if not fixes_s:
         pairs = [(b, one) for b in target.basis] + pairs
-    try:
-        members = tuple(phi(pres, profile, u, v, target=target) for u, v in pairs)
-    except ValidationFailed as exc:
-        raise TheoremViolation(f"a basis pair does not extend: {exc}") from exc
+    members = []
+    for u, v in pairs:
+        try:
+            members.append(phi(pres, profile, u, v, target=target))
+        except HomCheckFailed as exc:
+            raise TheoremViolation(
+                f"a basis pair does not extend: images u={tuple(u)}, v={tuple(v)} "
+                f"do not extend to an endomorphism ({exc.relation})") from exc
     exponent = len(pairs)  # one factor p per basis pair, as |target| = p^len(basis)
-    return AutFamily(members, exponent, (
+    return AutFamily(tuple(members), exponent, (
         f"all {pres.p ** exponent} pairs: phi extends on the {len(pairs)} basis "
         f"pairs and the extending pairs form a subgroup; pairwise distinct, "
         f"as (u, v) is read off the images of s and s_1"))
@@ -216,7 +220,7 @@ def verify_thm_metabelian(pres: PcPresentation,
     """Every pair of derived-subgroup values extends to an automorphism;
     the achieved family order is p^{2(n-2)}."""
     _require_consistent(pres)
-    profile = build_profile(pres, require_chain=True)
+    profile = build_profile(validate_maximal_class(pres), require_chain=True)
     check, exponent = _derived_pair_family(pres, profile)
     return _report("metabelian", pres, profile, seed, [check], exponent, exponent)
 
@@ -242,7 +246,7 @@ def verify_thm_main1(pres: PcPresentation,
     """Automorphism count lower bound p^ceil((3n-2p+5)/2) for p >= 5, n > p+1."""
     _require_consistent(pres)
     require_theorem_hypotheses(pres)
-    profile = build_profile(pres, require_chain=True)
+    profile = build_profile(validate_maximal_class(pres), require_chain=True)
     p, n = pres.p, pres.n
     required = math.ceil((3 * n - 2 * p + 5) / 2)
 
@@ -327,7 +331,7 @@ def verify_thm_main2(pres: PcPresentation,
     """
     _require_consistent(pres)
     require_theorem_hypotheses(pres)
-    profile = build_profile(pres, require_chain=True)
+    profile = build_profile(validate_maximal_class(pres), require_chain=True)
     p, n = pres.p, pres.n
     t = profile.t
     required = n - 2 * p + 7
@@ -362,9 +366,11 @@ def verify_thm_main2(pres: PcPresentation,
 def _preimage(pres: PcPresentation, gmap: GroupMap, g: Element) -> Element:
     """Solve gmap(x) = g by successive approximation.
 
-    For a map of the form 1 + d with d into an abelian series term, the
-    error alpha(x)^-1 g gains depth each round (its value under d lies
-    strictly deeper), so the iteration closes in at most n rounds.
+    Each round multiplies x by the error e = alpha(x)^-1 g, and the new
+    error alpha(e)^-1 e is one step deeper on the central suffix series
+    when alpha(e) = ec with c deeper than e: for 1 + d with d into an
+    abelian series term, c = ed; for a conjugation, e^h = e[e, h], and
+    [e, h] lies one step deeper.  So the iteration closes in n rounds.
     """
     x = g
     for _ in range(pres.n + 2):
@@ -376,14 +382,11 @@ def _preimage(pres: PcPresentation, gmap: GroupMap, g: Element) -> Element:
 
 
 def invert_automorphism(pres: PcPresentation, gmap: GroupMap) -> GroupMap:
-    """The inverse of a validated automorphism.
-
-    Inner maps invert symbolically; derivation-backed maps (and anything
-    else unitriangular on the suffix filtration) invert by preimage
-    iteration, after which both round trips are verified on the generators.
+    """The inverse of a validated automorphism that is unitriangular on the
+    suffix filtration, as derivation-backed maps and conjugations are: the
+    generators' preimages by iteration, after which both round trips are
+    verified on the generators.
     """
-    if gmap.kind == "inner":
-        return inner_automorphism(pres, pres.invert(gmap.inner_by))
     if gmap.kind != "automorphism":
         raise PresentationError("only validated automorphisms can be inverted")
     images = tuple(_preimage(pres, gmap, a) for a in pres.generators)

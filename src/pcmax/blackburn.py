@@ -216,9 +216,8 @@ def build_blackburn_pc(p: int, n: int) -> PcPresentation:
     return pres
 
 
-def sigma(p: int, n: int, m_pres: PcPresentation | None = None) -> GroupMap:
+def sigma(p: int, n: int, m: PcPresentation) -> GroupMap:
     """The automorphism s_i -> s_i * s_{i+1} of M (s_{n-1} is fixed)."""
-    m = m_pres or build_m_presentation(p, n)
     images = []
     for i in range(m.n):
         vec = [0] * m.n
@@ -332,19 +331,19 @@ def abelian_invariants(p: int, n: int):
     return [p ** q] * ((p - 1 - r) if q else 0) + [p ** (q + 1)] * r
 
 
-def module_derivation_from_polynomial(p, n, coeffs, pres=None):
+def module_derivation_from_polynomial(p, n, coeffs, pres):
     """Derivation of the reference group into M determined by a polynomial.
 
     The derivation kills s and sends s_1 to (polynomial)(theta) * b_1,
     extended theta-equivariantly; it is validated by the homomorphism check
-    on its companion endomorphism.  `coeffs[k]` multiplies (theta-1)^k.
+    on its companion endomorphism.  `coeffs[k]` multiplies (theta-1)^k, and
+    `pres` is the reference group `build_blackburn_pc(p, n)`.
     """
     from .derivations import make_derivation
 
-    g = pres or build_blackburn_pc(p, n)
     ring = RingModule(p, n)
-    a_subgroup = g.suffix_subgroup(2)
+    a_subgroup = pres.suffix_subgroup(2)
     val = ring.poly_mul(list(coeffs)[: ring.rank] + [0] * max(0, ring.rank - len(coeffs)),
                         ring.basis(1))
-    v = g.element((0,) + tuple(val))
-    return make_derivation(g, a_subgroup, g.identity, v)
+    v = pres.element((0,) + tuple(val))
+    return make_derivation(pres, a_subgroup, pres.identity, v)

@@ -110,7 +110,7 @@ def _cmd_analyze(args) -> int:
     lines.append(f"maximal-class: {'yes' if mc.ok else 'no (' + str(mc.failure) + ')'}")
     lines.append(f"standard-chain: {'yes' if mc.ok else 'no'}")
     if mc.ok and pres.n >= 4:
-        profile = build_profile(pres)
+        profile = build_profile(mc)
         lines.append(f"degree-of-commutativity: {profile.l}")
         lines.append(f"r: {profile.r}")
         lines.append(f"t: {profile.t}")
@@ -153,7 +153,7 @@ def _cmd_selftest(args) -> int:
 
     pres = build_blackburn_pc(3, 5)
     check("construction", pres.consistency_check().ok)
-    profile = build_profile(pres)
+    profile = build_profile(validate_maximal_class(pres))
     check("maximal-class", profile.series.nilpotency_class() == 4)
     check("cross-model", cross_model_check(3, 5).ok)
     check("sigma", verify_sigma(3, 5).ok)

@@ -24,7 +24,7 @@ monoid whose image under d -> 1+d is composition of endomorphisms.
 
 from __future__ import annotations
 
-from .errors import HomCheckFailed, PresentationError, ValidationFailed
+from .errors import PresentationError
 from .homs import GroupMap, check_homomorphism
 from .pcgroup import Element, PcPresentation, Subgroup
 
@@ -68,8 +68,8 @@ def make_derivation(pres: PcPresentation, target: Subgroup, u: Element,
 
     The candidate endomorphism sends a_1 to a_1*u and a_2 to a_2*v, with the
     images of the chain generators a_{i+1} = [a_i, a_1] derived; it must
-    pass the homomorphism check, otherwise ValidationFailed is raised (a
-    legal outcome for arbitrary u, v).  Every a_i^-1 (a_i alpha) then lies
+    pass the homomorphism check, whose HomCheckFailed propagates otherwise
+    (a legal outcome for arbitrary u, v).  Every a_i^-1 (a_i alpha) then lies
     in the target T with no further test: modulo the normal T the images
     of a_1, a_2 are a_1, a_2, so the derived image of a_{i+1} is
     [a_i, a_1] = a_{i+1} modulo T.
@@ -91,13 +91,7 @@ def make_derivation(pres: PcPresentation, target: Subgroup, u: Element,
               pres.multiply(pres.generators[1], v)]
     for _ in range(2, pres.n):
         images.append(pres.commutator(images[-1], images[0]))
-    try:
-        alpha = check_homomorphism(pres, images, chain_derived=True)
-    except HomCheckFailed as exc:
-        raise ValidationFailed(
-            f"images u={tuple(u)}, v={tuple(v)} do not extend to an "
-            f"endomorphism ({exc.relation})"
-        ) from exc
+    alpha = check_homomorphism(pres, images, chain_derived=True)
     return Derivation(pres, target, u, v, alpha)
 
 

@@ -12,20 +12,13 @@ class InconsistentPresentation(PresentationError):
 class HomCheckFailed(ValueError):
     """Generator images violate a defining relation.
 
-    Carries the relation that failed, so callers can report a witness.
+    Carries the relation that failed, so callers can report a witness; the
+    theorem drivers turn a failed family member into TheoremViolation.
     """
 
     def __init__(self, relation: str):
         super().__init__(f"relation does not hold under the images: {relation}")
         self.relation = relation
-
-
-class ValidationFailed(ValueError):
-    """Candidate derivation images do not extend to an endomorphism.
-
-    A legal outcome for arbitrary inputs; theorem drivers convert it into
-    TheoremViolation.
-    """
 
 
 class TheoremViolation(RuntimeError):

@@ -5,7 +5,6 @@ validation state, fixed when the map is built; validation returns a new map
 with the upgraded state and never changes its argument:
 
     unvalidated -> homomorphism -> endomorphism -> automorphism
-                                                -> inner
 
 Validation means every defining relation of the domain maps to an equality
 in the codomain; it is re-checkable idempotently.  Composition reads left
@@ -17,17 +16,14 @@ from __future__ import annotations
 from .errors import HomCheckFailed, PresentationError
 from .pcgroup import Element, PcPresentation
 
-_KIND_RANK = {"unvalidated": 0, "homomorphism": 1, "endomorphism": 2,
-              "automorphism": 3, "inner": 3}
+_KINDS = ("unvalidated", "homomorphism", "endomorphism", "automorphism")
 
 
 class GroupMap:
-    __slots__ = ("domain", "codomain", "images", "kind", "inner_by",
-                 "derivation")
+    __slots__ = ("domain", "codomain", "images", "kind", "derivation")
 
     def __init__(self, domain: PcPresentation, images, kind="unvalidated",
-                 codomain: PcPresentation | None = None, inner_by=None,
-                 derivation=None):
+                 codomain: PcPresentation | None = None, derivation=None):
         self.domain = domain
         self.codomain = codomain or domain
         images = tuple(images)
@@ -35,13 +31,12 @@ class GroupMap:
             raise PresentationError("one image per generator is required")
         self.images = images
         self.kind = kind
-        self.inner_by = inner_by
         self.derivation = derivation
 
     def _with_kind(self, kind: str) -> "GroupMap":
         """The same map, with the same images, in another validation state."""
         return GroupMap(self.domain, self.images, kind, codomain=self.codomain,
-                        inner_by=self.inner_by, derivation=self.derivation)
+                        derivation=self.derivation)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -65,13 +60,7 @@ class GroupMap:
         if other.domain is not self.codomain:
             raise PresentationError("composition domains do not match")
         images = tuple(other.evaluate(im) for im in self.images)
-        if self.kind == "inner" and other.kind == "inner":
-            g = self.codomain.multiply(self.inner_by, other.inner_by)
-            return GroupMap(self.domain, images, "inner",
-                            codomain=other.codomain, inner_by=g)
-        rank = min(_KIND_RANK[self.kind], _KIND_RANK[other.kind])
-        kind = {0: "unvalidated", 1: "homomorphism", 2: "endomorphism",
-                3: "automorphism"}[rank]
+        kind = min(self.kind, other.kind, key=_KINDS.index)
         if kind != "unvalidated" and self.domain is not other.codomain:
             kind = "homomorphism"
         return GroupMap(self.domain, images, kind, codomain=other.codomain)
@@ -132,7 +121,7 @@ def check_homomorphism(domain: PcPresentation, images,
 def inner_automorphism(pres: PcPresentation, g: Element) -> GroupMap:
     """Conjugation x -> g^-1 x g; always an automorphism, no check needed."""
     images = tuple(pres.conjugate(a, g) for a in pres.generators)
-    return GroupMap(pres, images, "inner", inner_by=g)
+    return GroupMap(pres, images, "automorphism")
 
 
 def certify_automorphism(gmap: GroupMap, frattini_pivots) -> GroupMap:
@@ -147,7 +136,7 @@ def certify_automorphism(gmap: GroupMap, frattini_pivots) -> GroupMap:
     the group exactly when their matrix on those coordinates is invertible
     mod p; an onto endomorphism of a finite group is bijective.
     """
-    if gmap.kind in ("automorphism", "inner"):
+    if gmap.kind == "automorphism":
         return gmap
     if gmap.kind != "endomorphism":
         raise PresentationError("only validated endomorphisms can be certified")

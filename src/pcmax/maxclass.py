@@ -210,20 +210,21 @@ class MaxClassProfile(NamedTuple):
         return self.s_chain[i - 1]
 
 
-def build_profile(pres: PcPresentation, require_chain: bool = False) -> MaxClassProfile:
-    """Compute the full profile of a consistent presentation; raises when
-    the input is not maximal class (or, with require_chain, when the
-    generator chain does not span).  On a group of maximal class the
-    validated series is the suffix chain certified by `chain_series`.
+def build_profile(report: MaxClassReport, require_chain: bool = False) -> MaxClassProfile:
+    """The full profile of a consistent presentation, from the report of
+    `validate_maximal_class` on it; raises when the input is not maximal
+    class (or, with require_chain, when the generator chain does not span).
+    On a group of maximal class the report's series is the suffix chain
+    certified by `chain_series`.
 
     The group is metabelian when G_2 = Gamma_3 = <a_3, ..., a_n> is abelian,
     that is when its generators commute pairwise.  On a consistent
     presentation [a_j, a_i] is its tail, so that holds exactly when no
     nonzero tail [a_j, a_i] has i >= 3."""
-    report = validate_maximal_class(pres)
     if not report.ok:
         raise PresentationError(f"not a group of maximal class: {report.failure}")
     series = report.series
+    pres = series.pres
     n = pres.n
     G1 = compute_G1(pres)
     l = degree_of_commutativity(pres, series, G1)

@@ -136,7 +136,9 @@ class PcPresentation:
         # (j, e, g) -> letters of the normal form of (a_j^e)^(a_g), for e > 1
         # and a_j, a_g not commuting; lazy, see _conj_power()
         self._conj_powers = {}
-        self._standard_chain = None  # lazy; see has_standard_chain()
+        # [a_i, a_1] = a_{i+1} for 1 < i < n; [a_n, a_1] = 1 by the support rule
+        self._standard_chain = all(cts.get((i, 1)) == self.generators[i]
+                                   for i in range(2, n))
 
     def _check_tail(self, tail, min_support, what):
         t = tuple(map(int, tail))
@@ -338,15 +340,18 @@ class PcPresentation:
             a_j (a_i^p)   = (a_j a_i) a_i^{p-1}   for j > i
             a_i^p a_i     = a_i (a_i^p)
 
-        Each side is a normal form u followed by a word w: the products
-        a_j a_i are collected once, a_j^p is its power tail and a_j^{p-1}
-        the element with p - 1 at position j.  A side is collected as
-        `multiply(u, w)` would collect it, u as the collected prefix and
-        the letters of w on the stack, which is exactly what collecting the
-        letters of u from the empty word gives; so every side is collected
-        as the word it stands for.  The letter stacks of the a_j a_i, the
-        power tails and the one-letter words are built once and copied per
-        side.  Failures are reported in-band, naming the first bad overlap.
+        Each side is a normal form u followed by a word w: a_j^p is its
+        power tail, a_j^{p-1} the element with p - 1 at position j, and
+        a_j a_i = a_i a_j [a_j, a_i] is e_i + e_j + tail(j, i), a normal
+        form as the tail is supported above j; collecting a_j a_i gives
+        exactly that on every presentation the constructor accepts.  A side
+        is collected as `multiply(u, w)` would collect it, u as the
+        collected prefix and the letters of w on the stack, which is exactly
+        what collecting the letters of u from the empty word gives; so every
+        side is collected as the word it stands for.  The letter stacks of
+        the a_j a_i, the power tails and the one-letter words are built once
+        and copied per side.  Failures are reported in-band, naming the
+        first bad overlap.
         """
         p, n = self.p, self.n
         collect = self._collect
@@ -373,7 +378,8 @@ class PcPresentation:
         prod_letters = {}
         for j in range(2, n + 1):
             for i in range(1, j):
-                vec = side(gens[j - 1], one[i - 1])
+                vec = list(self.commutator_tail(j, i))
+                vec[i - 1] = vec[j - 1] = 1
                 prod[j, i] = vec
                 prod_letters[j, i] = letters(vec)
         checked = 0
@@ -406,13 +412,6 @@ class PcPresentation:
         group and the remaining generators are the iterated commutators with
         a_1; derivation-backed maps are only defined on such presentations.
         """
-        if self._standard_chain is None:
-            ok = not self.commutator_tails.get((self.n, 1))
-            for i in range(2, self.n):
-                if self.commutator_tail(i, 1) != self.generators[i]:
-                    ok = False
-                    break
-            self._standard_chain = ok
         return self._standard_chain
 
     # -- subgroups ----------------------------------------------------------

@@ -142,10 +142,11 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
             continue
         if not cand.consistency_check().ok:
             continue
-        if not validate_maximal_class(cand).ok:
+        report = validate_maximal_class(cand)
+        if not report.ok:
             continue
         try:
-            profile = build_profile(cand, require_chain=True)
+            profile = build_profile(report, require_chain=True)
         except PresentationError:
             continue
         if profile.metabelian:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pcmax.blackburn import build_blackburn_pc, build_m_presentation
-from pcmax.maxclass import build_profile
+from pcmax.maxclass import build_profile, validate_maximal_class
 from pcmax.search import search_nonmetabelian
 
 SEED = 0x5EED_C0DE_2026
@@ -44,17 +44,17 @@ def m57():
 
 @pytest.fixture(scope="session")
 def profile35(g35):
-    return build_profile(g35, require_chain=True)
+    return build_profile(validate_maximal_class(g35), require_chain=True)
 
 
 @pytest.fixture(scope="session")
 def profile55(g55):
-    return build_profile(g55, require_chain=True)
+    return build_profile(validate_maximal_class(g55), require_chain=True)
 
 
 @pytest.fixture(scope="session")
 def profile57(g57):
-    return build_profile(g57, require_chain=True)
+    return build_profile(validate_maximal_class(g57), require_chain=True)
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +73,7 @@ def nonmetabelian57():
 
 @pytest.fixture(scope="session")
 def nm_profile58(nonmetabelian58):
-    return build_profile(nonmetabelian58.pres, require_chain=True)
+    return build_profile(validate_maximal_class(nonmetabelian58.pres), require_chain=True)
 
 
 @pytest.fixture()

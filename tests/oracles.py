@@ -32,7 +32,7 @@ import itertools
 
 from pcmax import blackburn
 from pcmax.derivations import make_derivation
-from pcmax.errors import ValidationFailed
+from pcmax.errors import HomCheckFailed
 from pcmax.pcgroup import Element, PcPresentation, Subgroup
 
 
@@ -246,7 +246,7 @@ def enumerate_pair_family(pres, target):
         for v in members:
             try:
                 yield (u, v), make_derivation(pres, target, u, v)
-            except ValidationFailed:
+            except HomCheckFailed:
                 yield (u, v), None
 
 

@@ -20,7 +20,8 @@ from pcmax.derivations import (add, bullet, evaluate, kernel_contains,
                                make_derivation, negate, one_plus)
 from pcmax.errors import HomCheckFailed, PreconditionRefused
 from pcmax.homs import check_homomorphism
-from pcmax.maxclass import build_profile, conjugacy_facts
+from pcmax.maxclass import (build_profile, conjugacy_facts,
+                            validate_maximal_class)
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import GRID, SEED
@@ -37,7 +38,7 @@ def test_criterion_1_construction_suite():
     for (p, n) in GRID:
         pres = build_blackburn_pc(p, n)
         assert pres.consistency_check().ok
-        profile = build_profile(pres, require_chain=True)
+        profile = build_profile(validate_maximal_class(pres), require_chain=True)
         assert pres.n == n and pres.p == p
         assert profile.series.nilpotency_class() == n - 1
         assert profile.metabelian

@@ -13,11 +13,10 @@ from pcmax.autom import (CheckResult, _quotient_isomorphic_to_reference,
                          verify_thm_main2, verify_thm_metabelian)
 from pcmax.blackburn import build_blackburn_pc
 from pcmax.derivations import kernel_contains, make_derivation, negate, one_plus
-from pcmax.errors import (HomCheckFailed, PreconditionRefused,
-                          TheoremViolation, ValidationFailed)
+from pcmax.errors import HomCheckFailed, PreconditionRefused, TheoremViolation
 from pcmax.homs import (GroupMap, certify_automorphism, check_homomorphism,
                         inner_automorphism, row_reduce)
-from pcmax.maxclass import build_profile, chain_series
+from pcmax.maxclass import build_profile, chain_series, validate_maximal_class
 from pcmax.search import search_nonmetabelian
 
 from .conftest import GRID, SEED
@@ -83,6 +82,10 @@ def test_composition_of_endomorphisms_validates(g57, profile57, rng):
     g = phi(g57, profile57, A.random_element(rng), A.random_element(rng))
     comp = f.then(g)
     assert comp.kind == "automorphism"
+    # a composite is validated only as far as its weaker factor
+    raw, endo = GroupMap(g57, g.images), check_homomorphism(g57, g.images)
+    assert f.then(raw).kind == raw.then(f).kind == "unvalidated"
+    assert f.then(endo).kind == endo.then(f).kind == "endomorphism"
     recheck = check_homomorphism(g57, comp.images)
     assert recheck.kind == "endomorphism"
 
@@ -110,15 +113,21 @@ def test_inner_composition_law(g57, rng):
         g = g57.random_element(rng)
         h = g57.random_element(rng)
         comp = inner_automorphism(g57, g).then(inner_automorphism(g57, h))
-        assert comp.kind == "inner"
         assert comp.images == inner_automorphism(g57, g57.multiply(g, h)).images
 
 
-def test_invert_inner(g57, rng):
-    g = g57.random_element(rng)
-    m = inner_automorphism(g57, g)
-    inv = invert_automorphism(g57, m)
-    assert m.then(inv).is_identity()
+def test_invert_inner(g35, g57, nonmetabelian57, nonmetabelian58, rng):
+    # conjugations are unitriangular on the central suffix series, so
+    # preimage iteration gives the symbolic inverse x -> x^(g^-1)
+    groups = [g35, g57, build_blackburn_pc(7, 8), build_blackburn_pc(5, 12),
+              nonmetabelian57.pres, nonmetabelian58.pres]
+    for pres in groups:
+        for _ in range(60):
+            g = pres.random_element(rng)
+            m = inner_automorphism(pres, g)
+            inv = invert_automorphism(pres, m)
+            assert m.then(inv).is_identity()
+            assert inv.images == inner_automorphism(pres, pres.invert(g)).images
 
 
 # -- automorphism certification ------------------------------------------------------
@@ -173,7 +182,7 @@ def test_frattini_certificate_matches_the_image_subgroup_oracle(
             u, v = target.random_element(rng), target.random_element(rng)
             try:
                 derivations.append(make_derivation(pres, target, u, v))
-            except ValidationFailed:
+            except HomCheckFailed:
                 pass
     s1_inverse = g57.invert(g57.generator(2))
     derivations.append(make_derivation(g57, profile57.G(1), g57.identity, s1_inverse))
@@ -223,7 +232,7 @@ def test_evaluate_collects_the_word_the_fold_multiplies(
     # endomorphisms of the reference 5^20, and the cross-codomain maps of
     # main1's reference-quotient check
     g = build_blackburn_pc(5, 20)
-    profile = build_profile(g, require_chain=True)
+    profile = build_profile(validate_maximal_class(g), require_chain=True)
     maps = [make_derivation(g, target, target.random_element(rng),
                             target.random_element(rng)).alpha
             for target in (profile.A, profile.G(1)) for _ in range(3)]
@@ -326,7 +335,7 @@ def test_certificate_rejects_a_non_extending_basis_pair(nonmetabelian57):
     # G_3 of the searched 5^7 fixture is abelian and normal, but not every
     # pair of its values extends
     pres = nonmetabelian57.pres
-    profile = build_profile(pres, require_chain=True)
+    profile = build_profile(validate_maximal_class(pres), require_chain=True)
     G3 = profile.G(3)
     assert G3.is_abelian()
     with pytest.raises(TheoremViolation):
@@ -431,7 +440,7 @@ def test_main1_certificates_match_the_dropped_checks(nonmetabelian57, nonmetabel
     for pres in _main1_oracle_inputs(nonmetabelian57, nonmetabelian58):
         for k in range(1, pres.n + 1):
             assert pres.quotient_by_term(k).consistency_check().ok, (k, pres.canonical_text())
-        profile = build_profile(pres)
+        profile = build_profile(validate_maximal_class(pres))
         if not profile.chain_spans:
             continue
         spanning += 1
@@ -522,7 +531,7 @@ def test_reference_quotient_dictionary_is_invertible(request, name):
     # the driver hom-checks the forward dictionary only; the backward one
     # and both round trips must hold as its bijectivity argument says
     pres = request.getfixturevalue(name).pres
-    profile = build_profile(pres, require_chain=True)
+    profile = build_profile(validate_maximal_class(pres), require_chain=True)
     k = profile.l + 2
     quo = pres.quotient_by_term(k)
     ref = build_blackburn_pc(pres.p, pres.n).quotient_by_term(k)

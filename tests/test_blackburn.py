@@ -17,7 +17,7 @@ from pcmax.derivations import add as der_add
 from pcmax.derivations import bullet, evaluate, one_plus
 from pcmax.errors import InconsistentPresentation, PresentationError
 from pcmax.homs import check_homomorphism
-from pcmax.maxclass import build_profile
+from pcmax.maxclass import build_profile, validate_maximal_class
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import SEED
@@ -94,7 +94,7 @@ def test_theta_poly_conversion():
 
 def test_blackburn_consistent_and_maximal(g57):
     assert g57.consistency_check().ok
-    profile = build_profile(g57)
+    profile = build_profile(validate_maximal_class(g57))
     assert profile.series.nilpotency_class() == 6
     assert profile.metabelian
     assert profile.l == 4

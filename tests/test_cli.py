@@ -284,6 +284,32 @@ def test_verify_main1_metabelian_branch(g57_file):
     assert "required-exponent: 8" in res.stdout
 
 
+def test_verify_reports_a_basis_pair_that_does_not_extend(
+        nonmetabelian57, tmp_path, monkeypatch, capsys):
+    # the relation check of the third basis pair fails: main1 names the pair
+    # and the relation, and exits with code 2
+    from pcmax import cli, derivations
+    from pcmax.errors import HomCheckFailed
+
+    original = derivations.check_homomorphism
+    calls = []
+
+    def failing(*args, **kw):
+        calls.append(args)
+        if len(calls) == 3:
+            raise HomCheckFailed("[a_4, a_2] = tail")
+        return original(*args, **kw)
+
+    monkeypatch.setattr(derivations, "check_homomorphism", failing)
+    path = tmp_path / "nm57.grp"
+    groupfile.dump(nonmetabelian57.pres, path)
+    assert cli.main(["verify", "main1", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        "theorem violation: a basis pair does not extend: "
+        "images u=(0, 0, 0, 0, 0, 0, 0), v=(0, 0, 0, 0, 0, 1, 0) "
+        "do not extend to an endomorphism ([a_4, a_2] = tail)\n")
+
+
 def test_verify_refusal_exit_3(g66_file):
     res = run_cli("verify", "main1", g66_file)
     assert res.returncode == 3

@@ -9,7 +9,7 @@ from pcmax.derivations import (add, bullet, check_lemma_down, evaluate,
                                kernel_contains, kernel_of, make_derivation,
                                negate, one_plus)
 from pcmax.errors import PresentationError
-from pcmax.maxclass import build_profile
+from pcmax.maxclass import build_profile, validate_maximal_class
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import SEED
@@ -92,7 +92,7 @@ def test_derived_generator_values_lie_in_target(request, name):
     # chain-derived image of a_{i+1} is [a_i, a_1] = a_{i+1}
     value = request.getfixturevalue(name)
     pres = value if isinstance(value, PcPresentation) else value.pres
-    A = build_profile(pres, require_chain=True).A
+    A = build_profile(validate_maximal_class(pres), require_chain=True).A
     rng = random.Random(SEED)
     for d in _sample_derivations(pres, A, rng, 20):
         for a, image in zip(pres.generators, d.alpha.images):

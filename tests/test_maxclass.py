@@ -186,7 +186,7 @@ def test_compute_G1_rejects_other_top_layers(pres):
 def test_profile_rejects_non_maximal_class():
     pres = PcPresentation(3, 3, [(0, 0, 0)] * 3, {})
     with pytest.raises(PresentationError):
-        build_profile(pres)
+        build_profile(validate_maximal_class(pres))
 
 
 def test_standard_generators_ignore_labels(g57):
@@ -236,7 +236,7 @@ def test_degree_of_commutativity_matches_brute_force(structure_inputs):
         G1 = compute_G1(pres)
         fast = degree_of_commutativity(pres, series, G1)
         assert fast == brute_degree_of_commutativity(pres, series, G1), pres
-        profile = build_profile(pres)
+        profile = build_profile(validate_maximal_class(pres))
         assert profile.l == fast, pres
         assert profile.metabelian == series.term(2).is_abelian(), pres
         verdicts.add(profile.metabelian)
@@ -263,7 +263,7 @@ def test_structure_reads_tails_and_few_commutators(nonmetabelian58, monkeypatch)
     # "metabelian" is read off the tails too: build_profile adds only the
     # n - 2 commutators of the chain s_{i+1} = [s_i, s]
     calls.clear()
-    assert not build_profile(pres).metabelian
+    assert not build_profile(validate_maximal_class(pres)).metabelian
     assert calls["commutator"] <= 2 * (n - 2)
 
 
@@ -404,7 +404,7 @@ def _group(request, name):
 @pytest.mark.parametrize("name", ["g57", "g36", "nonmetabelian57", "nonmetabelian58"])
 def test_conjugacy_certificate_matches_orbit_walk(request, name):
     pres = _group(request, name)
-    profile = build_profile(pres, require_chain=True)
+    profile = build_profile(validate_maximal_class(pres), require_chain=True)
     p = pres.p
     rng = random.Random(SEED)
     reps = {}  # one seeded g per G_2 coset outside G_1
@@ -423,7 +423,7 @@ def test_conjugacy_negative_control_other_maximal_subgroup(request, name):
     # with G_1 replaced by <s, G_2>, s_1 lies outside it but its class is
     # not s_1 G_2; on the order p^4 group only the last layer sees that
     pres = build_blackburn_pc(5, 4) if name == "g54" else _group(request, name)
-    profile = build_profile(pres, require_chain=True)
+    profile = build_profile(validate_maximal_class(pres), require_chain=True)
     G2 = profile.G(2)
     fake = profile._replace(
         G1=pres.subgroup_from_generators([profile.s, *G2.basis]))

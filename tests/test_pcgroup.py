@@ -2,13 +2,12 @@
 
 import random
 import re
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcmax.errors import PresentationError
-from pcmax.maxclass import build_profile
+from pcmax.maxclass import build_profile, validate_maximal_class
 from pcmax.pcgroup import Element, PcPresentation
 
 from .conftest import SEED
@@ -201,7 +200,7 @@ def test_collector_never_sees_negative_exponents(nonmetabelian58, monkeypatch, r
         pres.commutator(a, b)
         pres.conjugate(a, b)
     pres.lower_central_series()
-    build_profile(pres, require_chain=True)
+    build_profile(validate_maximal_class(pres), require_chain=True)
     assert stacks
 
 
@@ -610,7 +609,8 @@ def test_consistency_check_matches_naive_oracle(g35, g55, g57, m57, nonmetabelia
 
 
 def test_consistency_check_collects_each_product_once(nonmetabelian58, monkeypatch):
-    # the n(n-1)/2 products a_j a_i once, then one product per overlap side
+    # the products a_j a_i are read off the relations, so there is at most
+    # one collection per overlap side
     pres = nonmetabelian58.pres
     pres.consistency_check()  # fill the conjugate-power cache
     original = PcPresentation._collect
@@ -624,7 +624,20 @@ def test_consistency_check_collects_each_product_once(nonmetabelian58, monkeypat
     monkeypatch.setattr(PcPresentation, "_collect", counting)
     report = pres.consistency_check()
     assert report.ok
-    assert calls <= comb(pres.n, 2) + 2 * report.overlaps_checked
+    assert calls <= 2 * report.overlaps_checked
+
+
+def test_standard_chain_is_read_off_the_tails(g57, nonmetabelian58):
+    assert g57.has_standard_chain() and nonmetabelian58.pres.has_standard_chain()
+    # any other tail of one [a_i, a_1], i < n, breaks the chain
+    for i in range(2, 7):
+        chain = g57.generators[i]
+        for tail in ((0,) * 7, g57.power(chain, 2),
+                     g57.multiply(chain, g57.generators[-1])):
+            cts = dict(g57.commutator_tails)
+            cts[(i, 1)] = tail
+            pres = PcPresentation(5, 7, g57.power_tails, cts)
+            assert not pres.has_standard_chain(), (i, tail)
 
 
 def test_digest_is_stable(g57):

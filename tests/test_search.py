@@ -63,8 +63,9 @@ def test_search_is_deterministic(nonmetabelian58):
 def test_search_result_passes_the_oracle(nonmetabelian58):
     pres = nonmetabelian58.pres
     assert pres.consistency_check().ok
-    assert validate_maximal_class(pres).ok
-    profile = build_profile(pres, require_chain=True)
+    report = validate_maximal_class(pres)
+    assert report.ok
+    profile = build_profile(report, require_chain=True)
     assert not profile.metabelian
     assert profile.l == nonmetabelian58.l == 2
 
@@ -99,7 +100,7 @@ def test_search_builds_one_series_per_candidate(monkeypatch):
 def test_search_different_seed_still_hits():
     res = search_nonmetabelian(5, 8, seed=SEED + 1, budget=2000)
     assert res is not None
-    assert not build_profile(res.pres).metabelian
+    assert not build_profile(validate_maximal_class(res.pres)).metabelian
 
 
 def test_search_budget_exhaustion_returns_none():
