@@ -44,8 +44,8 @@ from .errors import (HomCheckFailed, InconsistentPresentation,
                      PreconditionRefused, PresentationError, TheoremViolation)
 from .homs import GroupMap, check_homomorphism
 from .maxclass import (MaxClassProfile, build_profile,
-                       require_theorem_hypotheses, validate_maximal_class,
-                       verify_exponent_relations)
+                       require_theorem_hypotheses, standard_generators,
+                       validate_maximal_class, verify_exponent_relations)
 from .pcgroup import Element, PcPresentation, Subgroup
 
 
@@ -188,10 +188,11 @@ def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResu
     fixing s come from the centralizer of s, and C_G(s) <= <s>G_{n-1} by
     the chain argument: every g is s^a y with y in G_1 and [s^a y, s] =
     [y, s]; x -> [x, s] maps G_i/G_{i+1} onto G_{i+1}/G_{i+2} via
-    s_i -> s_{i+1} for 1 <= i <= n-2 (standard_generators checked that
-    s_{i+1} lies outside G_{i+2}), so no y in G_1 outside G_{n-1} commutes
-    with s.  G_{n-1}, the last nontrivial term of the lower central series,
-    is central, so for g = s^a z with z in G_{n-1} the value
+    s_i -> s_{i+1} for 1 <= i <= n-2 (the chain is a_2, ..., a_n by
+    `standard_generators`, and s_{i+1} = a_{i+2} lies outside G_{i+2}), so
+    no y in G_1 outside G_{n-1} commutes with s.  G_{n-1}, the last
+    nontrivial term of the lower central series, is central, so for
+    g = s^a z with z in G_{n-1} the value
     s_1^{-1} s_1^g = [s_1, s^a] is s_2^a modulo G_3.  That is 1 for a = 0;
     for a != 0 it lies outside G_3, as s_2 does, and so outside A = G_r <=
     G_3 (r > 2).  Conjugation by g is then in the s-fixing family only when
@@ -202,10 +203,12 @@ def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResu
             "r = 2 (the group is metabelian): the whole-family driver for "
             "2-generator metabelian groups covers this case"
         )
-    if not profile.chain_spans:
+    try:
+        standard_generators(pres, profile.G1)
+    except PresentationError as exc:
         raise PreconditionRefused(
             "the chain s_{i+1} = [s_i, s] does not span the series, so the "
-            "centralizer of s is not certified")
+            "centralizer of s is not certified") from exc
     n = pres.n
     return CheckResult("H-meets-Inn", True, (
         f"chain argument: C_G(s) <= <s>G_{n - 1}, as [s^a y, s] = [y, s] and "
@@ -220,7 +223,8 @@ def verify_thm_metabelian(pres: PcPresentation,
     """Every pair of derived-subgroup values extends to an automorphism;
     the achieved family order is p^{2(n-2)}."""
     _require_consistent(pres)
-    profile = build_profile(validate_maximal_class(pres), require_chain=True)
+    profile = build_profile(validate_maximal_class(pres))
+    standard_generators(pres, profile.G1)
     check, exponent = _derived_pair_family(pres, profile)
     return _report("metabelian", pres, profile, seed, [check], exponent, exponent)
 
@@ -246,7 +250,8 @@ def verify_thm_main1(pres: PcPresentation,
     """Automorphism count lower bound p^ceil((3n-2p+5)/2) for p >= 5, n > p+1."""
     _require_consistent(pres)
     require_theorem_hypotheses(pres)
-    profile = build_profile(validate_maximal_class(pres), require_chain=True)
+    profile = build_profile(validate_maximal_class(pres))
+    standard_generators(pres, profile.G1)
     p, n = pres.p, pres.n
     required = math.ceil((3 * n - 2 * p + 5) / 2)
 
@@ -331,7 +336,8 @@ def verify_thm_main2(pres: PcPresentation,
     """
     _require_consistent(pres)
     require_theorem_hypotheses(pres)
-    profile = build_profile(validate_maximal_class(pres), require_chain=True)
+    profile = build_profile(validate_maximal_class(pres))
+    standard_generators(pres, profile.G1)
     p, n = pres.p, pres.n
     t = profile.t
     required = n - 2 * p + 7

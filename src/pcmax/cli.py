@@ -27,7 +27,7 @@ import time
 from . import DEFAULT_SEED, __version__, groupfile
 from .errors import (InconsistentPresentation, PreconditionRefused,
                      PresentationError, TheoremViolation)
-from .maxclass import build_profile, validate_maximal_class
+from .maxclass import build_profile, standard_generators, validate_maximal_class
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,14 +108,19 @@ def _cmd_analyze(args) -> int:
     lines.append(f"series-order-exponents: {' '.join(str(e) for e in mc.layer_orders)}")
     lines.append(f"nilpotency-class: {mc.nilpotency_class}")
     lines.append(f"maximal-class: {'yes' if mc.ok else 'no (' + str(mc.failure) + ')'}")
-    lines.append(f"standard-chain: {'yes' if mc.ok else 'no'}")
+    lines.append(f"standard-chain: {'yes' if pres.has_standard_chain() else 'no'}")
     if mc.ok and pres.n >= 4:
         profile = build_profile(mc)
         lines.append(f"degree-of-commutativity: {profile.l}")
         lines.append(f"r: {profile.r}")
         lines.append(f"t: {profile.t}")
         lines.append(f"metabelian: {'yes' if profile.metabelian else 'no'}")
-        lines.append(f"chain-spans: {'yes' if profile.chain_spans else 'no'}")
+        try:
+            standard_generators(pres, profile.G1)
+            spans = "yes"
+        except PresentationError:
+            spans = "no"
+        lines.append(f"chain-spans: {spans}")
         gens = " ".join(pres.labels[:2])
         lines.append(f"generators: {gens}")
     print("\n".join(lines))

@@ -45,9 +45,6 @@ class Derivation:
     def __call__(self, g: Element) -> Element:
         return evaluate(self, g)
 
-    def is_zero(self) -> bool:
-        return self.u.is_identity() and self.v.is_identity()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Derivation)

@@ -4,9 +4,9 @@ A group of order p^n has maximal class when its nilpotency class is n - 1;
 the lower central series then has |G : G_2| = p^2 and layers of order p
 below that.  By the engine's convention generator 1 is an element s
 outside the distinguished maximal subgroup, generator 2 is s_1 and
-generator i+1 is s_i = [s_{i-1}, s].  That the series terms are the suffix
-subgroups G_i = <a_{i+1}, ..., a_n> is certified from the tails by
-`chain_series`, not assumed.
+generator i+1 is s_i = [s_{i-1}, s]; `standard_generators` checks it.  That
+the series terms are the suffix subgroups G_i = <a_{i+1}, ..., a_n> is
+certified from the tails by `chain_series`, not assumed.
 """
 
 from __future__ import annotations
@@ -145,34 +145,27 @@ def degree_of_commutativity(pres: PcPresentation, series: SeriesChain,
     return l
 
 
-def standard_generators(pres: PcPresentation, series: SeriesChain, G1: Subgroup):
-    """Deterministic choice of s, s_1 and the chain s_{i+1} = [s_i, s].
+def standard_generators(pres: PcPresentation, G1: Subgroup):
+    """s = a_1, s_1 = a_2 and the chain s_1, ..., s_{n-1} = a_2, ..., a_n,
+    on a presentation of maximal class with the standard chain
+    [a_i, a_1] = a_{i+1} and a_2 in G_1; raises otherwise.
 
-    s is the first presentation generator outside G_1 and s_1 the first one
-    in G_1 but not G_2; the chain must span the series (s_i generates G_i
-    modulo G_{i+1}), which holds when n > p + 1 or the group is metabelian.
-    It then ends: s_{n-1} lies in G_{n-1}, the last nontrivial term of the
-    lower central series, which is central, so [s_{n-1}, s] = 1.
+    This is the engine's generator convention.  Under the standard chain
+    psi(a_1) = 1 (see `compute_G1`), so a_1 lies outside G_1, and
+    s_{i+1} = [s_i, s] = a_{i+2} is a defining relation, with
+    [a_n, a_1] = 1.  s_i = a_{i+1} spans G_i/G_{i+1}, as G_i =
+    <a_{i+1}, ..., a_n> for i >= 2 and a_2 lies in G_1 outside G_2.  A
+    search taking s as the first generator outside G_1 and s_1 as the first
+    in G_1 but not G_2 finds this triple or nothing: a_3, ..., a_n lie in
+    G_2.
     """
-    n = pres.n
-    s = next((g for g in pres.generators if not G1.contains(g)), None)
-    if s is None:
-        raise PresentationError("no generator outside the distinguished maximal subgroup")
-    G2 = series.term(2)
-    s1 = next((g for g in pres.generators if G1.contains(g) and not G2.contains(g)), None)
-    if s1 is None:
+    if not pres.has_standard_chain():
+        raise PresentationError(
+            "presentation does not follow the standard chain convention "
+            "a_{i+1} = [a_i, a_1]")
+    if not G1.contains(pres.generators[1]):
         raise PresentationError("no generator in G_1 outside G_2")
-    chain = [s1]
-    for i in range(1, n - 1):
-        chain.append(pres.commutator(chain[-1], s))
-    for i in range(1, n):
-        inside = G1 if i == 1 else series.term(i)
-        upper = series.term(i + 1)
-        if not inside.contains(chain[i - 1]) or upper.contains(chain[i - 1]):
-            raise PresentationError(
-                f"chain element s_{i} does not generate G_{i} modulo G_{i + 1}"
-            )
-    return s, s1, tuple(chain)
+    return pres.generators[0], pres.generators[1], pres.generators[1:]
 
 
 class MaxClassProfile(NamedTuple):
@@ -181,16 +174,12 @@ class MaxClassProfile(NamedTuple):
     pres: PcPresentation
     series: SeriesChain
     G1: Subgroup
-    s: Element
-    s1: Element
-    s_chain: tuple          # s_1, ..., s_{n-1}
     l: int                  # degree of commutativity
     r: int                  # n - l - 1
     t: int                  # max(n - l - 1, ceil((n+1)/2))
     A: Subgroup             # G_r
     N: Subgroup             # G_{l+2}
     metabelian: bool
-    chain_spans: bool
 
     def G(self, i: int) -> Subgroup:
         """Series accessor: G(1) is the distinguished maximal subgroup,
@@ -201,21 +190,12 @@ class MaxClassProfile(NamedTuple):
             return self.G1
         return self.series.term(i)
 
-    def chain_element(self, i: int) -> Element:
-        """s_i, with s_i = 1 for i >= n."""
-        if i < 1:
-            raise PresentationError("chain index must be >= 1")
-        if i >= self.pres.n:
-            return self.pres.identity
-        return self.s_chain[i - 1]
 
-
-def build_profile(report: MaxClassReport, require_chain: bool = False) -> MaxClassProfile:
+def build_profile(report: MaxClassReport) -> MaxClassProfile:
     """The full profile of a consistent presentation, from the report of
     `validate_maximal_class` on it; raises when the input is not maximal
-    class (or, with require_chain, when the generator chain does not span).
-    On a group of maximal class the report's series is the suffix chain
-    certified by `chain_series`.
+    class.  On a group of maximal class the report's series is the suffix
+    chain certified by `chain_series`.
 
     The group is metabelian when G_2 = Gamma_3 = <a_3, ..., a_n> is abelian,
     that is when its generators commute pairwise.  On a consistent
@@ -231,19 +211,9 @@ def build_profile(report: MaxClassReport, require_chain: bool = False) -> MaxCla
     r = n - l - 1
     t = max(r, (n + 2) // 2)  # ceil((n+1)/2)
     metabelian = all(i < 3 for _, i in pres.commutator_tails)
-    chain_spans = True
-    try:
-        s, s1, chain = standard_generators(pres, series, G1)
-    except PresentationError:
-        if require_chain:
-            raise
-        chain_spans = False
-        s, s1 = pres.generators[0], pres.generators[1]
-        chain = tuple([s1] + [pres.identity] * (n - 2))
     return MaxClassProfile(
-        pres=pres, series=series, G1=G1, s=s, s1=s1, s_chain=chain,
-        l=l, r=r, t=t, A=series.term(r), N=series.term(l + 2),
-        metabelian=metabelian, chain_spans=chain_spans,
+        pres=pres, series=series, G1=G1, l=l, r=r, t=t, A=series.term(r),
+        N=series.term(l + 2), metabelian=metabelian,
     )
 
 
@@ -259,16 +229,13 @@ class ExponentReport(NamedTuple):
         return self.ok
 
 
-def exponent_relation_value(pres: PcPresentation, profile: MaxClassProfile,
-                            i: int) -> Element:
-    """The product s_i^p s_{i+1}^C(p,2) ... s_{i+p-1}^C(p,p), read with the
-    convention s_j = 1 for j >= n."""
+def exponent_relation_value(pres: PcPresentation, i: int) -> Element:
+    """The product s_i^p s_{i+1}^C(p,2) ... s_{i+p-1}^C(p,p), read with
+    s_j = a_{j+1} (see `standard_generators`) and s_j = 1 for j >= n."""
     p = pres.p
     acc = pres.identity
-    for k in range(1, p + 1):
-        g = profile.chain_element(i + k - 1)
-        if any(g):
-            acc = pres.multiply(acc, pres.power(g, comb(p, k)))
+    for j in range(i, min(i + p, pres.n)):
+        acc = pres.multiply(acc, pres.power(pres.generators[j], comb(p, j - i + 1)))
     return acc
 
 
@@ -279,12 +246,13 @@ def verify_exponent_relations(pres: PcPresentation, profile: MaxClassProfile) ->
     their p-th powers agree; modulo N the same holds from i = 1 on, including
     the degenerate cases s^p = (s s_1)^p = 1 mod N.
     """
+    s, s1, _ = standard_generators(pres, profile.G1)
     n = pres.n
     N = profile.N
     exact = []
     in_n = []
     for i in range(1, n):
-        val = exponent_relation_value(pres, profile, i)
+        val = exponent_relation_value(pres, i)
         exact.append(val.is_identity())
         in_n.append(N.contains(val))
     exact_from = n
@@ -293,8 +261,8 @@ def verify_exponent_relations(pres: PcPresentation, profile: MaxClassProfile) ->
             exact_from = i
         else:
             break
-    head = N.contains(pres.power(profile.s, pres.p)) and N.contains(
-        pres.power(pres.multiply(profile.s, profile.s1), pres.p)
+    head = N.contains(pres.power(s, pres.p)) and N.contains(
+        pres.power(pres.multiply(s, s1), pres.p)
     )
     congruence_all = all(in_n)
     ok = exact_from <= profile.r and congruence_all and head

@@ -110,10 +110,19 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
     """Search for a consistent nonmetabelian maximal-class presentation.
 
     Returns the first hit, or None when the budget is exhausted.  The
-    result has passed consistency_check and validate_maximal_class, its
-    chain s_{i+1} = [s_i, s] spans the series, and it has a nonabelian
-    derived subgroup; with l_target set, the degree of commutativity must
-    match it exactly.
+    result has passed consistency_check and validate_maximal_class, it
+    follows the convention of `standard_generators`, and it has a
+    nonabelian derived subgroup; with l_target set, the degree of
+    commutativity must match it exactly.
+
+    Once assembled, a candidate fails only the overlap test, "metabelian"
+    or l.  `_assemble` writes only entries the support rules allow: a
+    commutator tail coordinate c >= i + j + l > j for the pair
+    (j + 1, i + 1), and a power tail coordinate at least i + 2 for a_{i+1}.
+    It touches no pair (j, 1), so every candidate keeps the reference's
+    [a_j, a_1] = a_{j+1}, `chain_series` certifies it as maximal class and
+    `build_profile` succeeds.  The a_4 coordinate of [a_3, a_2] stays the
+    reference's 0, as c >= 3 + l > 3, so a_2 lies in G_1.
     """
     if n <= p + 1:
         raise PresentationError("nonmetabelian fixtures need n > p + 1")
@@ -136,19 +145,10 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
         perturb = rng.random() < 0.25
         pts, cts = _assemble(p, n, l, base_tails, sol, index, rng, perturb)
         cts = {k: v for k, v in cts.items() if any(v)}
-        try:
-            cand = PcPresentation(p, n, pts, cts)
-        except PresentationError:
-            continue
+        cand = PcPresentation(p, n, pts, cts)
         if not cand.consistency_check().ok:
             continue
-        report = validate_maximal_class(cand)
-        if not report.ok:
-            continue
-        try:
-            profile = build_profile(report, require_chain=True)
-        except PresentationError:
-            continue
+        profile = build_profile(validate_maximal_class(cand))
         if profile.metabelian:
             continue
         if l_target is not None and profile.l != l_target:

@@ -4,6 +4,7 @@ import pytest
 
 from pcmax.blackburn import build_blackburn_pc, build_m_presentation
 from pcmax.maxclass import build_profile, validate_maximal_class
+from pcmax.pcgroup import PcPresentation
 from pcmax.search import search_nonmetabelian
 
 SEED = 0x5EED_C0DE_2026
@@ -44,17 +45,17 @@ def m57():
 
 @pytest.fixture(scope="session")
 def profile35(g35):
-    return build_profile(validate_maximal_class(g35), require_chain=True)
+    return build_profile(validate_maximal_class(g35))
 
 
 @pytest.fixture(scope="session")
 def profile55(g55):
-    return build_profile(validate_maximal_class(g55), require_chain=True)
+    return build_profile(validate_maximal_class(g55))
 
 
 @pytest.fixture(scope="session")
 def profile57(g57):
-    return build_profile(validate_maximal_class(g57), require_chain=True)
+    return build_profile(validate_maximal_class(g57))
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +74,40 @@ def nonmetabelian57():
 
 @pytest.fixture(scope="session")
 def nm_profile58(nonmetabelian58):
-    return build_profile(validate_maximal_class(nonmetabelian58.pres), require_chain=True)
+    return build_profile(validate_maximal_class(nonmetabelian58.pres))
+
+
+@pytest.fixture(scope="session")
+def rescaled58(g58):
+    """The reference 5^8 on the generators a_1 and a_k^(2^(k-2)), k >= 2: of
+    maximal class, but [a_k, a_1] = a_{k+1}^(1/2), so without the standard
+    chain.  In the reference <a_2, ..., a_8> is abelian and holds every
+    tail, and [a_k, a_1] is its only kind of commutator tail, so each tail
+    is rescaled coordinatewise."""
+    p, n = g58.p, g58.n
+    scale = [1] + [pow(2, k - 2, p) for k in range(2, n + 1)]
+
+    def rescaled(tail, k):  # the tail of a_k^p or of [a_k, a_1]
+        return tuple(scale[k - 1] * e * pow(scale[c], -1, p) % p
+                     for c, e in enumerate(tail))
+
+    assert all(i == 1 for _, i in g58.commutator_tails)
+    return PcPresentation(
+        p, n, [rescaled(t, k) for k, t in enumerate(g58.power_tails, start=1)],
+        {(j, 1): rescaled(t, j) for (j, _), t in g58.commutator_tails.items()})
+
+
+@pytest.fixture(scope="session")
+def a2_outside_G1_58(g58):
+    """The reference 5^8 with a_2^p = 1 and [a_j, a_2] = a_{j+1} for
+    3 <= j < 8, as if a_2 stood for s s_1: consistent, of maximal class and
+    with the standard chain, but psi(a_2) = 1 puts a_2 outside G_1."""
+    n = g58.n
+    power_tails = list(g58.power_tails)
+    power_tails[1] = (0,) * n
+    tails = dict(g58.commutator_tails)
+    tails.update({(j, 2): g58.generators[j] for j in range(3, n)})
+    return PcPresentation(g58.p, n, power_tails, tails)
 
 
 @pytest.fixture()

@@ -22,8 +22,12 @@ Leibniz formula instead of from row reduction.
 The search's F_p system is also built row by row over every (j, i, c), as
 it once was, where the search builds each row from the variables in it.
 
-`zero_derivation` is not an oracle but a test helper the package has no
-use for.
+The chain oracle finds s, s_1 and the chain by searching the generators
+and computing n - 2 commutators, where the engine reads them off its
+generator convention.
+
+`zero_derivation` and `is_zero` are not oracles but test helpers the
+package has no use for.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import itertools
 
 from pcmax import blackburn
 from pcmax.derivations import make_derivation
-from pcmax.errors import HomCheckFailed
+from pcmax.errors import HomCheckFailed, PresentationError
 from pcmax.pcgroup import Element, PcPresentation, Subgroup
 
 
@@ -202,6 +206,35 @@ def subgroup_elements(H: Subgroup) -> list[Element]:
     return els
 
 
+def spanning_chain(pres, profile):
+    """s, s_1 and the chain s_{i+1} = [s_i, s], found by search rather than
+    read off the generator convention as `maxclass.standard_generators`
+    does; raises PresentationError when the chain does not span.
+
+    s is the first presentation generator outside G_1 and s_1 the first one
+    in G_1 but not G_2; s_i must generate G_i modulo G_{i+1} for each i.
+    """
+    n, series, G1 = pres.n, profile.series, profile.G1
+    s = next((g for g in pres.generators if not G1.contains(g)), None)
+    if s is None:
+        raise PresentationError("no generator outside the distinguished maximal subgroup")
+    G2 = series.term(2)
+    s1 = next((g for g in pres.generators if G1.contains(g) and not G2.contains(g)), None)
+    if s1 is None:
+        raise PresentationError("no generator in G_1 outside G_2")
+    chain = [s1]
+    for i in range(1, n - 1):
+        chain.append(pres.commutator(chain[-1], s))
+    for i in range(1, n):
+        inside = G1 if i == 1 else series.term(i)
+        upper = series.term(i + 1)
+        if not inside.contains(chain[i - 1]) or upper.contains(chain[i - 1]):
+            raise PresentationError(
+                f"chain element s_{i} does not generate G_{i} modulo G_{i + 1}"
+            )
+    return s, s1, tuple(chain)
+
+
 def h_cap_inn_scan(pres, profile) -> str | None:
     """None when no inner automorphism but the identity fixes s and sends
     s_1 into s_1 A, else what fails, by scanning the p^2 candidates s^a z,
@@ -211,7 +244,8 @@ def h_cap_inn_scan(pres, profile) -> str | None:
     them), and each value s_1^-1 s_1^g must be trivial or lie in G_2 but
     outside G_3 and A.
     """
-    s, s1, A = profile.s, profile.s1, profile.A
+    s, s1, _ = spanning_chain(pres, profile)
+    A = profile.A
     G2, G3 = profile.G(2), profile.G(3)
     for a in range(pres.p):
         sa = pres.power(s, a)
@@ -232,6 +266,11 @@ def h_cap_inn_scan(pres, profile) -> str | None:
 def zero_derivation(pres: PcPresentation, target: Subgroup):
     """The derivation with a_1 -> 1 and a_2 -> 1 into `target`."""
     return make_derivation(pres, target, pres.identity, pres.identity)
+
+
+def is_zero(d) -> bool:
+    """Whether the derivation d sends a_1 and a_2 to 1."""
+    return d.u.is_identity() and d.v.is_identity()
 
 
 def enumerate_pair_family(pres, target):

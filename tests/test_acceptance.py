@@ -25,7 +25,7 @@ from pcmax.maxclass import (build_profile, conjugacy_facts,
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import GRID, SEED
-from .oracles import cross_model_all_pairs, zero_derivation
+from .oracles import cross_model_all_pairs, is_zero, zero_derivation
 
 
 def report(number, name, elapsed=None):
@@ -38,7 +38,7 @@ def test_criterion_1_construction_suite():
     for (p, n) in GRID:
         pres = build_blackburn_pc(p, n)
         assert pres.consistency_check().ok
-        profile = build_profile(validate_maximal_class(pres), require_chain=True)
+        profile = build_profile(validate_maximal_class(pres))
         assert pres.n == n and pres.p == p
         assert profile.series.nilpotency_class() == n - 1
         assert profile.metabelian
@@ -135,7 +135,7 @@ def test_criterion_6_lemma_suites(g57, profile57):
     sample = derivations[:6]
     for d1 in sample:
         assert add(d1, z).alpha.images == d1.alpha.images
-        assert add(d1, negate(d1)).is_zero()
+        assert is_zero(add(d1, negate(d1)))
         assert bullet(d1, z).alpha.images == d1.alpha.images
         for d2 in sample:
             assert add(d1, d2).alpha.images == add(d2, d1).alpha.images

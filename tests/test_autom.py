@@ -4,6 +4,7 @@ with inner automorphisms, and the three verification drivers."""
 import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -13,16 +14,18 @@ from pcmax.autom import (CheckResult, _quotient_isomorphic_to_reference,
                          verify_thm_main2, verify_thm_metabelian)
 from pcmax.blackburn import build_blackburn_pc
 from pcmax.derivations import kernel_contains, make_derivation, negate, one_plus
-from pcmax.errors import HomCheckFailed, PreconditionRefused, TheoremViolation
+from pcmax.errors import (HomCheckFailed, PreconditionRefused, PresentationError,
+                          TheoremViolation)
 from pcmax.homs import (GroupMap, certify_automorphism, check_homomorphism,
                         inner_automorphism, row_reduce)
-from pcmax.maxclass import build_profile, chain_series, validate_maximal_class
+from pcmax.maxclass import (build_profile, chain_series, standard_generators,
+                            validate_maximal_class)
 from pcmax.search import search_nonmetabelian
 
 from .conftest import GRID, SEED
 from .oracles import (enumerate_pair_family, fold_evaluate, h_cap_inn_scan,
                       image_generates_group, leibniz_det, row_span_size,
-                      subgroup_elements)
+                      spanning_chain, subgroup_elements)
 from .test_maxclass import _random_presentation
 
 
@@ -232,7 +235,7 @@ def test_evaluate_collects_the_word_the_fold_multiplies(
     # endomorphisms of the reference 5^20, and the cross-codomain maps of
     # main1's reference-quotient check
     g = build_blackburn_pc(5, 20)
-    profile = build_profile(validate_maximal_class(g), require_chain=True)
+    profile = build_profile(validate_maximal_class(g))
     maps = [make_derivation(g, target, target.random_element(rng),
                             target.random_element(rng)).alpha
             for target in (profile.A, profile.G(1)) for _ in range(3)]
@@ -324,7 +327,7 @@ def test_gt_family_is_abelian_and_normal_by_enumeration(g35, profile35):
             product = family[(mul(u1, u2), mul(v1, v2))]
             assert d1.alpha.then(d2.alpha).images == product.alpha.images
     images = {d.alpha.images for d in family.values()}
-    for g in (profile35.s, profile35.s1):
+    for g in g35.generators[:2]:
         inner = inner_automorphism(g35, g)
         inner_inv = inner_automorphism(g35, g35.invert(g))
         for d in family.values():
@@ -335,7 +338,7 @@ def test_certificate_rejects_a_non_extending_basis_pair(nonmetabelian57):
     # G_3 of the searched 5^7 fixture is abelian and normal, but not every
     # pair of its values extends
     pres = nonmetabelian57.pres
-    profile = build_profile(validate_maximal_class(pres), require_chain=True)
+    profile = build_profile(validate_maximal_class(pres))
     G3 = profile.G(3)
     assert G3.is_abelian()
     with pytest.raises(TheoremViolation):
@@ -375,9 +378,12 @@ def test_h_cap_inn_nonmetabelian(nonmetabelian58, nm_profile58):
 
 
 def test_h_cap_inn_refuses_without_spanning_chain(nonmetabelian58, nm_profile58):
-    profile = nm_profile58._replace(chain_spans=False)
+    # with G_1 replaced by <a_1, G_2>, which misses a_2, no generator spans
+    # G_1 modulo G_2
+    pres = nonmetabelian58.pres
+    G1 = pres.subgroup_from_generators([pres.generators[0], *nm_profile58.G(2).basis])
     with pytest.raises(PreconditionRefused, match="does not span"):
-        h_cap_inn_check(nonmetabelian58.pres, profile)
+        h_cap_inn_check(pres, nm_profile58._replace(G1=G1))
 
 
 def _count_calls(monkeypatch, calls, owner, *names):
@@ -408,7 +414,8 @@ def test_h_cap_inn_makes_no_group_operation(nonmetabelian58, nm_profile58, monke
     assert calls["consistency_check"] == 1
 
 
-def _main1_oracle_inputs(nonmetabelian57, nonmetabelian58):
+@pytest.fixture(scope="module")
+def main1_oracle_inputs(nonmetabelian57, nonmetabelian58):
     """The pinned fixtures, three searched ones each at (5,7) with l = 1,
     (5,8), (5,9) and (7,10), the reference grid, and 1 000 seeded random
     maximal-class groups with p in {3, 5, 7}: 300 of order p^4, 500 of
@@ -432,29 +439,73 @@ def _main1_oracle_inputs(nonmetabelian57, nonmetabelian58):
     return inputs
 
 
-def test_main1_certificates_match_the_dropped_checks(nonmetabelian57, nonmetabelian58):
+def test_main1_certificates_match_the_dropped_checks(main1_oracle_inputs):
     # A-abelian, module-similarity, H-meets-Inn and the consistency of
     # truncations are certified from the profile in src/; here each is
     # recomputed the way the drivers used to
     spanning = scanned = 0
-    for pres in _main1_oracle_inputs(nonmetabelian57, nonmetabelian58):
+    for pres in main1_oracle_inputs:
         for k in range(1, pres.n + 1):
             assert pres.quotient_by_term(k).consistency_check().ok, (k, pres.canonical_text())
         profile = build_profile(validate_maximal_class(pres))
-        if not profile.chain_spans:
+        try:
+            s, s1, chain = spanning_chain(pres, profile)
+        except PresentationError:
             continue
         spanning += 1
-        n, s, s1 = pres.n, profile.s, profile.s1
+        n = pres.n
+        chain += (pres.identity,)  # s_n = 1
         assert profile.A.is_abelian()
         for i in range(profile.r, n):
-            si = profile.chain_element(i)
+            si = chain[i - 1]
             assert pres.commutator(si, s1).is_identity()
-            assert pres.commutator(si, s) == profile.chain_element(i + 1)
-        assert pres.commutator(profile.chain_element(n - 1), s).is_identity()
+            assert pres.commutator(si, s) == chain[i]
+        assert pres.commutator(chain[n - 2], s).is_identity()
         if profile.r > 2:
             scanned += 1
             assert h_cap_inn_scan(pres, profile) is None, pres.canonical_text()
     assert spanning >= 900 and scanned >= 80, (spanning, scanned)
+
+
+def test_standard_generators_match_the_chain_search(main1_oracle_inputs, rescaled58,
+                                                   a2_outside_G1_58):
+    # on the standard chain the convention's s, s_1 and chain are what the
+    # general search finds, and the two refuse together; without it the
+    # convention refuses, whatever the search finds
+    from pcmax.maxclass import exponent_relation_value
+
+    inputs = [*main1_oracle_inputs, rescaled58, a2_outside_G1_58,
+              *(build_blackburn_pc(p, n) for p, n in GRID)]
+    outcomes = Counter()
+    for pres in inputs:
+        profile = build_profile(validate_maximal_class(pres))
+        try:
+            found = spanning_chain(pres, profile)
+        except PresentationError:
+            found = None
+        if not pres.has_standard_chain():
+            with pytest.raises(PresentationError, match="standard chain convention"):
+                standard_generators(pres, profile.G1)
+            outcomes["no standard chain", found is not None] += 1
+            continue
+        try:
+            triple = standard_generators(pres, profile.G1)
+        except PresentationError:
+            assert found is None, pres.canonical_text()
+            outcomes["both refuse"] += 1
+            continue
+        assert triple == found, pres.canonical_text()
+        outcomes["agree"] += 1
+        # exponent_relation_value reads s_j off the generators
+        p, n = pres.p, pres.n
+        chain = found[2] + (pres.identity,) * p
+        for i in range(1, n):
+            value = pres.identity
+            for k in range(1, p + 1):
+                value = pres.multiply(value, pres.power(chain[i + k - 2], comb(p, k)))
+            assert exponent_relation_value(pres, i) == value
+    assert outcomes["agree"] >= 60 and outcomes["both refuse"] >= 1, outcomes
+    assert outcomes["no standard chain", True] >= 1, outcomes
 
 
 def test_phi_group_iso_against_summed_derivations(g57, profile57, rng):
@@ -531,7 +582,7 @@ def test_reference_quotient_dictionary_is_invertible(request, name):
     # the driver hom-checks the forward dictionary only; the backward one
     # and both round trips must hold as its bijectivity argument says
     pres = request.getfixturevalue(name).pres
-    profile = build_profile(validate_maximal_class(pres), require_chain=True)
+    profile = build_profile(validate_maximal_class(pres))
     k = profile.l + 2
     quo = pres.quotient_by_term(k)
     ref = build_blackburn_pc(pres.p, pres.n).quotient_by_term(k)

@@ -231,11 +231,11 @@ def test_collector_matches_the_semidirect_model(p, n):
         assert tuple(pres.commutator(x, y)) == semidirect_commutator(ring, x, y)
 
 
-def test_exponent_relation_exact_everywhere(g57, profile57):
+def test_exponent_relation_exact_everywhere(g57):
     from pcmax.maxclass import exponent_relation_value
 
     for i in range(1, 7):
-        assert exponent_relation_value(g57, profile57, i).is_identity()
+        assert exponent_relation_value(g57, i).is_identity()
 
 
 # -- sigma ------------------------------------------------------------------------

@@ -316,6 +316,41 @@ def test_verify_refusal_exit_3(g66_file):
     assert "refused" in res.stdout
 
 
+def _cli_runs(pres, path, capsys):
+    """(exit code, stdout) of analyze and of the three drivers on pres."""
+    from pcmax import cli
+
+    groupfile.dump(pres, path)
+    runs = {}
+    for verb in (["analyze"], ["verify", "metabelian"], ["verify", "main1"],
+                 ["verify", "main2"]):
+        code = cli.main([*verb, str(path)])
+        runs[verb[-1]] = (code, capsys.readouterr().out)
+    return runs
+
+
+def test_analyze_reports_a_missing_standard_chain(rescaled58, tmp_path, capsys):
+    # maximal class, and the chain [a_2, a_1], [a_3, a_1], ... spans, but
+    # [a_i, a_1] is not a_{i+1}: no driver accepts the input
+    runs = _cli_runs(rescaled58, tmp_path / "rescaled58.grp", capsys)
+    code, out = runs.pop("analyze")
+    assert code == 0
+    assert "maximal-class: yes\nstandard-chain: no\n" in out
+    assert "chain-spans: no\n" in out
+    for code, out in runs.values():
+        assert (code, out) == (4, "bad input: presentation does not follow the "
+                                  "standard chain convention a_{i+1} = [a_i, a_1]\n")
+
+
+def test_drivers_refuse_a2_outside_G1(a2_outside_G1_58, tmp_path, capsys):
+    runs = _cli_runs(a2_outside_G1_58, tmp_path / "a2.grp", capsys)
+    code, out = runs.pop("analyze")
+    assert code == 0
+    assert "standard-chain: yes\n" in out and "chain-spans: no\n" in out
+    for code, out in runs.values():
+        assert (code, out) == (4, "bad input: no generator in G_1 outside G_2\n")
+
+
 def test_verify_inconsistent_exit_4(tmp_path, g57):
     text = groupfile.dumps(g57).replace(
         "comm 3 1 : 0 0 0 1 0 0 0", "comm 3 1 : 0 0 0 0 1 0 0")

@@ -193,9 +193,7 @@ def test_standard_generators_ignore_labels(g57):
     relabeled = PcPresentation(
         g57.p, g57.n, g57.power_tails, g57.commutator_tails,
         labels=[f"x{i}" for i in range(7)])
-    series = relabeled.lower_central_series()
-    G1 = compute_G1(relabeled)
-    s, s1, chain = standard_generators(relabeled, series, G1)
+    s, s1, chain = standard_generators(relabeled, compute_G1(relabeled))
     assert s == relabeled.generator(1)
     assert s1 == relabeled.generator(2)
     assert chain == relabeled.generators[1:]
@@ -260,11 +258,11 @@ def test_structure_reads_tails_and_few_commutators(nonmetabelian58, monkeypatch)
     assert degree_of_commutativity(pres, chain_series(pres), G1) == 2
     # only the commutators [x_1, x_b]; no other pair can lower l
     assert calls["commutator"] <= n - 2
-    # "metabelian" is read off the tails too: build_profile adds only the
-    # n - 2 commutators of the chain s_{i+1} = [s_i, s]
+    # "metabelian" is read off the tails too, and the chain is the generator
+    # sequence: build_profile adds no commutator to those of l
     calls.clear()
     assert not build_profile(validate_maximal_class(pres)).metabelian
-    assert calls["commutator"] <= 2 * (n - 2)
+    assert calls["commutator"] <= n - 2
 
 
 def test_nonmetabelian_fixture_dc(nm_profile58):
@@ -274,9 +272,7 @@ def test_nonmetabelian_fixture_dc(nm_profile58):
 
 
 def test_standard_generators_blackburn(g57):
-    series = g57.lower_central_series()
-    G1 = compute_G1(g57)
-    s, s1, chain = standard_generators(g57, series, G1)
+    s, s1, chain = standard_generators(g57, compute_G1(g57))
     assert s == g57.generator(1)
     assert s1 == g57.generator(2)
     assert chain == g57.generators[1:]
@@ -284,9 +280,8 @@ def test_standard_generators_blackburn(g57):
 
 def test_standard_generators_reject_abelian():
     pres = PcPresentation(5, 4, [(0,) * 4] * 4, {})
-    series = pres.lower_central_series()
-    with pytest.raises(PresentationError):
-        standard_generators(pres, series, pres.suffix_subgroup(2))
+    with pytest.raises(PresentationError, match="standard chain convention"):
+        standard_generators(pres, pres.suffix_subgroup(2))
 
 
 def test_profile_named_subgroups(profile57):
@@ -315,18 +310,19 @@ def test_G1_centralizes_every_two_step_layer(profile57, nm_profile58):
                 for b in prof.G1.basis:
                     assert target.contains(pres.commutator(h, b))
             assert any(
-                not target.contains(pres.commutator(h, prof.s)) for h in Gi.basis
+                not target.contains(pres.commutator(h, pres.generators[0]))
+                for h in Gi.basis
             )
 
 
 def test_chain_spans_and_membership(profile57):
     prof = profile57
     pres = prof.pres
-    for i in range(1, pres.n):
-        el = prof.chain_element(i)
+    _, _, chain = standard_generators(pres, prof.G1)
+    assert len(chain) == pres.n - 1
+    for i, el in enumerate(chain, start=1):
         assert prof.G(i).contains(el)
         assert not prof.G(i + 1).contains(el)
-    assert prof.chain_element(pres.n).is_identity()
 
 
 def test_metabelian_flag_equivalences(profile35, profile55, profile57, nm_profile58):
@@ -368,7 +364,7 @@ def test_exponent_relations_nonmetabelian(nonmetabelian58, nm_profile58):
 
 
 def test_conjugacy_facts_s(g57, profile57):
-    rep = conjugacy_facts(g57, profile57, profile57.s)
+    rep = conjugacy_facts(g57, profile57, g57.generators[0])
     assert rep.ok
     assert rep.orbit_size == 5 ** 5
     assert rep.power_in_last_term  # s^5 = 1 is central
@@ -393,7 +389,7 @@ def test_conjugacy_facts_random_outside_G1(g57, profile57):
 
 def test_conjugacy_facts_rejects_G1_member(g57, profile57):
     with pytest.raises(PresentationError):
-        conjugacy_facts(g57, profile57, profile57.s1)
+        conjugacy_facts(g57, profile57, g57.generators[1])
 
 
 def _group(request, name):
@@ -404,7 +400,7 @@ def _group(request, name):
 @pytest.mark.parametrize("name", ["g57", "g36", "nonmetabelian57", "nonmetabelian58"])
 def test_conjugacy_certificate_matches_orbit_walk(request, name):
     pres = _group(request, name)
-    profile = build_profile(validate_maximal_class(pres), require_chain=True)
+    profile = build_profile(validate_maximal_class(pres))
     p = pres.p
     rng = random.Random(SEED)
     reps = {}  # one seeded g per G_2 coset outside G_1
@@ -423,13 +419,13 @@ def test_conjugacy_negative_control_other_maximal_subgroup(request, name):
     # with G_1 replaced by <s, G_2>, s_1 lies outside it but its class is
     # not s_1 G_2; on the order p^4 group only the last layer sees that
     pres = build_blackburn_pc(5, 4) if name == "g54" else _group(request, name)
-    profile = build_profile(validate_maximal_class(pres), require_chain=True)
+    profile = build_profile(validate_maximal_class(pres))
     G2 = profile.G(2)
-    fake = profile._replace(
-        G1=pres.subgroup_from_generators([profile.s, *G2.basis]))
-    rep = conjugacy_facts(pres, fake, profile.s1)
+    s, s1, _ = standard_generators(pres, profile.G1)
+    fake = profile._replace(G1=pres.subgroup_from_generators([s, *G2.basis]))
+    rep = conjugacy_facts(pres, fake, s1)
     assert not rep.ok and not rep.orbit_is_coset and rep.orbit_size is None
-    assert not class_is_coset(pres, G2, profile.s1)
+    assert not class_is_coset(pres, G2, s1)
 
 
 def test_conjugacy_facts_commutators_are_linear_in_n(nonmetabelian58, nm_profile58,
@@ -444,7 +440,8 @@ def test_conjugacy_facts_commutators_are_linear_in_n(nonmetabelian58, nm_profile
             return original(self, a, b)
 
         monkeypatch.setattr(PcPresentation, name, counting)
-    assert conjugacy_facts(nonmetabelian58.pres, nm_profile58, nm_profile58.s).ok
+    assert conjugacy_facts(nonmetabelian58.pres, nm_profile58,
+                           nonmetabelian58.pres.generators[0]).ok
     # one commutator per layer 1..n-2, then [g, z] for z spanning G_{n-1};
     # no conjugations
     assert calls == {"commutator": 7}

@@ -3,7 +3,8 @@
 import pytest
 
 from pcmax.errors import PresentationError
-from pcmax.maxclass import build_profile, validate_maximal_class
+from pcmax.maxclass import (build_profile, standard_generators,
+                            validate_maximal_class)
 from pcmax.search import search_nonmetabelian
 
 from .conftest import SEED
@@ -36,6 +37,9 @@ def test_search_hits_are_pinned(key):
     seed, p, n, l_target = key
     result = search_nonmetabelian(p, n, seed=seed, budget=5000, l_target=l_target)
     assert (result.pres.digest(), result.candidates_tried) == PINNED_HITS[key]
+    # every hit follows the generator convention the drivers require;
+    # standard_generators raises otherwise
+    standard_generators(result.pres, build_profile(validate_maximal_class(result.pres)).G1)
 
 
 def test_linear_system_matches_the_dense_construction():
@@ -65,7 +69,9 @@ def test_search_result_passes_the_oracle(nonmetabelian58):
     assert pres.consistency_check().ok
     report = validate_maximal_class(pres)
     assert report.ok
-    profile = build_profile(report, require_chain=True)
+    profile = build_profile(report)
+    assert standard_generators(pres, profile.G1)[1:] == (
+        pres.generators[1], pres.generators[1:])
     assert not profile.metabelian
     assert profile.l == nonmetabelian58.l == 2
 
