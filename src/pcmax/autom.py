@@ -1,19 +1,24 @@
 """Automorphism families of maximal-class groups and the verification drivers.
 
 The family phi_{u,v} sends s to s*u and s_1 to s_1*v for u, v ranging over
-an abelian normal series term T; each member is 1 + d for the derivation d
-into T with s d = u and s_1 d = v, built through the derivation calculus
-and certified as an automorphism.  Families are certified, never
-enumerated, by three arguments:
+a series term T = G_k; each member is 1 + d for the derivation d into T
+with s d = u and s_1 d = v, built through the derivation calculus and
+certified as an automorphism.  Families are certified, never enumerated,
+by three arguments:
 
-* Der(G, T) is a group under pointwise product and d -> (s d, s_1 d) embeds
-  it in T x T, so the pairs for which phi extends form a subgroup.  phi
-  extending on the basis pairs (b, 1) and (1, b), b in T.basis, proves all
-  |T|^2 pairs.  The members are pairwise distinct because (u, v) is read
-  off the images of s and s_1, and each is an automorphism because it is
-  the identity modulo T, which lies in the Frattini subgroup G_2.
-* When every basis derivation kills T (a property closed under products)
-  and T is abelian, (1+d)(1+d') = 1+d+d': the family is abelian and
+* The module argument (Caranti & Scoppola, Arch. Math. 56 (1991)).  The
+  map d -> (s d, s_1 d) embeds the group Der(G, T) in T x T, so the
+  extending pairs form a subgroup.  When [G_2, T] = 1, f: x -> x^s is a
+  module endomorphism of T, as G acts through the abelian G/G_2, and f d
+  is the derivation with values (u^s, v^s).  s_k = a_{k+1} generates T
+  under f and products (s_{i+1} = s_i^-1 f(s_i)), so phi extending on
+  (s_k, 1) and (1, s_k) proves all |T|^2 pairs, and on (1, s_k) all
+  (1, v).  As [G_2, G_k] <= G_{k+l+2}, [G_2, T] = 1 when k + l + 2 >= n
+  or the group is metabelian.  Members are distinct as (u, v) is read off
+  the images of s and s_1, and automorphisms as each is the identity
+  modulo T, inside the Frattini subgroup G_2.
+* When both generating members kill T (a property kept by products and by
+  f) and T is abelian, (1+d)(1+d') = 1+d+d': the family is abelian and
   composition is the product of the parameters.
 * The family is then all of Der(G, T), which is the kernel of
   Aut(G) -> Aut(G/T), normal in Aut(G) because T is characteristic.
@@ -64,51 +69,52 @@ def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
 
 
 class AutFamily(NamedTuple):
-    """phi_{u,v} over a subgroup of target x target, certified from the
-    members on its basis pairs; the other members are never built."""
+    """phi_{u,v} over G_k x G_k, or 1 x G_k when it fixes s, certified by
+    the module argument, which needs [G_2, G_k] = 1, from the members on
+    (s_k, 1) and (1, s_k), or on (1, s_k); the others are never built."""
 
-    basis_members: tuple
+    members: tuple
     claimed_order_exponent: int
     detail: str               # the certificate, as a report prints it
 
 
-def certify_family(pres: PcPresentation, profile: MaxClassProfile,
-                   target: Subgroup, fixes_s: bool = False) -> AutFamily:
-    """Certify phi_{u,v} for every (u, v) in target x target, or for every
-    (1, v) when fixes_s, by validating phi on the basis pairs only.
-
-    The extending pairs form a subgroup of target x target (see the module
-    docstring), so the basis pairs (b, 1) and (1, b), b in target.basis,
-    prove all of them; the members are distinct as (u, v) is read off the
-    images of s and s_1.  Raises TheoremViolation when a basis pair does
-    not extend.
+def certify_family(pres: PcPresentation, profile: MaxClassProfile, k: int,
+                   fixes_s: bool = False) -> AutFamily:
+    """Certify phi_{u,v} for every (u, v) in G_k x G_k, or every (1, v) when
+    fixes_s, by the module argument: phi is validated on (s_k, 1) and
+    (1, s_k) only.  Raises PreconditionRefused unless the profile gives
+    [G_2, G_k] = 1, and TheoremViolation when a pair does not extend.
     """
-    one = pres.identity
-    pairs = [(one, b) for b in target.basis]
-    if not fixes_s:
-        pairs = [(b, one) for b in target.basis] + pairs
+    n, l = pres.n, profile.l
+    if not (2 <= k < n and (profile.metabelian or k + l + 2 >= n)):
+        raise PreconditionRefused(
+            f"[G_2, G_{k}] = 1 is not certified: 2 <= k < n = {n} needs the "
+            f"group metabelian or k + l + 2 = {k + l + 2} >= n")
+    why = "= 1 in the abelian G_2" if profile.metabelian else f"<= G_{k + l + 2} = 1"
+    target, one, s_k = profile.G(k), pres.identity, pres.generators[k]
+    pairs = ((one, s_k),) if fixes_s else ((s_k, one), (one, s_k))
     members = []
     for u, v in pairs:
         try:
             members.append(phi(pres, profile, u, v, target=target))
         except HomCheckFailed as exc:
             raise TheoremViolation(
-                f"a basis pair does not extend: images u={tuple(u)}, v={tuple(v)} "
+                f"a generator pair does not extend: images u={tuple(u)}, v={tuple(v)} "
                 f"do not extend to an endomorphism ({exc.relation})") from exc
-    exponent = len(pairs)  # one factor p per basis pair, as |target| = p^len(basis)
+    exponent = len(pairs) * target.order_exponent
+    on = f"(1, s_{k})" if fixes_s else f"(s_{k}, 1) and (1, s_{k})"
     return AutFamily(tuple(members), exponent, (
-        f"all {pres.p ** exponent} pairs: phi extends on the {len(pairs)} basis "
-        f"pairs and the extending pairs form a subgroup; pairwise distinct, "
-        f"as (u, v) is read off the images of s and s_1"))
+        f"all {pres.p ** exponent} pairs: phi extends on {on}; the extending pairs "
+        f"form a subgroup kept by x -> x^s, a module endomorphism of G_{k} as "
+        f"[G_2, G_{k}] {why}, and s_{k} generates G_{k} under it (s_{{i+1}} = "
+        f"s_i^-1 s_i^s); pairwise distinct, as (u, v) is read off the images of s and s_1"))
 
 
 def build_H(pres: PcPresentation, profile: MaxClassProfile) -> AutFamily:
-    """The subgroup of automorphisms fixing s: all phi_{1, v}, v in A.
-
-    Order p^{n-r}.  It is closed under composition because it is every
-    automorphism that fixes s and is the identity modulo A.
-    """
-    return certify_family(pres, profile, profile.A, fixes_s=True)
+    """The subgroup of automorphisms fixing s: all phi_{1, v}, v in A, of
+    order p^{n-r}.  It is closed under composition because it is every
+    automorphism that fixes s and is the identity modulo A."""
+    return certify_family(pres, profile, profile.r, fixes_s=True)
 
 
 class CheckResult(NamedTuple):
@@ -222,36 +228,35 @@ def verify_thm_metabelian(pres: PcPresentation,
                           seed: int = DEFAULT_SEED) -> VerificationReport:
     """Every pair of derived-subgroup values extends to an automorphism;
     the achieved family order is p^{2(n-2)}."""
-    _require_consistent(pres)
-    profile = build_profile(validate_maximal_class(pres))
-    standard_generators(pres, profile.G1)
+    profile = _checked_profile(pres, theorem=False)
     check, exponent = _derived_pair_family(pres, profile)
     return _report("metabelian", pres, profile, seed, [check], exponent, exponent)
 
 
 def _derived_pair_family(pres: PcPresentation, profile: MaxClassProfile):
-    """The family over G_2 of a metabelian group: its check and its order
-    exponent."""
+    """A metabelian group's family over G_2: its check and order exponent."""
     if not profile.metabelian:
         raise PreconditionRefused("input group is not metabelian")
-    fam = certify_family(pres, profile, profile.G(2))
+    fam = certify_family(pres, profile, 2)
     return (CheckResult("derived-pair-family-validated", True, fam.detail),
             fam.claimed_order_exponent)
 
 
-def _require_consistent(pres: PcPresentation):
-    rep = pres.consistency_check()
-    if not rep.ok:
+def _checked_profile(pres: PcPresentation, theorem: bool) -> MaxClassProfile:
+    """Driver prologue: consistency, hypotheses if theorem, profile, chain."""
+    if not (rep := pres.consistency_check()).ok:
         raise InconsistentPresentation(rep.failure)
+    if theorem:
+        require_theorem_hypotheses(pres)
+    profile = build_profile(validate_maximal_class(pres))
+    standard_generators(pres, profile.G1)
+    return profile
 
 
 def verify_thm_main1(pres: PcPresentation,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Automorphism count lower bound p^ceil((3n-2p+5)/2) for p >= 5, n > p+1."""
-    _require_consistent(pres)
-    require_theorem_hypotheses(pres)
-    profile = build_profile(validate_maximal_class(pres))
-    standard_generators(pres, profile.G1)
+    profile = _checked_profile(pres, theorem=True)
     p, n = pres.p, pres.n
     required = math.ceil((3 * n - 2 * p + 5) / 2)
 
@@ -286,8 +291,8 @@ def verify_thm_main1(pres: PcPresentation,
     checks.append(CheckResult("quotient-matches-reference", iso_ok, iso_detail))
 
     # stage 4: the family over A
-    fam = certify_family(pres, profile, profile.A)
-    checks.append(CheckResult("A-family-validated", True, fam.detail))
+    checks.append(CheckResult("A-family-validated", True,
+                              certify_family(pres, profile, r).detail))
 
     # stage 5: trivial intersection with the inner automorphisms
     checks.append(h_cap_inn_check(pres, profile))
@@ -329,27 +334,22 @@ def verify_thm_main2(pres: PcPresentation,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Abelian normal subgroup of automorphisms of order p^{n-2p+7}.
 
-    Certifies the family over G_t from its basis pairs, then checks that
-    every basis derivation kills G_t; the module docstring gives the
-    arguments that make the family abelian, with composition the product
-    of the parameters, and normal in Aut(G).
+    Certifies the family over G_t from its members on (s_t, 1) and
+    (1, s_t), then checks that both derivations kill G_t; the module
+    docstring gives the arguments that make the family abelian, with
+    composition the product of the parameters, and normal in Aut(G).
     """
-    _require_consistent(pres)
-    require_theorem_hypotheses(pres)
-    profile = build_profile(validate_maximal_class(pres))
-    standard_generators(pres, profile.G1)
-    p, n = pres.p, pres.n
-    t = profile.t
+    profile = _checked_profile(pres, theorem=True)
+    p, n, t = pres.p, pres.n, profile.t
     required = n - 2 * p + 7
-
     Gt = profile.G(t)
-    fam = certify_family(pres, profile, Gt)
+    fam = certify_family(pres, profile, t)
     checks = [CheckResult("Gt-family-validated", True, fam.detail)]
-    kernel_ok = all(kernel_contains(m.derivation, Gt) for m in fam.basis_members)
+    kernel_ok = all(kernel_contains(m.derivation, Gt) for m in fam.members)
     checks.append(CheckResult(
         "kernel-contains-Gt", kernel_ok,
-        f"G_{t} lies in the kernel of each of the {len(fam.basis_members)} "
-        f"basis derivations, a property closed under products"))
+        f"G_{t} lies in the kernel of the derivations on (s_{t}, 1) and "
+        f"(1, s_{t}), a property kept by products and by x -> x^s"))
     checks.append(CheckResult(
         "family-commutes", kernel_ok,
         f"derivations killing the abelian G_{t} compose as "

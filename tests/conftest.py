@@ -78,6 +78,11 @@ def nm_profile58(nonmetabelian58):
 
 
 @pytest.fixture(scope="session")
+def nm_profile57(nonmetabelian57):
+    return build_profile(validate_maximal_class(nonmetabelian57.pres))
+
+
+@pytest.fixture(scope="session")
 def rescaled58(g58):
     """The reference 5^8 on the generators a_1 and a_k^(2^(k-2)), k >= 2: of
     maximal class, but [a_k, a_1] = a_{k+1}^(1/2), so without the standard

@@ -5,8 +5,9 @@ the rewriter applies single relation steps to a fixpoint instead of running
 stack-based collection, the overlap test rewrites each bracketing as a word
 with it, the degree-of-commutativity oracle loops over every
 subgroup pair, coset counting enumerates transversals explicitly, the
-pair-family oracle builds a derivation for every pair instead of
-certifying the family from its basis pairs, the cross-model oracle compares
+pair-family oracle builds a derivation for every pair, and the basis-pair
+oracle one for each of 2 rank(T) basis pairs, instead of certifying the
+family from two module generators, the cross-model oracle compares
 every pair instead of translations by generators, the class oracle
 walks the conjugacy class instead of checking one commutator per layer,
 the H-meets-Inn oracle scans the p^2 conjugations that can fix s
@@ -287,6 +288,21 @@ def enumerate_pair_family(pres, target):
                 yield (u, v), make_derivation(pres, target, u, v)
             except HomCheckFailed:
                 yield (u, v), None
+
+
+def basis_pairs_extend(pres, target) -> bool:
+    """Whether phi extends on every pair (b, 1) and (1, b), b in the echelon
+    basis of target.  The extending pairs form a subgroup of
+    target x target, so this proves all |target|^2 pairs without the module
+    argument's hypothesis [G_2, target] = 1."""
+    one = pres.identity
+    try:
+        for b in target.basis:
+            make_derivation(pres, target, b, one)
+            make_derivation(pres, target, one, b)
+    except HomCheckFailed:
+        return False
+    return True
 
 
 def cross_model_all_pairs(p, n) -> bool:

@@ -14,8 +14,7 @@ from pcmax.autom import (CheckResult, _quotient_isomorphic_to_reference,
                          verify_thm_main2, verify_thm_metabelian)
 from pcmax.blackburn import build_blackburn_pc
 from pcmax.derivations import kernel_contains, make_derivation, negate, one_plus
-from pcmax.errors import (HomCheckFailed, PreconditionRefused, PresentationError,
-                          TheoremViolation)
+from pcmax.errors import HomCheckFailed, PreconditionRefused, PresentationError
 from pcmax.homs import (GroupMap, certify_automorphism, check_homomorphism,
                         inner_automorphism, row_reduce)
 from pcmax.maxclass import (build_profile, chain_series, standard_generators,
@@ -23,9 +22,9 @@ from pcmax.maxclass import (build_profile, chain_series, standard_generators,
 from pcmax.search import search_nonmetabelian
 
 from .conftest import GRID, SEED
-from .oracles import (enumerate_pair_family, fold_evaluate, h_cap_inn_scan,
-                      image_generates_group, leibniz_det, row_span_size,
-                      spanning_chain, subgroup_elements)
+from .oracles import (basis_pairs_extend, enumerate_pair_family, fold_evaluate,
+                      h_cap_inn_scan, image_generates_group, leibniz_det,
+                      row_span_size, spanning_chain, subgroup_elements)
 from .test_maxclass import _random_presentation
 
 
@@ -282,12 +281,12 @@ def test_phi_distinctness(g57, profile57, rng):
     assert len(seen) == len(params)
 
 
-def certificate_matches_oracle(pres, profile, target):
-    """The basis-pair certificate and the exhaustive enumeration agree: every
-    pair extends and the images are pairwise distinct.  Returns the
+def certificate_matches_oracle(pres, profile, k):
+    """The module certificate over G_k and the exhaustive enumeration agree:
+    every pair extends and the images are pairwise distinct.  Returns the
     enumerated derivations by pair."""
-    fam = certify_family(pres, profile, target)
-    family = dict(enumerate_pair_family(pres, target))
+    fam = certify_family(pres, profile, k)
+    family = dict(enumerate_pair_family(pres, profile.G(k)))
     assert None not in family.values()
     assert len({d.alpha.images for d in family.values()}) == len(family)
     assert len(family) == pres.p ** fam.claimed_order_exponent
@@ -297,15 +296,18 @@ def certificate_matches_oracle(pres, profile, target):
 
 def test_phi_whole_family_small(g55, profile55):
     # the derived subgroup family on the order 5^5 group: all 5^6 pairs
-    family = certificate_matches_oracle(g55, profile55, profile55.G(2))
+    family = certificate_matches_oracle(g55, profile55, 2)
     assert len(family) == 5 ** 6
 
 
 @pytest.mark.parametrize("group, profile, term", [
-    ("g35", "profile35", lambda prof: prof.G(2)),
-    ("g57", "profile57", lambda prof: prof.G(prof.t)),
-    ("nonmetabelian58", "nm_profile58", lambda prof: prof.A),
-], ids=["g35-G2", "g57-Gt", "nonmetabelian58-A"])
+    ("g35", "profile35", lambda prof: 2),
+    ("g57", "profile57", lambda prof: prof.t),
+    ("nonmetabelian58", "nm_profile58", lambda prof: prof.r),
+    ("nonmetabelian57", "nm_profile57", lambda prof: prof.r),
+    ("nonmetabelian57", "nm_profile57", lambda prof: prof.t),
+], ids=["g35-G2", "g57-Gt", "nonmetabelian58-A", "nonmetabelian57-A",
+        "nonmetabelian57-Gt"])
 def test_certificate_matches_enumeration(request, group, profile, term):
     pres = request.getfixturevalue(group)
     pres = getattr(pres, "pres", pres)
@@ -317,9 +319,9 @@ def test_gt_family_is_abelian_and_normal_by_enumeration(g35, profile35):
     # every composition is the parameter product, and conjugation by the
     # inner automorphisms of s and s_1 keeps the family
     Gt = profile35.G(profile35.t)
-    fam = certify_family(g35, profile35, Gt)
-    assert all(kernel_contains(m.derivation, Gt) for m in fam.basis_members)
-    family = certificate_matches_oracle(g35, profile35, Gt)
+    fam = certify_family(g35, profile35, profile35.t)
+    assert all(kernel_contains(m.derivation, Gt) for m in fam.members)
+    family = certificate_matches_oracle(g35, profile35, profile35.t)
     assert len(family) == 81
     mul = g35.multiply
     for (u1, v1), d1 in family.items():
@@ -334,23 +336,51 @@ def test_gt_family_is_abelian_and_normal_by_enumeration(g35, profile35):
             assert inner_inv.then(d.alpha).then(inner).images in images
 
 
-def test_certificate_rejects_a_non_extending_basis_pair(nonmetabelian57):
+def test_certificate_rejects_a_non_extending_basis_pair(nonmetabelian57, nm_profile57):
     # G_3 of the searched 5^7 fixture is abelian and normal, but not every
-    # pair of its values extends
-    pres = nonmetabelian57.pres
-    profile = build_profile(validate_maximal_class(pres))
+    # pair of its values extends.  The group is not metabelian and
+    # 3 + l + 2 = 6 < 7, so [G_2, G_3] = 1 is not certified and the module
+    # argument refuses; the generating member (1, s_3) indeed fails
+    pres, profile = nonmetabelian57.pres, nm_profile57
     G3 = profile.G(3)
     assert G3.is_abelian()
-    with pytest.raises(TheoremViolation):
-        certify_family(pres, profile, G3)
+    assert not profile.metabelian and 3 + profile.l + 2 < pres.n
+    with pytest.raises(PreconditionRefused, match=r"\[G_2, G_3\] = 1 is not certified"):
+        certify_family(pres, profile, 3)
+    with pytest.raises(HomCheckFailed):
+        phi(pres, profile, pres.identity, pres.generators[3], target=G3)
+    assert not basis_pairs_extend(pres, G3)
     assert any(d is None for _, d in enumerate_pair_family(pres, G3))
+
+
+@pytest.mark.parametrize("p, n", [(5, 7), (5, 12)])
+@pytest.mark.parametrize("fixes_s", [False, True])
+def test_certificate_validates_the_two_module_generators(p, n, fixes_s, monkeypatch):
+    # whatever rank(G_2) is (5 and 10 here), the certificate hom-checks the
+    # members on (s_2, 1) and (1, s_2) only, or on (1, s_2) alone.  Past
+    # desk-scale enumeration (g57 G_2 has 5^10 pairs) its claim is checked
+    # against the 2 rank(G_2) basis pairs, which need no [G_2, T] = 1
+    from pcmax import derivations
+
+    pres = build_blackburn_pc(p, n)
+    profile = build_profile(validate_maximal_class(pres))
+    calls = Counter()
+    _count_calls(monkeypatch, calls, derivations, "check_homomorphism")
+    fam = (build_H(pres, profile) if fixes_s else certify_family(pres, profile, 2))
+    assert profile.r == 2 and profile.G(2).order_exponent == n - 2
+    one, s_2 = pres.identity, pres.generators[2]
+    pairs = ((one, s_2),) if fixes_s else ((s_2, one), (one, s_2))
+    assert tuple((m.derivation.u, m.derivation.v) for m in fam.members) == pairs
+    assert calls == {"check_homomorphism": len(pairs)}
+    assert fam.claimed_order_exponent == len(pairs) * (n - 2)
+    assert basis_pairs_extend(pres, profile.G(2))
 
 
 def test_build_H_order_and_closure(g57, profile57, g35, profile35):
     fam = build_H(g57, profile57)
     assert fam.claimed_order_exponent == 7 - profile57.r  # p^{n-r}
-    assert len(fam.basis_members) == profile57.A.order_exponent
-    assert all(m.images[0] == g57.generators[0] for m in fam.basis_members)
+    (member,) = fam.members
+    assert member.images[0] == g57.generators[0]
     assert f"all {5 ** (7 - profile57.r)} pairs" in fam.detail
     # closure under composition, by enumeration on the order 3^5 group
     A = profile35.A

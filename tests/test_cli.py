@@ -286,8 +286,8 @@ def test_verify_main1_metabelian_branch(g57_file):
 
 def test_verify_reports_a_basis_pair_that_does_not_extend(
         nonmetabelian57, tmp_path, monkeypatch, capsys):
-    # the relation check of the third basis pair fails: main1 names the pair
-    # and the relation, and exits with code 2
+    # the relation check of the second member, on (1, s_5), fails: main1
+    # names the pair and the relation, and exits with code 2
     from pcmax import cli, derivations
     from pcmax.errors import HomCheckFailed
 
@@ -296,7 +296,7 @@ def test_verify_reports_a_basis_pair_that_does_not_extend(
 
     def failing(*args, **kw):
         calls.append(args)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise HomCheckFailed("[a_4, a_2] = tail")
         return original(*args, **kw)
 
@@ -305,7 +305,7 @@ def test_verify_reports_a_basis_pair_that_does_not_extend(
     groupfile.dump(nonmetabelian57.pres, path)
     assert cli.main(["verify", "main1", str(path)]) == 2
     assert capsys.readouterr().out == (
-        "theorem violation: a basis pair does not extend: "
+        "theorem violation: a generator pair does not extend: "
         "images u=(0, 0, 0, 0, 0, 0, 0), v=(0, 0, 0, 0, 0, 1, 0) "
         "do not extend to an endomorphism ([a_4, a_2] = tail)\n")
 
