@@ -20,7 +20,6 @@ from .pcgroup import Element, PcPresentation, SeriesChain, Subgroup
 
 class MaxClassReport(NamedTuple):
     ok: bool
-    order_exponent: int
     nilpotency_class: int
     layer_orders: tuple
     series: SeriesChain     # the lower central series
@@ -69,16 +68,16 @@ def validate_maximal_class(pres: PcPresentation) -> MaxClassReport:
     cls = series.nilpotency_class()
     exps = series.order_exponents()
     if cls != n - 1:
-        return MaxClassReport(False, n, cls, exps, series,
+        return MaxClassReport(False, cls, exps, series,
                               f"nilpotency class {cls} != {n - 1}")
     if n >= 2 and exps[0] - exps[1] != 2:
-        return MaxClassReport(False, n, cls, exps, series,
+        return MaxClassReport(False, cls, exps, series,
                               f"|G : G_2| = p^{exps[0] - exps[1]} != p^2")
     for i in range(2, n):
         if exps[i - 1] - exps[i] != 1:
-            return MaxClassReport(False, n, cls, exps, series,
+            return MaxClassReport(False, cls, exps, series,
                                   f"|G_{i} : G_{i + 1}| != p")
-    return MaxClassReport(True, n, cls, exps, series)
+    return MaxClassReport(True, cls, exps, series)
 
 
 def compute_G1(pres: PcPresentation) -> Subgroup:
@@ -195,12 +194,8 @@ def build_profile(report: MaxClassReport) -> MaxClassProfile:
     """The full profile of a consistent presentation, from the report of
     `validate_maximal_class` on it; raises when the input is not maximal
     class.  On a group of maximal class the report's series is the suffix
-    chain certified by `chain_series`.
-
-    The group is metabelian when G_2 = Gamma_3 = <a_3, ..., a_n> is abelian,
-    that is when its generators commute pairwise.  On a consistent
-    presentation [a_j, a_i] is its tail, so that holds exactly when no
-    nonzero tail [a_j, a_i] has i >= 3."""
+    chain certified by `chain_series`, so the group is metabelian when the
+    suffix G_2 = Gamma_3 is abelian (see `Subgroup.is_abelian`)."""
     if not report.ok:
         raise PresentationError(f"not a group of maximal class: {report.failure}")
     series = report.series
@@ -210,7 +205,7 @@ def build_profile(report: MaxClassReport) -> MaxClassProfile:
     l = degree_of_commutativity(pres, series, G1)
     r = n - l - 1
     t = max(r, (n + 2) // 2)  # ceil((n+1)/2)
-    metabelian = all(i < 3 for _, i in pres.commutator_tails)
+    metabelian = series.term(2).is_abelian()
     return MaxClassProfile(
         pres=pres, series=series, G1=G1, l=l, r=r, t=t, A=series.term(r),
         N=series.term(l + 2), metabelian=metabelian,

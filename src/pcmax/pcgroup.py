@@ -74,12 +74,9 @@ class ConsistencyReport(NamedTuple):
 class PcPresentation:
     """A weighted power-commutator presentation of a finite p-group.
 
-    Treated as immutable after construction; all operations are pure
-    functions of their inputs, so concurrent use is safe.  The collector
-    keeps one cache on the presentation, the normal forms of the conjugates
-    (a_j^e)^(a_g): it is filled lazily, each entry is a deterministic
-    function of the relations, and computing an entry twice stores the same
-    value, so a race between threads can only repeat work.
+    Immutable after construction: nothing is stored on it later, and all
+    operations are pure functions of their inputs, so concurrent use is
+    safe.
     """
 
     def __init__(self, p, n, power_tails, commutator_tails, labels=None):
@@ -133,9 +130,6 @@ class PcPresentation:
         # Smallest k such that all generators of index >= k commute pairwise;
         # products supported there collect by plain exponent addition.
         self._abelian_start = max((i + 1 for (_, i) in self.commutator_tails), default=1)
-        # (j, e, g) -> letters of the normal form of (a_j^e)^(a_g), for e > 1
-        # and a_j, a_g not commuting; lazy, see _conj_power()
-        self._conj_powers = {}
         # [a_i, a_1] = a_{i+1} for 1 < i < n; [a_n, a_1] = 1 by the support rule
         self._standard_chain = all(cts.get((i, 1)) == self.generators[i]
                                    for i in range(2, n))
@@ -179,7 +173,6 @@ class PcPresentation:
         n = self.n
         pt = self._pt_letters
         conj = self._conj_letters
-        cpow = self._conj_powers
         abelian_start = self._abelian_start
         while stack:
             g, e = stack.pop()
@@ -221,8 +214,9 @@ class PcPresentation:
                         stack.extend(rev)
                 continue
             # General step: move a single a_g past the block, replacing each
-            # block letter a_j^{e_j} by the normal form of its conjugate, and
-            # push the conjugated block back for recollection.
+            # block letter a_j^{e_j} by its conjugate, and push the block back
+            # for recollection.  A letter that does not commute with a_g
+            # becomes e_j copies of the letters of a_j^(a_g) = a_j [a_j, a_g].
             if e > 1:
                 stack.append((g, e - 1))
             buf = []
@@ -234,13 +228,8 @@ class PcPresentation:
                 cl = conj.get((j, g))
                 if cl is None:
                     buf.append((j, ej))
-                elif ej == 1:
-                    buf.extend(cl)
                 else:
-                    form = cpow.get((j, ej, g))
-                    if form is None:
-                        form = self._conj_power(j, ej, g)
-                    buf.extend(form)
+                    buf.extend(cl * ej)
             vec[g - 1] += 1
             overflow = vec[g - 1] == p
             if overflow:
@@ -250,19 +239,6 @@ class PcPresentation:
                 tail = pt[g - 1]
                 if tail:
                     stack.extend(reversed(tail))
-
-    def _conj_power(self, j, e, g):
-        """Letters of the normal form of (a_j^e)^(a_g), cached.
-
-        Collected from e copies of the letters of a_j^(a_g) = a_j [a_j, a_g].
-        Every letter there has index >= j > g, so the collection only asks
-        for forms with a larger conjugating index and the recursion ends.
-        """
-        vec = [0] * self.n
-        self._collect(vec, list(reversed(self._conj_letters[(j, g)])) * e)
-        form = tuple((k + 1, c) for k, c in enumerate(vec) if c)
-        self._conj_powers[(j, e, g)] = form
-        return form
 
     # -- element operations ------------------------------------------------
 
@@ -581,18 +557,18 @@ class Subgroup:
 
     Basis members have strictly increasing leading indices with leading
     coefficient 1; |H| = p^order_exponent with order_exponent = len(basis).
+    A suffix Gamma_k = <a_k, ..., a_n> (the trivial group is Gamma_{n+1})
+    answers membership, normality and commutativity from k alone; any
+    other subgroup computes them.
     """
 
     def __init__(self, pres: PcPresentation, basis):
         self.pres = pres
         self.basis = tuple(basis)
         self._pivots = tuple(b.leading_index() for b in self.basis)
-        # basis of plain generator vectors => elements are plain tuples
-        self._unit_basis = all(
-            sum(b) == 1 and b[piv - 1] == 1 for b, piv in zip(self.basis, self._pivots)
-        )
-        self._abelian = None
-        self._normal = None
+        # k when the basis is exactly a_k, ..., a_n; 0 otherwise
+        start = pres.n - len(self.basis)
+        self._suffix = start + 1 if self.basis == pres.generators[start:] else 0
 
     @property
     def order_exponent(self) -> int:
@@ -602,10 +578,8 @@ class Subgroup:
         return self.pres.p ** len(self.basis)
 
     def contains(self, x: Element) -> bool:
-        if self._unit_basis:
-            # the member set is exactly the vectors supported on the pivots
-            pivots = set(self._pivots)
-            return all(e == 0 for i, e in enumerate(x, start=1) if i not in pivots)
+        if self._suffix:
+            return not any(x[: self._suffix - 1])
         return not any(_sift(self.pres, self.basis, self._pivots, x))
 
     __contains__ = contains
@@ -619,22 +593,26 @@ class Subgroup:
         return x
 
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = not any(
-                any(self.pres.commutator(a, b))
-                for i, a in enumerate(self.basis)
-                for b in self.basis[i + 1 :]
-            )
-        return self._abelian
+        """On a consistent presentation [a_j, a_i] is its tail, so a suffix
+        Gamma_k is abelian exactly when no nonzero tail [a_j, a_i] has
+        i >= k, that is when k >= the presentation's `_abelian_start`."""
+        if self._suffix:
+            return self._suffix >= self.pres._abelian_start
+        return not any(
+            any(self.pres.commutator(a, b))
+            for i, a in enumerate(self.basis)
+            for b in self.basis[i + 1 :]
+        )
 
     def is_normal(self) -> bool:
-        if self._normal is None:
-            self._normal = all(
-                self.contains(self.pres.conjugate(b, g))
-                for b in self.basis
-                for g in self.pres.generators
-            )
-        return self._normal
+        """A suffix is normal, as the suffixes form a central series."""
+        if self._suffix:
+            return True
+        return all(
+            self.contains(self.pres.conjugate(b, g))
+            for b in self.basis
+            for g in self.pres.generators
+        )
 
     def __eq__(self, other) -> bool:
         return (

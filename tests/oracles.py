@@ -4,7 +4,9 @@ Everything here is deliberately naive and shares no code with the engine:
 the rewriter applies single relation steps to a fixpoint instead of running
 stack-based collection, the overlap test rewrites each bracketing as a word
 with it, the degree-of-commutativity oracle loops over every
-subgroup pair, coset counting enumerates transversals explicitly, the
+subgroup pair, coset counting enumerates transversals explicitly, a
+subgroup's membership, commutativity and normality come from its members,
+pairwise products and conjugates instead of from its suffix index, the
 pair-family oracle builds a derivation for every pair, and the basis-pair
 oracle one for each of 2 rank(T) basis pairs, instead of certifying the
 family from two module generators, the cross-model oracle compares
@@ -171,22 +173,25 @@ def brute_degree_of_commutativity(pres, series, G1) -> int:
     raise AssertionError("no degree of commutativity found")
 
 
+def _strip(H: Subgroup, g: Element) -> Element:
+    """g with H's pivot coordinates cleared by left multiplication with
+    powers of its echelon basis, in ascending pivot order."""
+    for b in H.basis:
+        c = g[b.leading_index() - 1]
+        if c:
+            g = H.pres.multiply(H.pres.power(b, -c), g)
+    return g
+
+
 def coset_count(pres, H) -> int:
     """Number of distinct right cosets Hg, by explicit orbit enumeration."""
-    def canon(g):
-        for b in H.basis:
-            c = g[b.leading_index() - 1]
-            if c:
-                g = pres.multiply(pres.power(b, -c), g)
-        return g
-
-    seen = {canon(pres.identity)}
+    seen = {_strip(H, pres.identity)}
     frontier = list(seen)
     while frontier:
         nxt = []
         for g in frontier:
             for a in pres.generators:
-                h = canon(pres.multiply(g, a))
+                h = _strip(H, pres.multiply(g, a))
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
@@ -205,6 +210,32 @@ def subgroup_elements(H: Subgroup) -> list[Element]:
             powers.append(pres.multiply(powers[-1], b))
         els = [pres.multiply(pw, x) for pw in powers for x in els]
     return els
+
+
+MEMBER_BUDGET = 10**5  # largest |H| whose members `membership` lists
+
+
+def membership(H: Subgroup):
+    """A membership test for H that calls none of its methods: the set of
+    `subgroup_elements` when |H| <= MEMBER_BUDGET, and otherwise x stripped
+    to the identity by the echelon basis, as `coset_count` strips."""
+    if H.pres.p ** len(H.basis) <= MEMBER_BUDGET:
+        return set(subgroup_elements(H)).__contains__
+    return lambda x: not any(_strip(H, x))
+
+
+def commutes_pairwise(H: Subgroup) -> bool:
+    """H is abelian: every two basis members a, b have a b = b a."""
+    mul = H.pres.multiply
+    return all(mul(a, b) == mul(b, a) for a, b in itertools.combinations(H.basis, 2))
+
+
+def closed_under_conjugation(H: Subgroup, member) -> bool:
+    """H is normal: g^-1 b g is a member for every basis member b and every
+    generator g, by the membership test `member`."""
+    pres = H.pres
+    return all(member(pres.multiply(pres.invert(g), pres.multiply(b, g)))
+               for b in H.basis for g in pres.generators)
 
 
 def spanning_chain(pres, profile):

@@ -1,6 +1,7 @@
 """Generator-image maps, the phi family, the s-fixing subgroup, intersection
 with inner automorphisms, and the three verification drivers."""
 
+import copy
 import itertools
 import random
 from collections import Counter
@@ -19,6 +20,7 @@ from pcmax.homs import (GroupMap, certify_automorphism, check_homomorphism,
                         inner_automorphism, row_reduce)
 from pcmax.maxclass import (build_profile, chain_series, standard_generators,
                             validate_maximal_class)
+from pcmax.pcgroup import PcPresentation
 from pcmax.search import search_nonmetabelian
 
 from .conftest import GRID, SEED
@@ -162,8 +164,6 @@ def test_one_minus_inverts_nilpotent(g57, profile57, rng):
 
 
 def test_certify_rejects_noninjective():
-    from pcmax.pcgroup import PcPresentation
-
     pres = PcPresentation(5, 2, [(0, 0), (0, 0)], {})  # elementary abelian p^2
     images = (pres.identity, pres.generator(2))
     gmap = check_homomorphism(pres, images)
@@ -412,8 +412,29 @@ def test_h_cap_inn_refuses_without_spanning_chain(nonmetabelian58, nm_profile58)
     # G_1 modulo G_2
     pres = nonmetabelian58.pres
     G1 = pres.subgroup_from_generators([pres.generators[0], *nm_profile58.G(2).basis])
-    with pytest.raises(PreconditionRefused, match="does not span"):
+    with pytest.raises(PresentationError, match="no generator in G_1 outside G_2"):
         h_cap_inn_check(pres, nm_profile58._replace(G1=G1))
+
+
+@pytest.mark.parametrize("name", ["g57", "nonmetabelian57"])
+def test_drivers_store_nothing_on_the_presentation_or_its_subgroups(request, name):
+    # a presentation and its subgroups hold only what they were built with;
+    # a fresh copy, so that no earlier test has run anything on it
+    value = request.getfixturevalue(name)
+    src = value if isinstance(value, PcPresentation) else value.pres
+    pres = PcPresentation(src.p, src.n, src.power_tails, src.commutator_tails, src.labels)
+    profile = build_profile(validate_maximal_class(pres))
+    subgroups = [profile.G1, profile.A, profile.N, *profile.series.terms]
+
+    def state():
+        return copy.deepcopy((vars(pres), [
+            {key: v for key, v in vars(S).items() if key != "pres"} for S in subgroups]))
+
+    before = state()
+    verify_thm_main1(pres)
+    verify_thm_main2(pres)
+    certify_family(pres, profile, profile.t)
+    assert state() == before
 
 
 def _count_calls(monkeypatch, calls, owner, *names):

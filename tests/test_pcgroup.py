@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcmax.errors import PresentationError
-from pcmax.maxclass import build_profile, validate_maximal_class
+from pcmax.maxclass import build_profile, compute_G1, validate_maximal_class
 from pcmax.pcgroup import Element, PcPresentation
 
 from .conftest import SEED
-from .oracles import (coset_count, naive_collect, naive_consistency_check,
+from .oracles import (closed_under_conjugation, commutes_pairwise, coset_count,
+                      membership, naive_collect, naive_consistency_check,
                       subgroup_elements)
 
 
@@ -170,17 +171,16 @@ def test_collect_signed_letters_matches_oracle(oracle_pres, data):
     assert collect(pres, word) == naive_collect(pres, word)
 
 
-def test_cached_conjugate_powers_match_oracle(oracle_pres):
-    # every form (a_j^e)^(a_g) the collector may cache, against both the
-    # e-copies expansion of a_j^(a_g) and the word a_g^-1 a_j^e a_g
+def test_conjugate_power_expansion_matches_oracle(oracle_pres):
+    # the collector's general step replaces a block letter a_j^e by e copies
+    # of the letters of a_j^(a_g) = a_j [a_j, a_g]; collected from the
+    # identity they must give (a_j^e)^(a_g) = a_g^-1 a_j^e a_g
     pres = oracle_pres
     for (j, g), cl in pres._conj_letters.items():
         for e in range(2, pres.p):
-            form = pres._conj_power(j, e, g)
-            got = naive_collect(pres, form)
-            assert form == tuple(letters(got))
-            assert got == naive_collect(pres, list(cl) * e)
-            assert got == naive_collect(pres, [(g, -1), (j, e), (g, 1)])
+            vec = list(pres.identity)
+            pres._collect(vec, list(reversed(cl * e)))
+            assert tuple(vec) == naive_collect(pres, [(g, -1), (j, e), (g, 1)])
 
 
 def test_collector_never_sees_negative_exponents(nonmetabelian58, monkeypatch, rng):
@@ -390,6 +390,56 @@ def test_subgroup_elements_enumeration(g55):
     assert len(els) == len(set(els)) == 25
     for el in els:
         assert sub.contains(el)
+
+
+def _probes(pres, rng):
+    # the identity, and for each i a random element with leading index i
+    probes = [pres.identity]
+    for i in range(pres.n):
+        x = [0] * i + [rng.randrange(1, pres.p)]
+        probes.append(Element(x + [rng.randrange(pres.p) for _ in range(pres.n - i - 1)]))
+    return probes
+
+
+def _agrees_with_oracles(H, probes):
+    member = membership(H)
+    assert [H.contains(x) for x in probes] == [member(x) for x in probes], H
+    assert H.is_normal() == closed_under_conjugation(H, member), H
+    assert H.is_abelian() == commutes_pairwise(H), H
+
+
+@pytest.mark.parametrize("name", ["g35", "g55", "g57", "g512", "nonmetabelian57",
+                                  "nonmetabelian58"])
+def test_suffix_facts_match_oracles(request, name, rng):
+    # every Gamma_k, the trivial Gamma_{n+1} included, answers from k alone
+    # what the oracles compute from its members, products and conjugates;
+    # both verdicts of "abelian" occur, at k = _abelian_start and below it
+    if name == "g512":
+        from pcmax.blackburn import build_blackburn_pc
+        pres = build_blackburn_pc(5, 12)
+    else:
+        value = request.getfixturevalue(name)
+        pres = value if isinstance(value, PcPresentation) else value.pres
+    probes = _probes(pres, rng)
+    for k in range(1, pres.n + 2):
+        H = pres.suffix_subgroup(k)
+        assert H._suffix == k
+        assert H.is_normal()
+        _agrees_with_oracles(H, probes)
+
+
+def test_non_suffix_subgroups_match_oracles(g57, nonmetabelian58, a2_outside_G1_58, rng):
+    # <a_1, Gamma_3> and G_1 = <a_1 a_2^c, Gamma_3> with c != 0 are no
+    # suffixes, so they take the general path
+    subgroups = [pres.subgroup_from_generators([pres.generators[0], *pres.generators[2:]])
+                 for pres in (g57, nonmetabelian58.pres)]
+    G1 = compute_G1(a2_outside_G1_58)
+    assert G1.basis[0][0] == 1 and G1.basis[0][1] != 0
+    for H in [*subgroups, G1]:
+        assert H._suffix == 0
+        assert H.is_normal()
+        _agrees_with_oracles(H, _probes(H.pres, rng))
+    assert not subgroups[0].is_abelian()
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
