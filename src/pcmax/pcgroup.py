@@ -443,7 +443,9 @@ class PcPresentation:
         return Subgroup(self, basis)
 
     def lower_central_series(self) -> "SeriesChain":
-        """gamma_1 = G, gamma_{i+1} = [gamma_i, G], down to the trivial group."""
+        """gamma_1 = G, gamma_{i+1} = [gamma_i, G], down to the trivial group,
+        by normal closures: the reference `maxclass.validate_maximal_class`,
+        which reads the series off the tails, is tested against."""
         terms = [self.full_subgroup()]
         while terms[-1].order_exponent:
             prev = terms[-1]

@@ -120,9 +120,9 @@ def search_nonmetabelian(p: int, n: int, seed: int, budget: int = 10**6,
     commutator tail coordinate c >= i + j + l > j for the pair
     (j + 1, i + 1), and a power tail coordinate at least i + 2 for a_{i+1}.
     It touches no pair (j, 1), so every candidate keeps the reference's
-    [a_j, a_1] = a_{j+1}, `chain_series` certifies it as maximal class and
-    `build_profile` succeeds.  The a_4 coordinate of [a_3, a_2] stays the
-    reference's 0, as c >= 3 + l > 3, so a_2 lies in G_1.
+    [a_j, a_1] = a_{j+1}, `validate_maximal_class` certifies it as maximal
+    class and `build_profile` succeeds.  The a_4 coordinate of [a_3, a_2]
+    stays the reference's 0, as c >= 3 + l > 3, so a_2 lies in G_1.
     """
     if n <= p + 1:
         raise PresentationError("nonmetabelian fixtures need n > p + 1")

@@ -13,7 +13,9 @@ family from two module generators, the cross-model oracle compares
 every pair instead of translations by generators, the class oracle
 walks the conjugacy class instead of checking one commutator per layer,
 the H-meets-Inn oracle scans the p^2 conjugations that can fix s
-instead of reading the intersection off the profile, the automorphism
+instead of reading the intersection off the profile, a layer of the
+suffix chain is compared with [Gamma_k, G] Gamma_{k+2} closed to a
+subgroup instead of read off the tails, the automorphism
 oracle closes the images to a subgroup instead of reading the Frattini
 quotient, the invariant factors of M are extracted by powering instead of
 read off the closed form, the semidirect-product model multiplies in
@@ -145,6 +147,17 @@ def naive_consistency_check(pres: PcPresentation):
     return True, checked, None
 
 
+def layer_spanned(pres, k) -> bool:
+    """Whether [Gamma_k, G] Gamma_{k+2} = Gamma_{k+1}, for the suffixes
+    Gamma_k = <a_k, ..., a_n>: the commutators of a_k, ..., a_n with the
+    generators and a_{k+2}, ..., a_n are closed to a normal subgroup, which
+    the support rules put inside Gamma_{k+1}, and the orders compared."""
+    gens = pres.generators
+    comms = [pres.commutator(x, g) for x in gens[k - 1:] for g in gens]
+    closure = pres.subgroup_from_generators([*comms, *gens[k + 1:]], normal_closure=True)
+    return closure.order_exponent == pres.n - k
+
+
 def brute_degree_of_commutativity(pres, series, G1) -> int:
     """Largest l with [G_i, G_j] <= G_{i+j+l}, looping over every pair
     1 <= i, j <= n - 1 with the convention G_k = 1 for k >= n."""
@@ -246,11 +259,11 @@ def spanning_chain(pres, profile):
     s is the first presentation generator outside G_1 and s_1 the first one
     in G_1 but not G_2; s_i must generate G_i modulo G_{i+1} for each i.
     """
-    n, series, G1 = pres.n, profile.series, profile.G1
+    n, G1 = pres.n, profile.G1
     s = next((g for g in pres.generators if not G1.contains(g)), None)
     if s is None:
         raise PresentationError("no generator outside the distinguished maximal subgroup")
-    G2 = series.term(2)
+    G2 = profile.G(2)
     s1 = next((g for g in pres.generators if G1.contains(g) and not G2.contains(g)), None)
     if s1 is None:
         raise PresentationError("no generator in G_1 outside G_2")
@@ -258,8 +271,7 @@ def spanning_chain(pres, profile):
     for i in range(1, n - 1):
         chain.append(pres.commutator(chain[-1], s))
     for i in range(1, n):
-        inside = G1 if i == 1 else series.term(i)
-        upper = series.term(i + 1)
+        inside, upper = profile.G(i), profile.G(i + 1)
         if not inside.contains(chain[i - 1]) or upper.contains(chain[i - 1]):
             raise PresentationError(
                 f"chain element s_{i} does not generate G_{i} modulo G_{i + 1}"
@@ -345,7 +357,7 @@ def cross_model_all_pairs(p, n) -> bool:
     """
     ring = blackburn.RingModule(p, n)
     m = blackburn.build_m_presentation(p, n)
-    s = blackburn.sigma(p, n, m)
+    s = blackburn.sigma(p, m)
     els = list(ring.elements())
     if any(tuple(s.evaluate(m.element(u))) != ring.theta_mul(u) for u in els):
         return False

@@ -94,8 +94,9 @@ def test_theta_poly_conversion():
 
 def test_blackburn_consistent_and_maximal(g57):
     assert g57.consistency_check().ok
-    profile = build_profile(validate_maximal_class(g57))
-    assert profile.series.nilpotency_class() == 6
+    rep = validate_maximal_class(g57)
+    assert rep.ok
+    profile = build_profile(rep)
     assert profile.metabelian
     assert profile.l == 4
 
@@ -242,7 +243,7 @@ def test_exponent_relation_exact_everywhere(g57):
 
 
 def test_sigma_fixes_last_generator(m57):
-    s = sigma(5, 7, m57)
+    s = sigma(5, m57)
     last = m57.generator(m57.n)
     assert s.evaluate(last) == last
 
@@ -293,7 +294,7 @@ def test_cross_model_negative_controls(corrupt, monkeypatch):
     fake = PcPresentation(p, n - 1, tails, {})
     if corrupt == "sigma-identity":
         monkeypatch.setattr(blackburn, "sigma",
-                            lambda p, n, m: check_homomorphism(m, m.generators))
+                            lambda p, m: check_homomorphism(m, m.generators))
     else:
         monkeypatch.setattr(blackburn, "build_m_presentation", lambda p, n: fake)
     rep = cross_model_check(p, n)
@@ -356,7 +357,7 @@ def test_abelian_invariants_closed_form_and_frattini_suffix():
             m = build_m_presentation(p, n)
             mp = m.subgroup_from_generators([m.power(g, p) for g in m.generators])
             assert mp.basis == m.generators[p - 1:], (p, n)
-            s = sigma(p, n, m)
+            s = sigma(p, m)
             assert s.kind == "automorphism" and image_generates_group(s)
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,39 +237,58 @@ def test_build_and_analyze(tmp_path):
     assert "t: 4" in res.stdout
 
 
-def test_analyze_builds_lower_central_series_once(nonmetabelian58, tmp_path,
-                                                  monkeypatch, capsys):
-    # the 5^8 fixture's series is certified from its tails; the "wide-top"
-    # group is not of maximal class, so its series is computed, once
+def test_cli_verbs_never_close_subgroups(nonmetabelian58, tmp_path, monkeypatch,
+                                         capsys):
+    # maximal class is decided from the tails, so no verb computes a series
+    # by normal closures, on the 5^8 fixture or on the "wide-top" group,
+    # which is not of maximal class
     from pcmax import cli
 
-    calls = []
-    series = PcPresentation.lower_central_series
+    calls = Counter()
+    for name in ("lower_central_series", "subgroup_from_generators"):
+        original = getattr(PcPresentation, name)
 
-    def counting(self):
-        calls.append(self)
-        return series(self)
+        def counting(self, *args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(PcPresentation, "lower_central_series", counting)
-    path = tmp_path / "nm58.grp"
-    groupfile.dump(nonmetabelian58.pres, path)
-    assert cli.main(["analyze", str(path)]) == 0
-    assert "degree-of-commutativity: 2" in capsys.readouterr().out
-    assert len(calls) == 0
+        monkeypatch.setattr(PcPresentation, name, counting)
+    runs = _cli_runs(nonmetabelian58.pres, tmp_path / "nm58.grp", capsys)
+    assert "degree-of-commutativity: 2\n" in runs["analyze"][1]
+    assert [code for code, _ in runs.values()] == [0, 3, 0, 0]
 
     wide_top = PcPresentation(5, 4, [(0,) * 4] * 4, {(2, 1): (0, 0, 1, 0)})
-    groupfile.dump(wide_top, path)
-    assert cli.main(["analyze", str(path)]) == 0
-    assert capsys.readouterr().out.split("\n")[3:] == [
+    runs = _cli_runs(wide_top, tmp_path / "wide.grp", capsys)
+    failure = ("no tail [a_3, a_j], j < 3, has a nonzero a_4 coordinate: "
+               "[Gamma_3, G] Gamma_5 != Gamma_4")
+    code, out = runs.pop("analyze")
+    assert code == 0 and out.split("\n")[3:] == [
         "order: 5^4",
         "consistency: pass (20 overlaps)",
-        "series-order-exponents: 4 1 0",
-        "nilpotency-class: 2",
-        "maximal-class: no (nilpotency class 2 != 3)",
+        f"maximal-class: no ({failure})",
         "standard-chain: no",
         "",
     ]
-    assert len(calls) == 1
+    assert runs.pop("metabelian") == (
+        4, f"bad input: not a group of maximal class: {failure}\n")
+    for code, out in runs.values():
+        assert (code, out) == (3, "refused: the driver requires n > p + 1, got n = 4, p = 5\n")
+
+    assert cli.main(["selftest"]) == 0
+    assert calls == {}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_metabelian_refuses_n_below_4(n, tmp_path, capsys):
+    # a consistent group of maximal class and order p^2 or p^3 is valid
+    # input, but G_1 = C_G(G_2/G_4) needs n >= 4
+    from pcmax import cli
+
+    tails = {(2, 1): (0, 0, 1)} if n == 3 else {}
+    path = tmp_path / "small.grp"
+    groupfile.dump(PcPresentation(5, n, [(0,) * n] * n, tails), path)
+    assert cli.main(["verify", "metabelian", str(path)]) == 3
+    assert capsys.readouterr().out == f"refused: the driver requires n >= 4, got n = {n}\n"
 
 
 def test_verify_metabelian_pass(g57_file):

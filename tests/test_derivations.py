@@ -266,7 +266,7 @@ def test_lemma_down_containments(g57, profile57):
     rng = random.Random(SEED)
     r = 5
     Gr = profile57.G(r)
-    series = profile57.series
+    series = g57.lower_central_series()
     for _ in range(10):
         u = Gr.random_element(rng)
         v = Gr.random_element(rng)

@@ -3,6 +3,7 @@ subgroup, degree of commutativity, standard generators, exponent relations,
 conjugacy facts."""
 
 import random
+import re
 from collections import Counter
 from math import comb
 
@@ -10,31 +11,64 @@ import pytest
 
 from pcmax.blackburn import build_blackburn_pc
 from pcmax.errors import PresentationError
-from pcmax.maxclass import (build_profile, chain_series, compute_G1,
-                            conjugacy_facts, degree_of_commutativity,
+from pcmax.maxclass import (build_profile, compute_G1, conjugacy_facts,
+                            degree_of_commutativity, first_unspanned_layer,
                             standard_generators, validate_maximal_class,
                             verify_exponent_relations)
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import GRID, SEED
-from .oracles import brute_degree_of_commutativity, class_is_coset, commutes_pairwise
+from .oracles import (brute_degree_of_commutativity, class_is_coset, commutes_pairwise,
+                      layer_spanned)
+
+
+def _series(profile):
+    """G, G_2, ..., G_n = 1, read off the profile."""
+    return (profile.G(0), *(profile.G(i) for i in range(2, profile.pres.n + 1)))
+
+
+def _assert_names_first_unspanned_layer(pres):
+    """The failure names the first layer k at which the closure oracle finds
+    [Gamma_k, G] Gamma_{k+2} != Gamma_{k+1}."""
+    rep = validate_maximal_class(pres)
+    assert not rep.ok
+    k = int(re.match(r"no tail \[a_(\d+), a_j\]", rep.failure)[1])
+    assert k == first_unspanned_layer(pres, pres.n)
+    assert all(layer_spanned(pres, j) for j in range(2, k)), pres.canonical_text()
+    assert not layer_spanned(pres, k), pres.canonical_text()
+
+
+def _times_cyclic(pres):
+    """pres x C_p, the C_p factor generated by an appended central a_{n+1}."""
+    n = pres.n
+    return PcPresentation(
+        pres.p, n + 1, [(*t, 0) for t in pres.power_tails] + [(0,) * (n + 1)],
+        {pair: (*t, 0) for pair, t in pres.commutator_tails.items()})
 
 
 def test_validate_blackburn_fixtures(g35, g57):
-    assert validate_maximal_class(g35).nilpotency_class == 4
+    assert validate_maximal_class(g35).ok
     rep = validate_maximal_class(g57)
-    assert rep.ok and rep.nilpotency_class == 6
-    assert rep.series.terms == g57.lower_central_series().terms
+    assert rep.ok and rep.pres is g57
+    assert _series(build_profile(rep)) == g57.lower_central_series().terms
 
 
 def test_validate_rejects_elementary_abelian():
     pres = PcPresentation(3, 3, [(0, 0, 0)] * 3, {})
-    rep = validate_maximal_class(pres)
-    assert not rep.ok and chain_series(pres) is None
-    assert "class" in rep.failure
+    _assert_names_first_unspanned_layer(pres)
+    assert first_unspanned_layer(pres, pres.n) == 2
     # order p: no suffix subgroup Gamma_3 exists to compare the series with
     rep = validate_maximal_class(PcPresentation(3, 1, [(0,)], {}))
     assert not rep.ok and rep.failure == "nilpotency class 1 != 0"
+
+
+def test_validate_names_the_central_factor_of_a_direct_product(g58):
+    # in G x C_p the top layers are those of G; the first one that [., G]
+    # does not reach is Gamma_8 / Gamma_9, as a_8 = s_7 is central
+    pres = _times_cyclic(g58)
+    assert pres.consistency_check().ok
+    _assert_names_first_unspanned_layer(pres)
+    assert first_unspanned_layer(pres, pres.n) == 8
 
 
 def test_compute_G1(g57):
@@ -99,9 +133,10 @@ def structure_inputs(nonmetabelian57, nonmetabelian58):
     return inputs
 
 
-def test_chain_series_matches_lower_central_series(structure_inputs):
+def test_suffix_chain_matches_lower_central_series(structure_inputs):
     for pres in structure_inputs:
-        assert chain_series(pres).terms == pres.lower_central_series().terms, pres
+        profile = build_profile(validate_maximal_class(pres))
+        assert _series(profile) == pres.lower_central_series().terms, pres
     # on (s_1, s, s_2, ...) the a_1 = s_1 tails [a_k, a_1] miss a_{k+1} for
     # k >= 3 (l >= 1 on every input), so the witness is [a_k, a_2]
     for pres in structure_inputs[2::3]:
@@ -134,11 +169,13 @@ def test_chain_certificate_decides_maximal_class_on_random_presentations():
                 continue
             series = pres.lower_central_series()
             suffix_chain = [pres.suffix_subgroup(k) for k in (1, *range(3, n + 2))]
-            certified = chain_series(pres) is not None
+            certified = first_unspanned_layer(pres, n) is None
             assert certified == (list(series.terms) == suffix_chain), pres.canonical_text()
             # maximal class by the layer orders of the computed series
             assert certified == (series.order_exponents() == (n, *range(n - 2, -1, -1)))
             assert certified == validate_maximal_class(pres).ok
+            if not certified:
+                _assert_names_first_unspanned_layer(pres)
             classes[n][series.nilpotency_class()] += 1
     # both verdicts at every n >= 3, and failures at every depth at n = 6
     for n in range(3, 7):
@@ -178,7 +215,7 @@ def test_compute_G1_matches_centralizer_mod_off_the_suffix(g57, nonmetabelian58)
 ], ids=["abelian", "wide-top", "wide-third-layer"])
 def test_compute_G1_rejects_other_top_layers(pres):
     assert pres.consistency_check().ok
-    assert chain_series(pres) is None and not validate_maximal_class(pres).ok
+    _assert_names_first_unspanned_layer(pres)
     with pytest.raises(PresentationError, match="top layers"):
         compute_G1(pres)
 
@@ -201,9 +238,7 @@ def test_standard_generators_ignore_labels(g57):
 
 def test_degree_of_commutativity_metabelian(g57, g35):
     for pres, expect in [(g57, 4), (g35, 2)]:
-        series = pres.lower_central_series()
-        G1 = compute_G1(pres)
-        assert degree_of_commutativity(pres, series, G1) == expect
+        assert degree_of_commutativity(pres, compute_G1(pres)) == expect
 
 
 def test_degree_of_commutativity_matches_brute_force(structure_inputs):
@@ -233,7 +268,7 @@ def test_degree_of_commutativity_matches_brute_force(structure_inputs):
     for pres in [*structure_inputs, *random_groups, *hits, *references]:
         series = pres.lower_central_series()
         G1 = compute_G1(pres)
-        fast = degree_of_commutativity(pres, series, G1)
+        fast = degree_of_commutativity(pres, G1)
         assert fast == brute_degree_of_commutativity(pres, series, G1), pres
         profile = build_profile(validate_maximal_class(pres))
         assert profile.l == fast, pres
@@ -256,7 +291,7 @@ def test_structure_reads_tails_and_few_commutators(nonmetabelian58, monkeypatch)
         monkeypatch.setattr(PcPresentation, name, counting)
     G1 = compute_G1(pres)
     assert calls == {}
-    assert degree_of_commutativity(pres, chain_series(pres), G1) == 2
+    assert degree_of_commutativity(pres, G1) == 2
     # only the commutators [x_1, x_b]; no other pair can lower l
     assert calls["commutator"] <= n - 2
     # "metabelian" is read off the tails too, and the chain is the generator
