@@ -4,7 +4,7 @@
     pcmax analyze g.grp                      order, class, l, r, t, series
     pcmax verify main1 g.grp                 run a theorem driver
     pcmax selftest                           quick property battery
-    pcmax export --model ring --p 5 --n 7    ring-model tables
+    pcmax export --p 5 --n 7                 ring-model tables
 
 Reports go to standard output and are byte-identical across runs with the
 same seed; timings go to standard error.  Every check in a verify report is
@@ -14,8 +14,9 @@ is echoed in every report.  Artifacts are written only to explicitly named
 paths.  Each verb imports only the modules it runs, so `analyze` loads no
 automorphism code.
 
-Exit codes: 0 success, 1 usage error, 2 theorem violation or failed
-selftest, 3 precondition refusal, 4 inconsistent or unreadable input.
+Exit codes: 0 success, 1 usage error or an output path that cannot be
+written, 2 theorem violation or failed selftest, 3 precondition refusal,
+4 inconsistent or unreadable input.
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ def _build_parser() -> _Parser:
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--n", type=int, required=True)
     b.add_argument("-o", "--out", help="path for the group file (default: stdout)")
+    b.set_defaults(run=_cmd_build)
 
     a = sub.add_parser("analyze", help="structure report for a group file")
     a.add_argument("path")
     a.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    a.set_defaults(run=_cmd_analyze)
 
     v = sub.add_parser("verify", help="run a theorem driver on a group file")
     v.add_argument("theorem", choices=["metabelian", "main1", "main2"])
@@ -64,15 +67,17 @@ def _build_parser() -> _Parser:
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--timings", action="store_true",
                    help="print elapsed time to standard error")
+    v.set_defaults(run=_cmd_verify)
 
     s = sub.add_parser("selftest", help="run the quick property battery")
     s.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    s.set_defaults(run=_cmd_selftest)
 
-    e = sub.add_parser("export", help="dump model tables")
-    e.add_argument("--model", choices=["ring", "pc"], required=True)
+    e = sub.add_parser("export", help="dump the ring-model tables")
     e.add_argument("--p", type=int, required=True)
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("-o", "--out", help="path for the artifact (default: stdout)")
+    e.add_argument("-o", "--out", help="path for the tables (default: stdout)")
+    e.set_defaults(run=_cmd_export)
     return parser
 
 
@@ -80,14 +85,12 @@ def _cmd_build(args) -> int:
     from . import blackburn
 
     pres = blackburn.build_blackburn_pc(args.p, args.n)
-    text = groupfile.dumps(pres)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        groupfile.dump(pres, args.out)
         print(f"wrote group of order {args.p}^{args.n} to {args.out}")
         print(f"input-digest: sha256:{pres.digest()}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(groupfile.dumps(pres))
     return EXIT_OK
 
 
@@ -198,8 +201,6 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.model == "pc":
-        return _cmd_build(args)
     from . import blackburn
 
     ring = blackburn.RingModule(args.p, args.n)
@@ -225,23 +226,12 @@ def _cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.verb == "build":
-            return _cmd_build(args)
-        if args.verb == "analyze":
-            return _cmd_analyze(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "selftest":
-            return _cmd_selftest(args)
-        if args.verb == "export":
-            return _cmd_export(args)
-        parser.error(f"unknown verb {args.verb!r}")
+        return args.run(args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}")
         return EXIT_VIOLATION
@@ -254,7 +244,11 @@ def main(argv=None) -> int:
     except PresentationError as exc:
         print(f"bad input: {exc}")
         return EXIT_BAD_INPUT
-    return EXIT_USAGE
+    except OSError as exc:
+        # group files are read by groupfile.load, which raises
+        # PresentationError, so this is a failed write: to -o or to stdout
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -396,11 +396,6 @@ def test_usage_error_exit_1():
     assert res.returncode == 1
 
 
-def test_missing_file_exit_4():
-    res = run_cli("analyze", "/nonexistent/file.grp")
-    assert res.returncode == 4
-
-
 VERB_RUNS = {
     "analyze": [["analyze", "{g57}"], ["analyze", "{nm58}"]],
     "verify": [["verify", "main1", "{g57}"], ["verify", "main1", "{nm58}"]],
@@ -468,16 +463,51 @@ def test_retired_sampling_flags_are_usage_errors(g57_file, flag):
 
 
 def test_export_ring():
-    res = run_cli("export", "--model", "ring", "--p", "3", "--n", "5")
-    assert res.returncode == 0
-    assert "additive-order: 3^4" in res.stdout
-    assert "p*b_1" in res.stdout
+    res = run_cli("export", "--p", "3", "--n", "5")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == (
+        "ring-model p=3 n=5\n"
+        "additive-order: 3^4\n"
+        "abelian-invariants: 9 9\n"
+        "p*b_1 = 0 0 2 1\n"
+        "p*b_2 = 0 0 0 2\n"
+        "p*b_3 = 0 0 0 0\n"
+        "p*b_4 = 0 0 0 0\n"
+        "theta*b_1 = 1 1 0 0\n"
+        "theta*b_2 = 0 1 1 0\n"
+        "theta*b_3 = 0 0 1 1\n"
+        "theta*b_4 = 0 0 0 1\n")
+    # the group file of the reference group has one route: `build`
+    for model in ("ring", "pc"):
+        res = run_cli("export", "--model", model, "--p", "3", "--n", "5")
+        assert res.returncode == 1
+        assert f"unrecognized arguments: --model {model}" in res.stderr
+        assert res.stdout == ""
 
 
-def test_export_pc_matches_build(tmp_path):
-    a = run_cli("export", "--model", "pc", "--p", "3", "--n", "5")
-    b = run_cli("build", "--p", "3", "--n", "5")
-    assert a.stdout == b.stdout
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "{missing}"], 4),
+    (["analyze", "{directory}"], 4),
+    (["verify", "main1", "{missing}"], 4),
+    (["verify", "main1", "{directory}"], 4),
+    (["build", "--p", "3", "--n", "5", "-o", "{missing}"], 1),
+    (["build", "--p", "3", "--n", "5", "-o", "{directory}"], 1),
+    (["export", "--p", "3", "--n", "5", "-o", "{missing}"], 1),
+    (["export", "--p", "3", "--n", "5", "-o", "{directory}"], 1),
+], ids=[f"{verb}-{path}" for verb in ("analyze", "verify", "build", "export")
+        for path in ("missing", "directory")])
+def test_bad_paths_exit_with_their_documented_code(tmp_path, argv, code):
+    # an unreadable input is bad input (4), reported on stdout; an output
+    # path that cannot be written is a usage error (1), one line on stderr
+    paths = {"missing": str(tmp_path / "missing" / "g.grp"), "directory": str(tmp_path)}
+    argv = [a.format(**paths) for a in argv]
+    res = run_cli(*argv)
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    message = res.stdout if code == 4 else res.stderr
+    assert re.fullmatch(r"(bad input|error): [^\n]*\n", message)
+    assert argv[-1] in message
+    assert (res.stderr if code == 4 else res.stdout) == ""
 
 
 def test_selftest():
