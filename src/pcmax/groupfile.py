@@ -22,7 +22,7 @@ UTF-8, so a malformed file cannot reach the arithmetic layer.
 from __future__ import annotations
 
 from .errors import PresentationError
-from .pcgroup import MAX_GENERATORS, PcPresentation
+from .pcgroup import PcPresentation
 
 
 def dumps(pres: PcPresentation) -> str:
@@ -89,10 +89,10 @@ def load(path) -> PcPresentation:
     return loads(text)
 
 
-# The canonical spelling of every number a valid row holds: exponents below
-# p <= 61 and generator indices up to MAX_GENERATORS.  `_int` reads each of
-# these spellings as the same number.
-_NUMBERS = {str(k): k for k in range(MAX_GENERATORS + 1)}
+# The canonical spellings of 0..255: every exponent (below p <= 61) and the
+# generator indices of presentations with n <= 255.  `_int` reads each of
+# these spellings as the same number, and reads any larger index.
+_NUMBERS = {str(k): k for k in range(256)}
 
 
 def _ints(tokens, what: str) -> list:

@@ -36,7 +36,6 @@ from typing import NamedTuple
 from .errors import PresentationError
 
 ALLOWED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-MAX_GENERATORS = 64
 CENTRALIZER_BUDGET = 10**6  # largest index [G : K] that centralizer_mod walks
 
 
@@ -82,8 +81,8 @@ class PcPresentation:
     def __init__(self, p, n, power_tails, commutator_tails, labels=None):
         if p not in ALLOWED_PRIMES:
             raise PresentationError(f"p must be a prime with 3 <= p <= 61, got {p}")
-        if not 1 <= n <= MAX_GENERATORS:
-            raise PresentationError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
+        if n < 1:
+            raise PresentationError(f"generator count must be at least 1, got {n}")
         self.p = p
         self.n = n
 
@@ -97,6 +96,10 @@ class PcPresentation:
         zero = (0,) * n
         zeros = (zero, [0] * n)
         cts = {}
+        # conj[g - 1] maps each j > g with [a_j, a_g] != 1 to the letters of
+        # a_j^(a_g) = a_j [a_j, a_g], for the collector
+        conj = [{} for _ in range(n)]
+        abelian_start = 1
         for (j, i), tail in dict(commutator_tails).items():
             if not (1 <= i < j <= n):
                 raise PresentationError(f"commutator pair ({j}, {i}) out of range")
@@ -105,7 +108,14 @@ class PcPresentation:
             t = self._check_tail(tail, min_support=j + 1, what=f"tail of [a_{j}, a_{i}]")
             if any(t):
                 cts[(j, i)] = t
+                conj[i - 1][j] = ((j, 1),) + tuple((k + 1, e) for k, e in enumerate(t) if e)
+                if i >= abelian_start:
+                    abelian_start = i + 1
         self.commutator_tails = cts
+        self._conj = conj
+        # Smallest k such that all generators of index >= k commute pairwise;
+        # products supported there collect by plain exponent addition.
+        self._abelian_start = abelian_start
 
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -119,17 +129,10 @@ class PcPresentation:
 
         self.identity = Element(zero)
         self.generators = tuple(Element(zero[:k] + (1,) + zero[k + 1:]) for k in range(n))
-        # Letter forms of the tails, for the collector.
+        # Letter forms of the power tails, for the collector.
         self._pt_letters = tuple(
             tuple((k + 1, e) for k, e in enumerate(t) if e) for t in self.power_tails
         )
-        self._conj_letters = {
-            pair: ((pair[0], 1),) + tuple((k + 1, e) for k, e in enumerate(t) if e)
-            for pair, t in self.commutator_tails.items()
-        }
-        # Smallest k such that all generators of index >= k commute pairwise;
-        # products supported there collect by plain exponent addition.
-        self._abelian_start = max((i + 1 for (_, i) in self.commutator_tails), default=1)
         # [a_i, a_1] = a_{i+1} for 1 < i < n; [a_n, a_1] = 1 by the support rule
         self._standard_chain = all(cts.get((i, 1)) == self.generators[i]
                                    for i in range(2, n))
@@ -169,42 +172,47 @@ class PcPresentation:
         # Collection from the left.  `vec` is the collected prefix in normal
         # form; `stack` holds the uncollected rest of the word as letters
         # (g, e) with e > 0, the top of the stack being the leftmost one.
+        #
+        # Letters at or above `_abelian_start` commute with each other and
+        # with the power tails above them, so they are added in place and
+        # their entries may grow past p; `low` is the lowest such entry
+        # (n + 1 when there is none).  `_carry` reduces them in one pass
+        # before the next letter below `_abelian_start` and at the end.
         p = self.p
         n = self.n
         pt = self._pt_letters
-        conj = self._conj_letters
+        conj = self._conj
         abelian_start = self._abelian_start
+        low = n + 1
         while stack:
             g, e = stack.pop()
             if g >= abelian_start:
-                # a_g and the tail of a_g^p commute with everything above g
                 total = vec[g - 1] + e
-                vec[g - 1] = total % p
-                if total >= p and pt[g - 1]:
-                    stack.extend(pt[g - 1] * (total // p))
+                vec[g - 1] = total
+                if total >= p and g < low:
+                    low = g
                 continue
-            top = 0
-            for j in range(n, g, -1):
-                if vec[j - 1]:
-                    top = j
-                    break
-            # The block above g is vec[g..top-1] (empty when top is 0).  If
-            # everything in it commutes with a_g, add in place; a power
-            # overflow then puts the tail of a_g^p left of the block, so
-            # both go back on the stack for recollection.
+            if low <= n:
+                self._carry(vec, low)
+                low = n + 1
+            rules = conj[g - 1]
             clean = True
-            for j in range(g + 1, top + 1):
-                if vec[j - 1] and (j, g) in conj:
+            for j in rules:
+                if vec[j - 1]:
                     clean = False
                     break
             if clean:
+                # Everything above g commutes with a_g: add in place.  A
+                # power overflow then puts the tail of a_g^p left of the
+                # block above g, so both go back on the stack for
+                # recollection.
                 total = vec[g - 1] + e
                 vec[g - 1] = total % p
                 q = total // p
                 tail = pt[g - 1]
                 if q and tail:
                     block = []
-                    for j in range(g + 1, top + 1):
+                    for j in range(g + 1, n + 1):
                         if vec[j - 1]:
                             block.append((j, vec[j - 1]))
                             vec[j - 1] = 0
@@ -220,12 +228,12 @@ class PcPresentation:
             if e > 1:
                 stack.append((g, e - 1))
             buf = []
-            for j in range(g + 1, top + 1):
+            for j in range(g + 1, n + 1):
                 ej = vec[j - 1]
                 if not ej:
                     continue
                 vec[j - 1] = 0
-                cl = conj.get((j, g))
+                cl = rules.get(j)
                 if cl is None:
                     buf.append((j, ej))
                 else:
@@ -239,6 +247,21 @@ class PcPresentation:
                 tail = pt[g - 1]
                 if tail:
                     stack.extend(reversed(tail))
+        if low <= n:
+            self._carry(vec, low)
+
+    def _carry(self, vec, low):
+        # One ascending pass from index `low` of the abelian suffix: an entry
+        # q p + c becomes c, and q times the power tail is added above it.
+        # One pass is enough, as the tail of a_k lies above k.
+        p = self.p
+        pt = self._pt_letters
+        for k in range(low, self.n + 1):
+            total = vec[k - 1]
+            if total >= p:
+                q, vec[k - 1] = divmod(total, p)
+                for c, ec in pt[k - 1]:
+                    vec[c - 1] += q * ec
 
     # -- element operations ------------------------------------------------
 
@@ -307,30 +330,113 @@ class PcPresentation:
     # -- consistency --------------------------------------------------------
 
     def consistency_check(self) -> ConsistencyReport:
-        """Run the standard overlap tests for a weighted pc presentation.
+        """Run the overlap tests of a pc presentation; on a weighted
+        presentation with definitions, only those of weight at most n - 1.
 
-        All of the following must collect to equal normal forms:
+        The test words and their two sides are
 
             a_k (a_j a_i) = (a_k a_j) a_i    for k > j > i
             a_j^p a_i     = a_j^{p-1} (a_j a_i)   for j > i
             a_j (a_i^p)   = (a_j a_i) a_i^{p-1}   for j > i
             a_i^p a_i     = a_i (a_i^p)
 
+        The presentation is consistent (it defines a group of order p^n)
+        exactly when both sides of every word collect to the same normal
+        form (Wamsley; Sims, *Computation with Finitely Presented Groups*,
+        1994, ch. 9).  Both sides are rewritings of one word, so any
+        complete collection of each side will do.
+
+        *Weights.*  Give a_1 and a_2 weight 1 and a_k weight k - 1 for
+        k >= 2.  The word a_k (a_j a_i) has weight w_k + w_j + w_i,
+        a_j^p a_i and a_j (a_i^p) have w_j + w_i + 1, and a_i^p a_i has
+        2 w_i + 1.  The presentation is *weighted* when n >= 4, it has the
+        standard chain [a_k, a_1] = a_{k+1} (2 <= k < n), and its tails
+        respect the weights: the tail of [a_j, a_i] is zero below index
+        w_j + w_i + 1 and that of a_i^p below index w_i + 2.  Beyond the
+        support rules this asks only that a_1^p have no a_2 coordinate and
+        that [a_j, a_i] with i >= 3 start at index j + i - 1.  a_1 and a_2
+        are then the defining generators, and [a_k, a_1] = a_{k+1} is the
+        definition of a_{k+1}.
+
+        Lemma.  A weighted presentation is consistent exactly when its
+        words of weight <= n - 1 collect equally, the associativity words
+        a_k (a_j a_i) with i >= 3 left out.
+
+        Proof.  "Only if" holds for any set of words.  For "if", let P_m be
+        the truncation to a_1, ..., a_m, the presentation of G/Gamma_{m+1}
+        once G is known to be consistent.  P_2 is elementary abelian of
+        order p^2, as every tail starts at index 3 or later.  Let P_m be
+        consistent, 2 <= m < n.  The new generator z = a_{m+1} of P_{m+1}
+        has weight m, and all its relations have trivial tails there (each
+        would start at index m + 2 or later).  So P_{m+1} is a central
+        extension of P_m by <z>, the p-cover step of the p-quotient
+        algorithm, with [a_m, a_1] = z the definition of z.  By the theorem
+        above, P_{m+1} is consistent once each of its test words meets.
+
+        (1) Truncating a collection gives a collection.  Each step of a
+        collection in P applies relations; an in-place addition or a carry
+        in the abelian suffix applies trivial commutator relations and
+        power relations.  Cut to the first m + 1 letters, a step applies
+        the truncated relation of P_{m+1}, or nothing when a letter above
+        m + 1 is involved, since every tail lies above the indices of its
+        relation.  So the collection of a test word in P, cut to m + 1
+        letters, is a complete collection of the same word in P_{m+1}, and
+        one run on P serves every step.
+
+        (2) A word of weight > m meets in P_{m+1}.  There, the tail of
+        [a_y, a_x] with w_y + w_x > m is trivial, and so is that of a_x^p
+        with w_x + 1 > m.  So such letters pass each other freely, and p
+        equal letters of weight >= m vanish.  Each tail that rewriting the
+        word creates has at least the weight of the two letters that made
+        it, so it passes the remaining letters freely.  a_k (a_j a_i) and
+        (a_k a_j) a_i both become a_i a_j a_k followed by the tails of
+        [a_j, a_i], [a_k, a_i] and [a_k, a_j], each relation applied once
+        per side.  a_j^{p-1} (a_j a_i) becomes a_i a_j^p [a_j, a_i]^p, that
+        is a_i (a_j^p), which is what a_j^p a_i becomes.  The same holds
+        for a_j (a_i^p), whose two sides become a_j (a_i^p), sorted.  And
+        a_i^p passes a_i.
+
+        (3) An associativity word with i >= 3 and weight <= m follows from
+        the others.  a_i = [a_{i-1}, a_1] is a definition.  Only a pair
+        (j, i) with w_j + w_i <= m can have a nonzero z coordinate, and for
+        it the word a_j (a_{i-1} a_1), of weight w_j + w_{i-1} + 1 =
+        w_j + w_i, is in the short set.  It applies [a_j, a_i] once, where
+        a_j passes a_i, so it fixes the z coordinate of that tail to the
+        value the p-quotient algorithm computes from the definition.
+        On such a presentation the associativity words with w_i >= 2
+        follow from those with w_i = 1 and the power words (Vaughan-Lee,
+        *An aspect of the nilpotent quotient algorithm*, 1984; Holt, Eick
+        & O'Brien, *Handbook of Computational Group Theory*, 2005, 9.4).
+
+        By (1), the short test on P makes every word of P_{m+1} of weight
+        <= m with i <= 2 meet, and by (2) and (3) the others meet too.  So
+        P_{m+1} is consistent, and induction up to m + 1 = n gives P.
+
+        Any presentation that is not weighted, n <= 3 included, where the
+        short set is empty, gets the full set.  Both run in the same loop,
+        and the report counts the words collected.
+
         Each side is a normal form u followed by a word w: a_j^p is its
         power tail, a_j^{p-1} the element with p - 1 at position j, and
         a_j a_i = a_i a_j [a_j, a_i] is e_i + e_j + tail(j, i), a normal
-        form as the tail is supported above j; collecting a_j a_i gives
-        exactly that on every presentation the constructor accepts.  A side
-        is collected as `multiply(u, w)` would collect it, u as the
-        collected prefix and the letters of w on the stack, which is exactly
-        what collecting the letters of u from the empty word gives; so every
-        side is collected as the word it stands for.  The letter stacks of
-        the a_j a_i, the power tails and the one-letter words are built once
-        and copied per side.  Failures are reported in-band, naming the
-        first bad overlap.
+        form as the tail is supported above j.  A side is collected as
+        `multiply(u, w)` would collect it, u as the collected prefix and
+        the letters of w on the stack.  The letter stacks of the power
+        tails and the one-letter words are built once, those of the
+        a_j a_i on first use, and each is copied per side.  Failures are
+        reported in-band, naming the first bad word.
         """
         p, n = self.p, self.n
         collect = self._collect
+        cts = self.commutator_tails
+        gens = self.generators
+        tails = self.power_tails
+        # w[k] is the weight of a_k; `top` bounds the weight of a word
+        # collected, and associativity words take i < i_end
+        w = (0, 1) + tuple(range(1, n))
+        short = (n >= 4 and self._standard_chain and not any(tails[0][:2])
+                 and all(not any(t[:j + i - 2]) for (j, i), t in cts.items() if i >= 3))
+        top, i_end = (n - 1, 3) if short else (3 * n, n)
 
         def letters(vec):
             # the stack of a normal form: its letters, leftmost on top
@@ -342,40 +448,48 @@ class PcPresentation:
                 collect(vec, stack.copy())
             return vec
 
-        gens = self.generators
-        tails = self.power_tails
+        prods = {}
+
+        def prod(j, i):
+            # a_j a_i as a normal form and as a letter stack
+            if (j, i) not in prods:
+                vec = list(cts.get((j, i), self.identity))
+                vec[i - 1] = vec[j - 1] = 1
+                prods[j, i] = vec, letters(vec)
+            return prods[j, i]
+
         # the normal forms a_i^{p-1}, and the letter stacks of the words a_i,
         # a_i^{p-1} and of the power tails
         tops = [(0,) * k + (p - 1,) + (0,) * (n - 1 - k) for k in range(n)]
         one = [[(k + 1, 1)] for k in range(n)]
-        top = [[(k + 1, p - 1)] for k in range(n)]
+        pm1 = [[(k + 1, p - 1)] for k in range(n)]
         tail = [letters(t) for t in tails]
-        prod = {}
-        prod_letters = {}
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                vec = list(self.commutator_tail(j, i))
-                vec[i - 1] = vec[j - 1] = 1
-                prod[j, i] = vec
-                prod_letters[j, i] = letters(vec)
         checked = 0
+        # w is nondecreasing, so the first word over `top` ends each loop
         for k in range(3, n + 1):
             for j in range(2, k):
-                for i in range(1, j):
+                for i in range(1, min(j, i_end)):
+                    if w[k] + w[j] + w[i] > top:
+                        break
                     checked += 1
-                    if side(gens[k - 1], prod_letters[j, i]) != side(prod[k, j], one[i - 1]):
+                    if side(gens[k - 1], prod(j, i)[1]) != side(prod(k, j)[0], one[i - 1]):
                         return ConsistencyReport(
                             False, checked, f"associativity overlap a_{k}(a_{j} a_{i})"
                         )
         for j in range(2, n + 1):
             for i in range(1, j):
+                if w[j] + w[i] + 1 > top:
+                    break
+                ji, ji_letters = prod(j, i)
                 checked += 1
-                if side(tops[j - 1], prod_letters[j, i]) != side(tails[j - 1], one[i - 1]):
+                if side(tops[j - 1], ji_letters) != side(tails[j - 1], one[i - 1]):
                     return ConsistencyReport(False, checked, f"power overlap a_{j}^p a_{i}")
                 checked += 1
-                if side(gens[j - 1], tail[i - 1]) != side(prod[j, i], top[i - 1]):
+                if side(gens[j - 1], tail[i - 1]) != side(ji, pm1[i - 1]):
                     return ConsistencyReport(False, checked, f"power overlap a_{j} a_{i}^p")
         for i in range(1, n + 1):
+            if 2 * w[i] + 1 > top:
+                break
             checked += 1
             if side(tails[i - 1], one[i - 1]) != side(gens[i - 1], tail[i - 1]):
                 return ConsistencyReport(False, checked, f"power overlap a_{i}^p a_{i}")

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and shares no code with the engine:
 the rewriter applies single relation steps to a fixpoint instead of running
 stack-based collection, the overlap test rewrites each bracketing as a word
-with it, the degree-of-commutativity oracle loops over every
+with it, on a word set listed word by word (the full set, or the short set
+of weight <= n - 1 chosen by reading the weights off the tails coordinate
+by coordinate), the degree-of-commutativity oracle loops over every
 subgroup pair, coset counting enumerates transversals explicitly, a
 subgroup's membership, commutativity and normality come from its members,
 pairwise products and conjugates instead of from its suffix index, the
@@ -30,6 +32,11 @@ it once was, where the search builds each row from the variables in it.
 The chain oracle finds s, s_1 and the chain by searching the generators
 and computing n - 2 commutators, where the engine reads them off its
 generator convention.
+
+`multiplied_consistency_check` runs a word set with each side a product
+of two normal forms by `PcPresentation.multiply`: it shares the collector
+but not the overlap test's loops or its choice of words, and is fast enough
+to compare the short and the full set on thousands of inputs.
 
 `zero_derivation` and `is_zero` are not oracles but test helpers the
 package has no use for.
@@ -104,15 +111,98 @@ def naive_collect(pres: PcPresentation, word) -> Element:
     return Element(vec)
 
 
-def naive_consistency_check(pres: PcPresentation):
-    """(ok, overlaps checked, failure) of the overlap test, with both
-    bracketings of every overlap rewritten as words by `naive_collect`.
+def weights(n):
+    """w(a_1) = w(a_2) = 1 and w(a_k) = k - 1, indexed by k (entry 0 unused)."""
+    return [0] + [max(k - 1, 1) for k in range(1, n + 1)]
 
-    The overlaps, their order and the failure texts are those of
-    `PcPresentation.consistency_check`; a bracket is collected first and
-    its normal-form letters are spliced into the outer word.
+
+def is_weighted(pres: PcPresentation) -> bool:
+    """n >= 4, [a_k, a_1] = a_{k+1} for 2 <= k < n, and every tail zero on
+    the indices below its weight: [a_j, a_i] below w_j + w_i + 1, a_i^p
+    below w_i + 2.  Read coordinate by coordinate off the tails."""
+    n = pres.n
+    if n < 4:
+        return False
+    if any(tuple(pres.commutator_tail(k, 1)) != tuple(pres.generator(k + 1))
+           for k in range(2, n)):
+        return False
+    w = weights(n)
+    for j in range(1, n + 1):
+        bound = w[j] + 2
+        if any(pres.power_tails[j - 1][c - 1] for c in range(1, min(bound, n + 1))):
+            return False
+        for i in range(1, j):
+            bound = w[j] + w[i] + 1
+            if any(pres.commutator_tail(j, i)[c - 1] for c in range(1, min(bound, n + 1))):
+                return False
+    return True
+
+
+def overlap_words(n, short=False):
+    """The words of the overlap test in the order
+    `PcPresentation.consistency_check` collects them: ("assoc", k, j, i)
+    for a_k (a_j a_i), ("power", j, i) for a_j^p a_i, ("powered", j, i) for
+    a_j a_i^p and ("self", i) for a_i^p a_i.  With `short`, only the words
+    of weight <= n - 1, and of the associativity words only those with
+    i <= 2."""
+    w = weights(n)
+    top = n - 1 if short else 3 * n
+    words = [("assoc", k, j, i) for k in range(3, n + 1) for j in range(2, k)
+             for i in range(1, j)
+             if w[k] + w[j] + w[i] <= top and (i <= 2 or not short)]
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            if w[j] + w[i] + 1 <= top:
+                words += [("power", j, i), ("powered", j, i)]
+    return words + [("self", i) for i in range(1, n + 1) if 2 * w[i] + 1 <= top]
+
+
+_FAILURE = {
+    "assoc": "associativity overlap a_{0}(a_{1} a_{2})",
+    "power": "power overlap a_{0}^p a_{1}",
+    "powered": "power overlap a_{0} a_{1}^p",
+    "self": "power overlap a_{0}^p a_{0}",
+}
+
+
+def _sides(word, pair, power, tail, letter):
+    """The two sides of a test word as pairs (normal form, word), built by
+    the given constructors of a_j a_i (`pair`), a_j^{p-1} (`power`), the
+    power tail of a_i (`tail`) and the one-letter word a_g (`letter`)."""
+    kind, *idx = word
+    if kind == "assoc":
+        k, j, i = idx
+        return (letter(k), pair(j, i)), (pair(k, j), letter(i))
+    if kind == "power":
+        j, i = idx
+        return (power(j), pair(j, i)), (tail(j), letter(i))
+    if kind == "powered":
+        j, i = idx
+        return (letter(j), tail(i)), (pair(j, i), power(i))
+    (i,) = idx
+    return (tail(i), letter(i)), (letter(i), tail(i))
+
+
+def _run_words(words, differ):
+    checked = 0
+    for word in words:
+        checked += 1
+        if differ(word):
+            kind, *idx = word
+            return False, checked, _FAILURE[kind].format(*idx)
+    return True, checked, None
+
+
+def naive_consistency_check(pres: PcPresentation, words):
+    """(ok, words checked, failure) of the overlap test on the given words
+    (see `overlap_words`), with both sides of every word rewritten by
+    `naive_collect`.
+
+    The failure texts are those of `PcPresentation.consistency_check`; a
+    bracket is collected first and its normal-form letters are spliced
+    into the outer word.
     """
-    p, n = pres.p, pres.n
+    p = pres.p
 
     def word(el):
         return [(k + 1, e) for k, e in enumerate(el) if e]
@@ -120,31 +210,30 @@ def naive_consistency_check(pres: PcPresentation):
     def nc(*parts):
         return naive_collect(pres, [letter for part in parts for letter in part])
 
-    def tail(i):
-        return word(pres.power_tails[i - 1])
+    def differ(w):
+        lhs, rhs = _sides(w, pair=lambda j, i: word(nc([(j, 1), (i, 1)])),
+                          power=lambda j: [(j, p - 1)],
+                          tail=lambda i: word(pres.power_tails[i - 1]),
+                          letter=lambda g: [(g, 1)])
+        return nc(*lhs) != nc(*rhs)
 
-    checked = 0
-    for k in range(3, n + 1):
-        for j in range(2, k):
-            for i in range(1, j):
-                checked += 1
-                lhs = nc([(k, 1)], word(nc([(j, 1), (i, 1)])))
-                rhs = nc(word(nc([(k, 1), (j, 1)])), [(i, 1)])
-                if lhs != rhs:
-                    return False, checked, f"associativity overlap a_{k}(a_{j} a_{i})"
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            checked += 1
-            if nc([(j, p - 1)], word(nc([(j, 1), (i, 1)]))) != nc(tail(j), [(i, 1)]):
-                return False, checked, f"power overlap a_{j}^p a_{i}"
-            checked += 1
-            if nc([(j, 1)], tail(i)) != nc(word(nc([(j, 1), (i, 1)])), [(i, p - 1)]):
-                return False, checked, f"power overlap a_{j} a_{i}^p"
-    for i in range(1, n + 1):
-        checked += 1
-        if nc(tail(i), [(i, 1)]) != nc([(i, 1)], tail(i)):
-            return False, checked, f"power overlap a_{i}^p a_{i}"
-    return True, checked, None
+    return _run_words(words, differ)
+
+
+def multiplied_consistency_check(pres: PcPresentation, words):
+    """`naive_consistency_check` with each side a product of two normal
+    forms by `PcPresentation.multiply`: much faster, and independent of the
+    engine's word loops and of its choice of words."""
+    gens, mul = pres.generators, pres.multiply
+
+    def differ(w):
+        lhs, rhs = _sides(w, pair=lambda j, i: mul(gens[j - 1], gens[i - 1]),
+                          power=lambda j: pres.power(gens[j - 1], pres.p - 1),
+                          tail=lambda i: pres.power_tails[i - 1],
+                          letter=lambda g: gens[g - 1])
+        return mul(*lhs) != mul(*rhs)
+
+    return _run_words(words, differ)
 
 
 def layer_spanned(pres, k) -> bool:

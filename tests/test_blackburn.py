@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from pcmax import blackburn, cli
+from pcmax import blackburn, cli, groupfile
 from pcmax.blackburn import (RingModule, abelian_invariants,
                              build_blackburn_pc, build_m_presentation,
                              certify_ring_model, cross_model_check,
@@ -22,6 +22,7 @@ from pcmax.pcgroup import PcPresentation
 
 from .conftest import SEED
 from .oracles import (cross_model_all_pairs, image_generates_group,
+                      multiplied_consistency_check, overlap_words,
                       powering_abelian_invariants, semidirect_commutator,
                       semidirect_invert, semidirect_multiply)
 from .test_autom import _count_calls
@@ -230,6 +231,30 @@ def test_collector_matches_the_semidirect_model(p, n):
         assert tuple(pres.multiply(x, y)) == semidirect_multiply(ring, x, y)
         assert tuple(pres.invert(x)) == semidirect_invert(ring, x)
         assert tuple(pres.commutator(x, y)) == semidirect_commutator(ring, x, y)
+
+
+def test_reference_beyond_64_generators(tmp_path, capsys):
+    # n has no cap: the reference (5,100) collects as the semidirect model,
+    # the short overlap test gives the full test's verdict, and `analyze`
+    # accepts its group file
+    pres = build_blackburn_pc(5, 100)
+    ring = RingModule(5, 100)
+    rng = random.Random(SEED)
+    for _ in range(50):
+        x, y = pres.random_element(rng), pres.random_element(rng)
+        assert tuple(pres.multiply(x, y)) == semidirect_multiply(ring, x, y)
+        assert tuple(pres.commutator(x, y)) == semidirect_commutator(ring, x, y)
+    report = pres.consistency_check()
+    assert report.ok and report.overlaps_checked == len(overlap_words(100, short=True))
+    assert multiplied_consistency_check(pres, overlap_words(100)) == \
+        (True, len(overlap_words(100)), None)
+    path = tmp_path / "reference-5-100.grp"
+    groupfile.dump(pres, path)
+    assert groupfile.load(path).canonical_text() == pres.canonical_text()
+    assert cli.main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "order: 5^100\n" in out
+    assert f"consistency: pass ({report.overlaps_checked} overlaps)\n" in out
 
 
 def test_exponent_relation_exact_everywhere(g57):

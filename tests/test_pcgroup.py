@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,9 @@ from pcmax.pcgroup import Element, PcPresentation
 
 from .conftest import SEED
 from .oracles import (closed_under_conjugation, commutes_pairwise, coset_count,
-                      membership, naive_collect, naive_consistency_check,
-                      subgroup_elements)
+                      is_weighted, membership, multiplied_consistency_check,
+                      naive_collect, naive_consistency_check, overlap_words,
+                      subgroup_elements, weights)
 
 
 def heisenberg(p=5):
@@ -176,7 +178,8 @@ def test_conjugate_power_expansion_matches_oracle(oracle_pres):
     # of the letters of a_j^(a_g) = a_j [a_j, a_g]; collected from the
     # identity they must give (a_j^e)^(a_g) = a_g^-1 a_j^e a_g
     pres = oracle_pres
-    for (j, g), cl in pres._conj_letters.items():
+    for (j, g) in pres.commutator_tails:
+        cl = pres._conj[g - 1][j]
         for e in range(2, pres.p):
             vec = list(pres.identity)
             pres._collect(vec, list(reversed(cl * e)))
@@ -623,10 +626,20 @@ def _corrupted(pres, rng):
     return PcPresentation(p, n, pts, cts)
 
 
+def _kind(failure):
+    """The kind of a failing word, with a_i^p a_i apart from a_j^p a_i."""
+    if re.search(r"a_(\d+)\^p a_\1$", failure):
+        return "power overlap a_#^p a_# (same index)"
+    return re.sub(r"\d+", "#", failure)
+
+
 def test_consistency_check_matches_naive_oracle(g35, g55, g57, m57, nonmetabelian57,
                                                nonmetabelian58):
     # the pinned presentations, the reference 5^12 and 7^8, the pinned
-    # search hits at (5,9) and (7,10), and 15 seeded corruptions of each
+    # search hits at (5,9) and (7,10), and 15 seeded corruptions of each:
+    # the count and the failure equal the naive run of the words the engine
+    # must collect (the short set on a weighted presentation), and the
+    # verdict equals the naive run of the full set
     from pcmax.blackburn import build_blackburn_pc
     from pcmax.search import search_nonmetabelian
 
@@ -644,25 +657,155 @@ def test_consistency_check_matches_naive_oracle(g35, g55, g57, m57, nonmetabelia
     corrupted = [_corrupted(pres, rng) for pres in pinned for _ in range(15)]
     verdicts = []
     kinds = set()
+    short = 0
     for pres in pinned + corrupted:
         report = pres.consistency_check()
+        words = overlap_words(pres.n, short=is_weighted(pres))
+        short += len(words) < len(overlap_words(pres.n))
         assert (report.ok, report.overlaps_checked, report.failure) == \
-            naive_consistency_check(pres)
+            naive_consistency_check(pres, words)
+        assert report.ok == naive_consistency_check(pres, overlap_words(pres.n))[0]
         verdicts.append(report.ok)
         if report.failure:
             kinds.add(re.sub(r"\d+", "#", report.failure))
-    # the corruptions reach both verdicts and three kinds of failing overlap
+    # the corruptions reach both verdicts and three kinds of failing overlap,
+    # and both word sets are run
     assert all(verdicts[:len(pinned)])
     assert not all(verdicts[len(pinned):]) and any(verdicts[len(pinned):])
     assert kinds == {"associativity overlap a_#(a_# a_#)", "power overlap a_#^p a_#",
                      "power overlap a_# a_#^p"}
+    assert 0 < short < len(verdicts)
+
+
+def _search_candidates(p, n, l, count, rng):
+    """`count` candidates of the search's own stream at (p, n, l): a random
+    solution of its linear system assembled onto the reference tails."""
+    from pcmax.blackburn import RingModule, reference_tails
+    from pcmax.homs import row_reduce
+    from pcmax.search import _assemble, _linear_system, _random_solution
+
+    variables, index, rows = _linear_system(p, n, l)
+    rref, pivots = row_reduce(rows, p)
+    base = reference_tails(RingModule(p, n))
+    for _ in range(count):
+        sol = _random_solution(p, len(variables), rref, pivots, rng)
+        pts, cts = _assemble(p, n, l, base, sol, index, rng, rng.random() < 0.25)
+        yield PcPresentation(p, n, pts, cts)
+
+
+def _weighted_slots(n):
+    """(pair, i, c): coordinate c of the tail of a_i^p (pair None) or of
+    [a_j, a_i] with i >= 2, at or above its weight, so that a change there
+    keeps a weighted presentation weighted."""
+    w = weights(n)
+    slots = [(None, i, c) for i in range(1, n + 1) for c in range(w[i] + 2, n + 1)]
+    return slots + [((j, i), None, c) for j in range(3, n + 1) for i in range(2, j)
+                    for c in range(w[j] + w[i] + 1, n + 1)]
+
+
+def _corrupted_at(pres, rng, count):
+    """pres with `count` weighted coordinates moved by nonzero amounts."""
+    p, n = pres.p, pres.n
+    pts = [list(t) for t in pres.power_tails]
+    cts = {pair: list(t) for pair, t in pres.commutator_tails.items()}
+    for pair, i, c in rng.sample(_weighted_slots(n), count):
+        row = pts[i - 1] if pair is None else cts.setdefault(pair, [0] * n)
+        row[c - 1] = (row[c - 1] + rng.randrange(1, p)) % p
+    return PcPresentation(p, n, pts, cts)
+
+
+def _random_weighted(rng, n):
+    """A weighted presentation with the standard chain and each allowed
+    coordinate of the other tails nonzero with probability about 1/2."""
+    p = rng.choice((3, 5, 7))
+    w = weights(n)
+
+    def tail(start):
+        return [rng.randrange(p) if c >= start and rng.random() < 0.5 else 0
+                for c in range(1, n + 1)]
+
+    cts = {(k, 1): [int(c == k + 1) for c in range(1, n + 1)] for k in range(2, n)}
+    cts.update({(j, i): tail(w[j] + w[i] + 1) for j in range(3, n + 1) for i in range(2, j)})
+    return PcPresentation(p, n, [tail(w[i] + 2) for i in range(1, n + 1)], cts)
+
+
+def test_short_and_full_overlap_tests_agree(g35, g55, g57, nonmetabelian57,
+                                            nonmetabelian58):
+    # near-consistent weighted inputs: the search's candidate stream, 2 to 4
+    # weighted coordinates moved in each pinned presentation, and random
+    # weighted inputs with n = 4 and 5; the engine collects the short set
+    # (the count says so) and its verdict equals the full set's, collected
+    # word by word with `multiply`
+    from pcmax.blackburn import build_blackburn_pc
+    from pcmax.search import search_nonmetabelian
+
+    rng = random.Random(SEED)
+    inputs = []
+    for (p, n), count in {(3, 6): 500, (5, 7): 500, (5, 8): 500, (5, 9): 300,
+                          (7, 10): 250, (7, 12): 150}.items():
+        for l in (1, 2):
+            if l < n - 3:
+                inputs += _search_candidates(p, n, l, count, rng)
+    pinned = [g35, g55, g57, nonmetabelian57.pres, nonmetabelian58.pres,
+              build_blackburn_pc(5, 12), build_blackburn_pc(7, 8),
+              search_nonmetabelian(5, 9, seed=1, budget=5000).pres,
+              search_nonmetabelian(7, 10, seed=1, budget=5000).pres]
+    inputs += [_corrupted_at(pres, rng, rng.randrange(2, 5))
+               for pres in pinned for _ in range(60)]
+    inputs += [_random_weighted(rng, n) for n in (4, 5) for _ in range(500)]
+    verdicts = Counter()
+    kinds = set()
+    for pres in inputs:
+        assert is_weighted(pres), pres.canonical_text()
+        report = pres.consistency_check()
+        full = multiplied_consistency_check(pres, overlap_words(pres.n))
+        assert report.ok == full[0], pres.canonical_text()
+        if report.ok:
+            assert report.overlaps_checked == len(overlap_words(pres.n, short=True))
+        else:
+            kinds.add(_kind(report.failure))
+        verdicts[report.ok] += 1
+    assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
+    assert kinds == {"associativity overlap a_#(a_# a_#)", "power overlap a_#^p a_#",
+                     "power overlap a_# a_#^p", "power overlap a_#^p a_# (same index)"}
+
+
+def test_short_test_runs_on_weighted_inputs_only(g57, rescaled58):
+    # n <= 3 and inputs without the standard chain or the weights get the
+    # full set; a check never passes on zero words.  A tail below its
+    # weight makes a standard-chain input inconsistent, as
+    # [gamma_a, gamma_b] <= gamma_{a+b}; the full set names another first
+    # failing word than the short set would
+    def overlaps(pres):
+        report = pres.consistency_check()
+        assert report.ok
+        return report.overlaps_checked
+
+    assert overlaps(g57) == len(overlap_words(7, short=True)) == 24
+    assert overlaps(rescaled58) == len(overlap_words(8)) == 120
+    for n in (1, 2, 3):
+        tails = {(2, 1): (0, 0, 1)} if n == 3 else {}
+        assert overlaps(PcPresentation(5, n, [(0,) * n] * n, tails)) == len(overlap_words(n)) > 0
+    # a_1^p with an a_2 coordinate, and [a_6, a_4] = a_7 below its weight 9
+    a1_power = PcPresentation(5, 4, [(0, 1, 0, 0)] + [(0,) * 4] * 3,
+                              {(2, 1): (0, 0, 1, 0), (3, 1): (0, 0, 0, 1)})
+    light = dict(g57.commutator_tails)
+    light[(6, 4)] = g57.generators[6]
+    light = PcPresentation(5, 7, g57.power_tails, light)
+    assert naive_consistency_check(light, overlap_words(7, short=True)) == \
+        (False, 15, "power overlap a_4 a_2^p")
+    for pres in (a1_power, light):
+        assert not is_weighted(pres)
+        report = pres.consistency_check()
+        assert not report.ok
+        assert (report.ok, report.overlaps_checked, report.failure) == \
+            naive_consistency_check(pres, overlap_words(pres.n))
 
 
 def test_consistency_check_collects_each_product_once(nonmetabelian58, monkeypatch):
     # the products a_j a_i are read off the relations, so there is at most
     # one collection per overlap side
     pres = nonmetabelian58.pres
-    pres.consistency_check()  # fill the conjugate-power cache
     original = PcPresentation._collect
     calls = 0
 
