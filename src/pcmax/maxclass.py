@@ -111,12 +111,21 @@ def degree_of_commutativity(pres: PcPresentation, G1: Subgroup) -> int:
     lies in G_{b+1} <= G_2, where c lies in G_k exactly when c = 1 or its
     leading index exceeds k: w(c) is that index minus 1, and c = 1 lowers
     nothing.
+
+    When x_1 = a_2, that is psi(a_2) = 0 in `compute_G1`, as
+    `standard_generators` and every driver require, [x_1, x_b] =
+    [a_{b+1}, a_2]^-1, and an inverse has the leading index of what it
+    inverts; on a consistent presentation [a_{b+1}, a_2] is its tail, so l
+    is read off the tails without collection.  Otherwise the n - 2
+    commutators are collected.
     """
     n = pres.n
     l = n - 3
     x1 = G1.basis[0]
+    on_tails = x1 == pres.generators[1]
     for b in range(2, n):
-        c = pres.commutator(x1, pres.generators[b])
+        c = (pres.commutator_tail(b + 1, 2) if on_tails
+             else pres.commutator(x1, pres.generators[b]))
         if any(c):
             l = min(l, c.leading_index() - 2 - b)
     if l < 0:

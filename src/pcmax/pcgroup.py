@@ -175,9 +175,12 @@ class PcPresentation:
         #
         # Letters at or above `_abelian_start` commute with each other and
         # with the power tails above them, so they are added in place and
-        # their entries may grow past p; `low` is the lowest such entry
-        # (n + 1 when there is none).  `_carry` reduces them in one pass
-        # before the next letter below `_abelian_start` and at the end.
+        # their entries may grow past p until the one `_carry` at the end;
+        # `low` is the lowest entry that has (n + 1 when there is none).
+        # Below the suffix every entry stays under p.  A suffix entry
+        # a_j^{e_j} with e_j >= p is still a word, so every step below reads
+        # it as one: it commutes with a_g when a_j does, and its conjugate
+        # by a_g is the e_j-th power of that of a_j.
         p = self.p
         n = self.n
         pt = self._pt_letters
@@ -192,9 +195,6 @@ class PcPresentation:
                 if total >= p and g < low:
                     low = g
                 continue
-            if low <= n:
-                self._carry(vec, low)
-                low = n + 1
             rules = conj[g - 1]
             clean = True
             for j in rules:
@@ -224,7 +224,9 @@ class PcPresentation:
             # General step: move a single a_g past the block, replacing each
             # block letter a_j^{e_j} by its conjugate, and push the block back
             # for recollection.  A letter that does not commute with a_g
-            # becomes e_j copies of the letters of a_j^(a_g) = a_j [a_j, a_g].
+            # becomes e_j copies of the letters of a_j^(a_g) = a_j [a_j, a_g];
+            # in the abelian suffix, where those letters commute, one copy
+            # with each exponent times e_j, so the work does not grow with p.
             if e > 1:
                 stack.append((g, e - 1))
             buf = []
@@ -236,8 +238,10 @@ class PcPresentation:
                 cl = rules.get(j)
                 if cl is None:
                     buf.append((j, ej))
-                else:
+                elif ej == 1 or j < abelian_start:
                     buf.extend(cl * ej)
+                else:
+                    buf.extend([(k, ek * ej) for k, ek in cl])
             vec[g - 1] += 1
             overflow = vec[g - 1] == p
             if overflow:
@@ -331,7 +335,8 @@ class PcPresentation:
 
     def consistency_check(self) -> ConsistencyReport:
         """Run the overlap tests of a pc presentation; on a weighted
-        presentation with definitions, only those of weight at most n - 1.
+        presentation with definitions, only those of weight at most n - 1
+        whose last letter is a defining generator, a_1 or a_2.
 
         The test words and their two sides are
 
@@ -359,8 +364,8 @@ class PcPresentation:
         definition of a_{k+1}.
 
         Lemma.  A weighted presentation is consistent exactly when its
-        words of weight <= n - 1 collect equally, the associativity words
-        a_k (a_j a_i) with i >= 3 left out.
+        words of weight <= n - 1 whose last letter is a defining generator
+        collect equally: of each kind, the words with i <= 2.
 
         Proof.  "Only if" holds for any set of words.  For "if", let P_m be
         the truncation to a_1, ..., a_m, the presentation of G/Gamma_{m+1}
@@ -374,12 +379,12 @@ class PcPresentation:
         above, P_{m+1} is consistent once each of its test words meets.
 
         (1) Truncating a collection gives a collection.  Each step of a
-        collection in P applies relations; an in-place addition or a carry
-        in the abelian suffix applies trivial commutator relations and
-        power relations.  Cut to the first m + 1 letters, a step applies
-        the truncated relation of P_{m+1}, or nothing when a letter above
-        m + 1 is involved, since every tail lies above the indices of its
-        relation.  So the collection of a test word in P, cut to m + 1
+        collection in P applies relations; an in-place addition, a scaled
+        conjugate or a carry in the abelian suffix applies trivial
+        commutator relations and power relations.  Cut to the first m + 1
+        letters, a step applies the truncated relation of P_{m+1}, or
+        nothing when a letter above m + 1 is involved, since every tail
+        lies above the indices of its relation.  So the collection of a test word in P, cut to m + 1
         letters, is a complete collection of the same word in P_{m+1}, and
         one run on P serves every step.
 
@@ -408,9 +413,27 @@ class PcPresentation:
         *An aspect of the nilpotent quotient algorithm*, 1984; Holt, Eick
         & O'Brien, *Handbook of Computational Group Theory*, 2005, 9.4).
 
+        (4) A power word a_j^p a_i, a_j (a_i^p) or a_i^p a_i with i >= 3
+        and weight <= m follows from the others, by induction on i.  In
+        P_{m+1} both sides of a word differ at most in z, and by a power
+        of z, so each word gives one F_p-linear condition on the z
+        coordinates of the relations.  a_i = [a_{i-1}, a_1] is the
+        definition of a_i, so its power relation is not a free datum:
+        written with a_i = a_{i-1}^-1 a_1^-1 a_{i-1} a_1, each step of
+        either side of the word is a step of a word whose last letter is
+        a_{i-1} or a_1, or of an associativity word, each of weight at
+        most that of the word, as weights add under commutators.  So the
+        condition of the word is a combination of theirs, and it holds
+        once they do, as in Vaughan-Lee's argument for (3).  The tests
+        compare this with an exact cover step: at every level of the
+        pinned inputs, the conditions of the short set have the rank of
+        those of the full set.  The associativity words with i = 2 are
+        needed: a 7^8 input, pinned in the tests, passes every other short
+        word and fails a_4 (a_3 a_2).
+
         By (1), the short test on P makes every word of P_{m+1} of weight
-        <= m with i <= 2 meet, and by (2) and (3) the others meet too.  So
-        P_{m+1} is consistent, and induction up to m + 1 = n gives P.
+        <= m with i <= 2 meet, and by (2), (3) and (4) the others meet too.
+        So P_{m+1} is consistent, and induction up to m + 1 = n gives P.
 
         Any presentation that is not weighted, n <= 3 included, where the
         short set is empty, gets the full set.  Both run in the same loop,
@@ -432,11 +455,11 @@ class PcPresentation:
         gens = self.generators
         tails = self.power_tails
         # w[k] is the weight of a_k; `top` bounds the weight of a word
-        # collected, and associativity words take i < i_end
+        # collected, and its last letter a_i has i < i_end
         w = (0, 1) + tuple(range(1, n))
         short = (n >= 4 and self._standard_chain and not any(tails[0][:2])
                  and all(not any(t[:j + i - 2]) for (j, i), t in cts.items() if i >= 3))
-        top, i_end = (n - 1, 3) if short else (3 * n, n)
+        top, i_end = (n - 1, 3) if short else (3 * n, n + 1)
 
         def letters(vec):
             # the stack of a normal form: its letters, leftmost on top
@@ -477,7 +500,7 @@ class PcPresentation:
                             False, checked, f"associativity overlap a_{k}(a_{j} a_{i})"
                         )
         for j in range(2, n + 1):
-            for i in range(1, j):
+            for i in range(1, min(j, i_end)):
                 if w[j] + w[i] + 1 > top:
                     break
                 ji, ji_letters = prod(j, i)
@@ -487,7 +510,7 @@ class PcPresentation:
                 checked += 1
                 if side(gens[j - 1], tail[i - 1]) != side(ji, pm1[i - 1]):
                     return ConsistencyReport(False, checked, f"power overlap a_{j} a_{i}^p")
-        for i in range(1, n + 1):
+        for i in range(1, i_end):
             if 2 * w[i] + 1 > top:
                 break
             checked += 1

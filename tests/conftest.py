@@ -115,6 +115,24 @@ def a2_outside_G1_58(g58):
     return PcPresentation(g58.p, n, power_tails, tails)
 
 
+@pytest.fixture(scope="session")
+def assoc_i2_78():
+    """A weighted 7^8 with the standard chain that passes every word of the
+    short overlap set (weight <= 7, last index <= 2) except the
+    associativity words a_k (a_j a_2), and fails a_4 (a_3 a_2): a_1^7 =
+    a_8^6, a_2^7 = a_8^5, and the tails below."""
+    p, n = 7, 8
+
+    def tail(**exps):  # tail(a7=5, a8=3) is a_7^5 a_8^3
+        return [exps.get(f"a{c}", 0) for c in range(1, n + 1)]
+
+    tails = {(k, 1): tail(**{f"a{k + 1}": 1}) for k in range(2, n)}
+    tails.update({(3, 2): tail(a7=5, a8=3), (4, 2): tail(a7=6), (4, 3): tail(a7=1, a8=5),
+                  (5, 2): tail(a7=6, a8=5), (5, 3): tail(a8=3), (5, 4): tail(a8=5),
+                  (6, 2): tail(a8=1), (6, 3): tail(a8=2), (7, 2): tail(a8=5)})
+    return PcPresentation(p, n, [tail(a8=6), tail(a8=5)] + [tail()] * (n - 2), tails)
+
+
 @pytest.fixture()
 def rng():
     return random.Random(SEED)

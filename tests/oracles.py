@@ -38,6 +38,12 @@ of two normal forms by `PcPresentation.multiply`: it shares the collector
 but not the overlap test's loops or its choice of words, and is fast enough
 to compare the short and the full set on thousands of inputs.
 
+`cover_step_rows` is the exact evidence for the short overlap test: it
+writes the cover step of one level as a linear system over F_p, one row
+per word, from collections in a presentation with one central generator
+per unknown tail coordinate, and `rank_mod_p` ranks it by its own
+elimination.
+
 `zero_derivation` and `is_zero` are not oracles but test helpers the
 package has no use for.
 """
@@ -143,18 +149,17 @@ def overlap_words(n, short=False):
     `PcPresentation.consistency_check` collects them: ("assoc", k, j, i)
     for a_k (a_j a_i), ("power", j, i) for a_j^p a_i, ("powered", j, i) for
     a_j a_i^p and ("self", i) for a_i^p a_i.  With `short`, only the words
-    of weight <= n - 1, and of the associativity words only those with
-    i <= 2."""
+    of weight <= n - 1 whose last index i is at most 2."""
     w = weights(n)
-    top = n - 1 if short else 3 * n
+    top, last = (n - 1, 2) if short else (3 * n, n)
     words = [("assoc", k, j, i) for k in range(3, n + 1) for j in range(2, k)
-             for i in range(1, j)
-             if w[k] + w[j] + w[i] <= top and (i <= 2 or not short)]
+             for i in range(1, j) if w[k] + w[j] + w[i] <= top and i <= last]
     for j in range(2, n + 1):
         for i in range(1, j):
-            if w[j] + w[i] + 1 <= top:
+            if w[j] + w[i] + 1 <= top and i <= last:
                 words += [("power", j, i), ("powered", j, i)]
-    return words + [("self", i) for i in range(1, n + 1) if 2 * w[i] + 1 <= top]
+    return words + [("self", i) for i in range(1, n + 1)
+                    if 2 * w[i] + 1 <= top and i <= last]
 
 
 _FAILURE = {
@@ -234,6 +239,90 @@ def multiplied_consistency_check(pres: PcPresentation, words):
         return mul(*lhs) != mul(*rhs)
 
     return _run_words(words, differ)
+
+
+def cover_step_unknowns(pres: PcPresentation, m):
+    """The relations of P_{m+1}, the truncation of `pres` to a_1, ...,
+    a_{m+1}, whose a_{m+1} coordinate is free when P_{m+1} is to stay
+    weighted: ("power", i) for a_i^p with w_i + 1 <= m and ("comm", j, i)
+    for [a_j, a_i] with 2 <= i < j <= m and w_j + w_i <= m.  The other
+    relations [a_j, a_1] are the definitions a_{j+1} = [a_j, a_1]."""
+    w = weights(m + 1)
+    return ([("power", i) for i in range(1, m + 1) if w[i] + 1 <= m]
+            + [("comm", j, i) for j in range(3, m + 1) for i in range(2, j)
+               if w[j] + w[i] <= m])
+
+
+def rank_mod_p(rows, p) -> int:
+    """The rank of the rows over F_p, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] % p:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def cover_step_rows(pres: PcPresentation, m, *word_sets):
+    """The cover step's linear system on each word set, one row
+    (d_1, ..., d_R, d_z) per word.
+
+    The cover step extends P_m, the truncation of `pres` to a_1, ..., a_m,
+    which must be consistent, by z = a_{m+1} = [a_m, a_1].  Its unknowns
+    t_r are the z coordinates of the `cover_step_unknowns`; every other
+    relation keeps the z coordinate `pres` gives it.  Each unknown becomes
+    a central generator z_r of a presentation P* on a_1, ..., a_m, z and
+    the z_r, where relation r has the tail of `pres` cut to a_1, ..., a_m,
+    times z_r.  Both sides of a word of P_{m+1} (see `overlap_words`) are
+    collected in P* by `multiply`; they agree on a_1, ..., a_m, as P_m is
+    consistent, and the difference d of their z and z_r coordinates is the
+    affine condition d_z + sum_r d_r t_r = 0 under which the word meets in
+    P_{m+1}.  Sending z_r to z^{t_r} maps the collection to one in P_{m+1},
+    so the conditions of the full set cut out exactly the tails for which
+    P_{m+1} is consistent.  A subset of words whose rows have the full
+    set's `rank_mod_p` has the same solutions.
+    """
+    p = pres.p
+    unknowns = cover_step_unknowns(pres, m)
+    slot = {rel: m + 1 + r for r, rel in enumerate(unknowns)}
+    size = m + 1 + len(unknowns)
+
+    def tail(vec, rel):
+        out = list(vec[:m]) + [0] * (size - m)
+        if rel in slot:
+            out[slot[rel]] = 1
+        else:
+            out[m] = vec[m]  # a definition: [a_m, a_1] = z, others 0
+        return out
+
+    cover = PcPresentation(
+        p, size,
+        [tail(pres.power_tails[i - 1], ("power", i)) for i in range(1, m + 1)]
+        + [(0,) * size] * (size - m),
+        {(j, i): tail(pres.commutator_tail(j, i), ("comm", j, i))
+         for j in range(2, m + 1) for i in range(1, j)})
+    gens, mul = cover.generators, cover.multiply
+
+    def row(word):
+        lhs, rhs = _sides(word, pair=lambda j, i: mul(gens[j - 1], gens[i - 1]),
+                          power=lambda j: cover.power(gens[j - 1], p - 1),
+                          tail=lambda i: cover.power_tails[i - 1],
+                          letter=lambda g: gens[g - 1])
+        a, b = mul(*lhs), mul(*rhs)
+        assert a[:m] == b[:m], word
+        d = [(x - y) % p for x, y in zip(a[m:], b[m:])]
+        return d[1:] + d[:1]
+
+    return tuple([row(word) for word in words] for words in word_sets)
 
 
 def layer_spanned(pres, k) -> bool:

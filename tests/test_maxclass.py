@@ -241,13 +241,16 @@ def test_degree_of_commutativity_metabelian(g57, g35):
         assert degree_of_commutativity(pres, compute_G1(pres)) == expect
 
 
-def test_degree_of_commutativity_matches_brute_force(structure_inputs):
+def test_degree_of_commutativity_matches_brute_force(structure_inputs, a2_outside_G1_58):
     # l from the n - 2 commutators [x_1, x_b] and "metabelian" read off the
     # tails must match the brute-force l over all pairs and a pairwise
     # commuting basis of G_2,
     # over the series computed by normal closures.  Seeded random groups of maximal class add inputs on which
     # only the commutators [x_1, x_b] with G_1 pin l; the pinned search hits
-    # and more reference groups add deeper inputs of both verdicts.
+    # and more reference groups add deeper inputs of both verdicts.  l is
+    # read off the tails [a_{b+1}, a_2] when x_1 = a_2 and collected
+    # otherwise, as on the rebased inputs and on `a2_outside_G1_58`; both
+    # paths run.
     from pcmax.search import search_nonmetabelian
 
     from .test_search import PINNED_HITS
@@ -265,9 +268,11 @@ def test_degree_of_commutativity_matches_brute_force(structure_inputs):
     references = [build_blackburn_pc(p, n)
                   for p, n in ((3, 4), (5, 12), (7, 8), (7, 10), (11, 13))]
     verdicts = set()
-    for pres in [*structure_inputs, *random_groups, *hits, *references]:
+    on_tails = Counter()
+    for pres in [*structure_inputs, *random_groups, *hits, *references, a2_outside_G1_58]:
         series = pres.lower_central_series()
         G1 = compute_G1(pres)
+        on_tails[G1.basis[0] == pres.generators[1]] += 1
         fast = degree_of_commutativity(pres, G1)
         assert fast == brute_degree_of_commutativity(pres, series, G1), pres
         profile = build_profile(validate_maximal_class(pres))
@@ -275,9 +280,11 @@ def test_degree_of_commutativity_matches_brute_force(structure_inputs):
         assert profile.metabelian == commutes_pairwise(series.term(2)), pres
         verdicts.add(profile.metabelian)
     assert verdicts == {True, False}
+    assert on_tails[True] and on_tails[False], on_tails
 
 
-def test_structure_reads_tails_and_few_commutators(nonmetabelian58, monkeypatch):
+def test_structure_reads_tails_and_few_commutators(nonmetabelian58, a2_outside_G1_58,
+                                                   monkeypatch):
     pres = nonmetabelian58.pres
     n = pres.n
     calls = Counter()
@@ -291,14 +298,19 @@ def test_structure_reads_tails_and_few_commutators(nonmetabelian58, monkeypatch)
         monkeypatch.setattr(PcPresentation, name, counting)
     G1 = compute_G1(pres)
     assert calls == {}
+    # a_2 is x_1, so l is read off the tails [a_{b+1}, a_2]
     assert degree_of_commutativity(pres, G1) == 2
-    # only the commutators [x_1, x_b]; no other pair can lower l
-    assert calls["commutator"] <= n - 2
+    assert calls == {}
     # "metabelian" is read off the tails too, and the chain is the generator
-    # sequence: build_profile adds no commutator to those of l
-    calls.clear()
+    # sequence: build_profile collects nothing
     assert not build_profile(validate_maximal_class(pres)).metabelian
-    assert calls["commutator"] <= n - 2
+    assert calls == {}
+    # with a_2 outside G_1, only the commutators [x_1, x_b]; no other pair
+    # can lower l
+    G1 = compute_G1(a2_outside_G1_58)
+    assert G1.basis[0] != a2_outside_G1_58.generators[1]
+    degree_of_commutativity(a2_outside_G1_58, G1)
+    assert 0 < calls["commutator"] <= n - 2
 
 
 def test_nonmetabelian_fixture_dc(nm_profile58):

@@ -13,8 +13,9 @@ from pcmax.pcgroup import Element, PcPresentation
 
 from .conftest import SEED
 from .oracles import (closed_under_conjugation, commutes_pairwise, coset_count,
-                      is_weighted, membership, multiplied_consistency_check,
-                      naive_collect, naive_consistency_check, overlap_words,
+                      cover_step_rows, cover_step_unknowns, is_weighted, membership,
+                      multiplied_consistency_check, naive_collect,
+                      naive_consistency_check, overlap_words, rank_mod_p,
                       subgroup_elements, weights)
 
 
@@ -781,7 +782,7 @@ def test_short_test_runs_on_weighted_inputs_only(g57, rescaled58):
         assert report.ok
         return report.overlaps_checked
 
-    assert overlaps(g57) == len(overlap_words(7, short=True)) == 24
+    assert overlaps(g57) == len(overlap_words(7, short=True)) == 21
     assert overlaps(rescaled58) == len(overlap_words(8)) == 120
     for n in (1, 2, 3):
         tails = {(2, 1): (0, 0, 1)} if n == 3 else {}
@@ -800,6 +801,64 @@ def test_short_test_runs_on_weighted_inputs_only(g57, rescaled58):
         assert not report.ok
         assert (report.ok, report.overlaps_checked, report.failure) == \
             naive_consistency_check(pres, overlap_words(pres.n))
+
+
+def test_associativity_words_with_i_2_are_needed(assoc_i2_78):
+    # the pinned 7^8 passes every word of the short set but the
+    # associativity words with i = 2, so no smaller set ending in a_1 or
+    # in a_1 and the power words with i = 2 certifies consistency; in its
+    # cover step onto a_8 the words ending in a_1 have a smaller rank
+    pres = assoc_i2_78
+    assert is_weighted(pres)
+    short = overlap_words(8, short=True)
+    ends_in_1 = [w for w in short if w[-1] == 1]
+    no_assoc_2 = [w for w in short if w[0] != "assoc" or w[-1] == 1]
+    assert naive_consistency_check(pres, ends_in_1) == (True, 17, None)
+    assert multiplied_consistency_check(pres, no_assoc_2) == (True, 26, None)
+    failure = (False, 4, "associativity overlap a_4(a_3 a_2)")
+    assert tuple(pres.consistency_check()) == failure
+    assert naive_consistency_check(pres, short) == failure
+    assert naive_consistency_check(pres, overlap_words(8)) == failure
+    rows = cover_step_rows(pres, 7, ends_in_1, short, overlap_words(8))
+    assert [rank_mod_p(r, 7) for r in rows] == [11, 12, 12]
+
+
+def _cover_step_tails(pres, m):
+    """The a_{m+1} coordinates of the `cover_step_unknowns` in `pres`."""
+    return [pres.power_tails[rel[1] - 1][m] if rel[0] == "power"
+            else pres.commutator_tail(rel[1], rel[2])[m]
+            for rel in cover_step_unknowns(pres, m)]
+
+
+def test_short_set_has_the_rank_of_the_full_set_in_every_cover_step(
+        nonmetabelian57, nonmetabelian58, assoc_i2_78):
+    # exact evidence for the lemma of `consistency_check`: at every level m
+    # of these inputs, the conditions that the short words of P_{m+1} put
+    # on the a_{m+1} coordinates of its relations have the rank of the full
+    # set's, so they admit the same tails.  Each input's own tails solve
+    # the full system wherever its truncation P_{m+1} is consistent, that
+    # is everywhere but at the top of the 7^8
+    from pcmax.blackburn import build_blackburn_pc
+    from pcmax.search import search_nonmetabelian
+
+    inputs = [build_blackburn_pc(p, n) for p, n in
+              [(3, n) for n in range(5, 10)] + [(5, n) for n in range(7, 11)]
+              + [(7, n) for n in range(8, 11)]]
+    inputs += [nonmetabelian57.pres, nonmetabelian58.pres, assoc_i2_78,
+               search_nonmetabelian(5, 9, seed=1, budget=5000).pres,
+               search_nonmetabelian(7, 10, seed=1, budget=5000).pres]
+    levels = 0
+    for pres in inputs:
+        p = pres.p
+        for m in range(3, pres.n):
+            short, full = cover_step_rows(pres, m, overlap_words(m + 1, short=True),
+                                          overlap_words(m + 1))
+            assert 0 < rank_mod_p(short, p) == rank_mod_p(full, p), (pres, m)
+            t = _cover_step_tails(pres, m) + [1]
+            met = [not sum(a * b for a, b in zip(row, t)) % p for row in full]
+            assert all(met) == (pres is not assoc_i2_78 or m < 7), (pres, m)
+            levels += 1
+    assert levels == 87
 
 
 def test_consistency_check_collects_each_product_once(nonmetabelian58, monkeypatch):
