@@ -59,20 +59,18 @@ def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
     """The automorphism s -> s*u, s_1 -> s_1*v for u, v in the target term.
 
     Built through the derivation calculus and certified; raises
-    HomCheckFailed when the images do not extend (drivers convert that
-    into a theorem violation).
+    HomCheckFailed when the images do not extend.
     """
-    target = target or profile.A
-    d = make_derivation(pres, target, u, v)
-    alpha = one_plus(d)
-    return GroupMap(pres, alpha.images, alpha.kind, derivation=d)
+    return one_plus(make_derivation(pres, target or profile.A, u, v))
 
 
 class AutFamily(NamedTuple):
     """phi_{u,v} over G_k x G_k, or 1 x G_k when it fixes s, certified by
     the module argument, which needs [G_2, G_k] = 1, from the members on
-    (s_k, 1) and (1, s_k), or on (1, s_k); the others are never built."""
+    (s_k, 1) and (1, s_k), or on (1, s_k); the others are never built.
+    members[i] is one_plus(derivations[i])."""
 
+    derivations: tuple
     members: tuple
     claimed_order_exponent: int
     detail: str               # the certificate, as a report prints it
@@ -93,17 +91,17 @@ def certify_family(pres: PcPresentation, profile: MaxClassProfile, k: int,
     why = "= 1 in the abelian G_2" if profile.metabelian else f"<= G_{k + l + 2} = 1"
     target, one, s_k = profile.G(k), pres.identity, pres.generators[k]
     pairs = ((one, s_k),) if fixes_s else ((s_k, one), (one, s_k))
-    members = []
+    derivations = []
     for u, v in pairs:
         try:
-            members.append(phi(pres, profile, u, v, target=target))
+            derivations.append(make_derivation(pres, target, u, v))
         except HomCheckFailed as exc:
             raise TheoremViolation(
                 f"a generator pair does not extend: images u={tuple(u)}, v={tuple(v)} "
                 f"do not extend to an endomorphism ({exc.relation})") from exc
     exponent = len(pairs) * target.order_exponent
     on = f"(1, s_{k})" if fixes_s else f"(s_{k}, 1) and (1, s_{k})"
-    return AutFamily(tuple(members), exponent, (
+    return AutFamily(tuple(derivations), tuple(map(one_plus, derivations)), exponent, (
         f"all {pres.p ** exponent} pairs: phi extends on {on}; the extending pairs "
         f"form a subgroup kept by x -> x^s, a module endomorphism of G_{k} as "
         f"[G_2, G_{k}] {why}, and s_{k} generates G_{k} under it (s_{{i+1}} = "
@@ -343,7 +341,7 @@ def verify_thm_main2(pres: PcPresentation,
     Gt = profile.G(t)
     fam = certify_family(pres, profile, t)
     checks = [CheckResult("Gt-family-validated", True, fam.detail)]
-    kernel_ok = all(kernel_contains(m.derivation, Gt) for m in fam.members)
+    kernel_ok = all(kernel_contains(d, Gt) for d in fam.derivations)
     checks.append(CheckResult(
         "kernel-contains-Gt", kernel_ok,
         f"G_{t} lies in the kernel of the derivations on (s_{t}, 1) and "

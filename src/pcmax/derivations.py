@@ -42,19 +42,6 @@ class Derivation:
         self.v = v  # value on a_2
         self.alpha = alpha
 
-    def __call__(self, g: Element) -> Element:
-        return evaluate(self, g)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Derivation)
-            and self.pres is other.pres
-            and self.alpha.images == other.alpha.images
-        )
-
-    def __hash__(self):
-        return hash((id(self.pres), self.alpha.images))
-
     def __repr__(self) -> str:
         return f"Derivation(u={self.u}, v={self.v})"
 
@@ -88,8 +75,7 @@ def make_derivation(pres: PcPresentation, target: Subgroup, u: Element,
               pres.multiply(pres.generators[1], v)]
     for _ in range(2, pres.n):
         images.append(pres.commutator(images[-1], images[0]))
-    alpha = check_homomorphism(pres, images, chain_derived=True)
-    return Derivation(pres, target, u, v, alpha)
+    return Derivation(pres, target, u, v, check_homomorphism(pres, images))
 
 
 def evaluate(d: Derivation, g: Element) -> Element:

@@ -20,10 +20,10 @@ _KINDS = ("unvalidated", "homomorphism", "endomorphism", "automorphism")
 
 
 class GroupMap:
-    __slots__ = ("domain", "codomain", "images", "kind", "derivation")
+    __slots__ = ("domain", "codomain", "images", "kind")
 
     def __init__(self, domain: PcPresentation, images, kind="unvalidated",
-                 codomain: PcPresentation | None = None, derivation=None):
+                 codomain: PcPresentation | None = None):
         self.domain = domain
         self.codomain = codomain or domain
         images = tuple(images)
@@ -31,12 +31,10 @@ class GroupMap:
             raise PresentationError("one image per generator is required")
         self.images = images
         self.kind = kind
-        self.derivation = derivation
 
     def _with_kind(self, kind: str) -> "GroupMap":
         """The same map, with the same images, in another validation state."""
-        return GroupMap(self.domain, self.images, kind, codomain=self.codomain,
-                        derivation=self.derivation)
+        return GroupMap(self.domain, self.images, kind, codomain=self.codomain)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -68,39 +66,20 @@ class GroupMap:
     def is_identity(self) -> bool:
         return self.domain is self.codomain and self.images == self.domain.generators
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupMap)
-            and self.domain is other.domain
-            and self.codomain is other.codomain
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((id(self.domain), id(self.codomain), self.images))
-
     def __repr__(self) -> str:
         return f"GroupMap(kind={self.kind}, images={list(self.images)})"
 
 
 def check_homomorphism(domain: PcPresentation, images,
-                       codomain: PcPresentation | None = None,
-                       chain_derived: bool = False) -> GroupMap:
-    """Verify all defining relations under the substitution a_i -> images[i].
+                       codomain: PcPresentation | None = None) -> GroupMap:
+    """Verify every defining relation under the substitution a_i -> images[i].
 
     Returns a map of kind homomorphism/endomorphism; raises HomCheckFailed
     naming the first violated relation.
-
-    `chain_derived` may be set by callers that computed images[i] for i >= 2
-    as commutator(images[i-1], images[0]) on a presentation satisfying the
-    standard chain convention [a_i, a_1] = a_{i+1}: the relation checks for
-    those pairs would recompute the defining expression and compare it with
-    itself, so they are skipped.  All other relations are still checked.
     """
     gmap = GroupMap(domain, images, codomain=codomain)
     cod = gmap.codomain
     p = domain.p
-    skip_chain = chain_derived and cod is domain and domain.has_standard_chain()
     for i in range(1, domain.n + 1):
         lhs = cod.power(gmap.images[i - 1], p)
         rhs = gmap.evaluate(domain.power_tails[i - 1])
@@ -108,8 +87,6 @@ def check_homomorphism(domain: PcPresentation, images,
             raise HomCheckFailed(f"a_{i}^p = tail")
     for j in range(2, domain.n + 1):
         for i in range(1, j):
-            if skip_chain and i == 1 and j < domain.n:
-                continue
             lhs = cod.commutator(gmap.images[j - 1], gmap.images[i - 1])
             tail = domain.commutator_tails.get((j, i))
             rhs = gmap.evaluate(tail) if tail is not None else cod.identity

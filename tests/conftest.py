@@ -133,6 +133,24 @@ def assoc_i2_78():
     return PcPresentation(p, n, [tail(a8=6), tail(a8=5)] + [tail()] * (n - 2), tails)
 
 
+@pytest.fixture(scope="session")
+def l1_58():
+    """The 5^8 of maximal class with l = 1 from ROADMAP item 1, at the top
+    of its fixed-l branch: a_1^5 = 1, a_2^5 = a_6^4 a_7^2, a_3^5 = a_7^4 a_8^2,
+    a_4^5 = a_8^4, the chain [a_k, a_1] = a_{k+1}, and the tails below;
+    every other relation is trivial.  [a_3, a_2] = a_5 gives l <= 1."""
+    p, n = 5, 8
+
+    def tail(**exps):  # tail(a7=4, a8=2) is a_7^4 a_8^2
+        return [exps.get(f"a{c}", 0) for c in range(1, n + 1)]
+
+    tails = {(k, 1): tail(**{f"a{k + 1}": 1}) for k in range(2, n)}
+    tails.update({(3, 2): tail(a5=1), (4, 2): tail(a6=1, a7=2, a8=3),
+                  (4, 3): tail(a7=3, a8=4), (5, 2): tail(a7=3), (5, 3): tail(a8=3)})
+    powers = [tail(), tail(a6=4, a7=2), tail(a7=4, a8=2), tail(a8=4)]
+    return PcPresentation(p, n, powers + [tail()] * (n - 4), tails)
+
+
 @pytest.fixture()
 def rng():
     return random.Random(SEED)

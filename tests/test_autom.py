@@ -59,11 +59,11 @@ def test_certify_automorphism_leaves_its_argument_unchanged(g57, profile57, rng)
     assert auto is not gmap and auto.kind == "automorphism"
     assert gmap.kind == "endomorphism"
     # the same through the Frattini route that one_plus takes, and phi
-    # carries its derivation from construction on
+    # is one_plus of the derivation with the same (u, v)
     d = make_derivation(g57, profile57.A, profile57.A.random_element(rng), g57.identity)
     assert one_plus(d).kind == "automorphism"
     assert d.alpha.kind == "endomorphism"
-    assert phi(g57, profile57, d.u, d.v).derivation.u == d.u
+    assert phi(g57, profile57, d.u, d.v).images == one_plus(d).images
 
 
 def test_generator_swap_fails_hom_check(g57):
@@ -319,7 +319,7 @@ def test_gt_family_is_abelian_and_normal_by_enumeration(g35, profile35):
     # inner automorphisms of s and s_1 keeps the family
     Gt = profile35.G(profile35.t)
     fam = certify_family(g35, profile35, profile35.t)
-    assert all(kernel_contains(m.derivation, Gt) for m in fam.members)
+    assert all(kernel_contains(d, Gt) for d in fam.derivations)
     family = certificate_matches_oracle(g35, profile35, profile35.t)
     assert len(family) == 81
     mul = g35.multiply
@@ -369,7 +369,8 @@ def test_certificate_validates_the_two_module_generators(p, n, fixes_s, monkeypa
     assert profile.r == 2 and profile.G(2).order_exponent == n - 2
     one, s_2 = pres.identity, pres.generators[2]
     pairs = ((one, s_2),) if fixes_s else ((s_2, one), (one, s_2))
-    assert tuple((m.derivation.u, m.derivation.v) for m in fam.members) == pairs
+    assert tuple((d.u, d.v) for d in fam.derivations) == pairs
+    assert [m.images for m in fam.members] == [one_plus(d).images for d in fam.derivations]
     assert calls == {"check_homomorphism": len(pairs)}
     assert fam.claimed_order_exponent == len(pairs) * (n - 2)
     assert basis_pairs_extend(pres, profile.G(2))
@@ -566,9 +567,12 @@ def test_phi_group_iso_against_summed_derivations(g57, profile57, rng):
     for _ in range(10):
         u1, v1 = Gt.random_element(rng), Gt.random_element(rng)
         u2, v2 = Gt.random_element(rng), Gt.random_element(rng)
+        d1 = make_derivation(g57, Gt, u1, v1)
+        d2 = make_derivation(g57, Gt, u2, v2)
         m1 = phi(g57, profile57, u1, v1, target=Gt)
         m2 = phi(g57, profile57, u2, v2, target=Gt)
-        summed = der_add(m1.derivation, m2.derivation)
+        assert (m1.images, m2.images) == (one_plus(d1).images, one_plus(d2).images)
+        summed = der_add(d1, d2)
         assert m1.then(m2).images == one_plus(summed).images
 
 

@@ -371,6 +371,43 @@ def test_drivers_refuse_a2_outside_G1(a2_outside_G1_58, tmp_path, capsys):
         assert (code, out) == (4, "bad input: no generator in G_1 outside G_2\n")
 
 
+def test_l1_58_pins_the_drivers_known_verdicts(l1_58, tmp_path, capsys):
+    """The l = 1 5^8 is valid, and both theorem drivers print
+    `theorem-violation` on it and exit 2.  That verdict is ROADMAP item 1's
+    known defect, not a counterexample: counting |Aut G| as the orbit of
+    a_1 times its stabiliser gives 5^10, Juhász's bound, where main1's
+    route reaches 5^9 and its `degree-bound` line fails.  Item 1 changes
+    these verdicts on purpose."""
+    from pcmax.maxclass import build_profile, compute_G1, validate_maximal_class
+
+    from .oracles import (brute_degree_of_commutativity, naive_consistency_check,
+                          overlap_words)
+
+    pres = l1_58
+    assert pres.digest() == \
+        "ff150f85c7ed1b78cf6d93e143632f8421517992e79a5b30edbc0efd0bf8e214"
+    assert tuple(pres.consistency_check()) == (True, 28, None)
+    assert naive_consistency_check(pres, overlap_words(8)) == (True, 120, None)
+    profile = build_profile(validate_maximal_class(pres))
+    brute = brute_degree_of_commutativity(pres, pres.lower_central_series(), compute_G1(pres))
+    assert (brute, profile.l, profile.metabelian) == (1, 1, False)
+    runs = _cli_runs(pres, tmp_path / "l1_58.grp", capsys)
+    code, out = runs["analyze"]
+    assert code == 0 and "maximal-class: yes\n" in out and "metabelian: no\n" in out
+    assert runs["metabelian"] == (3, "refused: input group is not metabelian\n")
+    code, out = runs["main1"]
+    assert code == 2 and out.endswith("result: theorem-violation\n")
+    assert "achieved-exponent: 9\nrequired-exponent: 10\n" in out
+    assert [ln for ln in out.splitlines() if ": FAIL" in ln] == [
+        "check degree-bound: FAIL (2l = 2 >= n - 2p + 5 = 3)",
+        "check bound: FAIL (c = (n-1) + (n-r) = 9 >= 10)"]
+    code, out = runs["main2"]
+    assert code == 2 and out.endswith("result: theorem-violation\n")
+    assert [ln for ln in out.splitlines() if ": FAIL" in ln] == [
+        "check bound: FAIL (2(n-t) = 4 >= n - 2p + 7 = 5)"]
+    assert "achieved-exponent: 4\nrequired-exponent: 5\n" in out
+
+
 def test_verify_inconsistent_exit_4(tmp_path, g57):
     text = groupfile.dumps(g57).replace(
         "comm 3 1 : 0 0 0 1 0 0 0", "comm 3 1 : 0 0 0 0 1 0 0")
