@@ -1,10 +1,22 @@
-"""Command-line interface.
+"""The pcmax command line: build group files, analyze them and certify the
+automorphism bounds of p-groups of maximal class.
 
-    pcmax build --p 5 --n 7 -o g.grp        write the reference group file
-    pcmax analyze g.grp                      order, class, l, r, t, series
-    pcmax verify main1 g.grp                 run a theorem driver
-    pcmax selftest                           quick property battery
-    pcmax export --p 5 --n 7                 ring-model tables
+usage:
+    pcmax build --p P --n N [-o OUT]
+    pcmax analyze [--seed SEED] path
+    pcmax verify [--seed SEED] [--timings] {metabelian,main1,main2} path
+    pcmax selftest [--seed SEED]
+    pcmax export --p P --n N [-o OUT]
+    pcmax --version
+
+    build      write the reference group file, to OUT or standard output
+    analyze    order, class, l, r, t and series of a group file
+    verify     run a theorem driver; --timings prints the elapsed time
+    selftest   quick property battery
+    export     the ring-model tables, to OUT or standard output
+
+-h or --help prints this text; after a verb, that verb's usage line.  An
+option may be written --opt=value or shortened to a unique prefix.
 
 Reports go to standard output and are byte-identical across runs with the
 same seed; timings go to standard error.  Every check in a verify report is
@@ -21,7 +33,6 @@ written, 2 theorem violation or failed selftest, 3 precondition refusal,
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -36,66 +47,156 @@ EXIT_VIOLATION = 2
 EXIT_REFUSED = 3
 EXIT_BAD_INPUT = 4
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pcmax", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=f"pcmax {__version__}")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    b = sub.add_parser("build", help="construct the reference metabelian group")
-    b.add_argument("--p", type=int, required=True)
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("-o", "--out", help="path for the group file (default: stdout)")
-    b.set_defaults(run=_cmd_build)
-
-    a = sub.add_parser("analyze", help="structure report for a group file")
-    a.add_argument("path")
-    a.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    a.set_defaults(run=_cmd_analyze)
-
-    v = sub.add_parser("verify", help="run a theorem driver on a group file")
-    v.add_argument("theorem", choices=["metabelian", "main1", "main2"])
-    v.add_argument("path")
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--timings", action="store_true",
-                   help="print elapsed time to standard error")
-    v.set_defaults(run=_cmd_verify)
-
-    s = sub.add_parser("selftest", help="run the quick property battery")
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    s.set_defaults(run=_cmd_selftest)
-
-    e = sub.add_parser("export", help="dump the ring-model tables")
-    e.add_argument("--p", type=int, required=True)
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("-o", "--out", help="path for the tables (default: stdout)")
-    e.set_defaults(run=_cmd_export)
-    return parser
+# Each verb's positionals, with their choices or None, and its options, with
+# (type, default): int and str options take a value, bool ones are flags,
+# and a default of _REQUIRED makes the option required.  Every verb also
+# takes -h/--help.  `_cmd_<verb>` runs the verb with one keyword argument
+# per positional and per option, named without the dashes.
+_REQUIRED = object()
+_SEED = {"--seed": (int, DEFAULT_SEED)}
+_P_N_OUT = {"--p": (int, _REQUIRED), "--n": (int, _REQUIRED), "--out": (str, None)}
+_VERBS = {
+    "build": ({}, _P_N_OUT),
+    "analyze": ({"path": None}, _SEED),
+    "verify": ({"theorem": ("metabelian", "main1", "main2"), "path": None},
+               {**_SEED, "--timings": (bool, False)}),
+    "selftest": ({}, _SEED),
+    "export": ({}, _P_N_OUT),
+}
+_SHORT = {"-o": "--out", "-h": "--help"}
 
 
-def _cmd_build(args) -> int:
+def _usage(verb: str | None) -> str:
+    """The usage line of `verb`, or of the command line before its verb."""
+    if verb is None:
+        return f"pcmax [--version] {{{','.join(_VERBS)}}} ..."
+    positionals, options = _VERBS[verb]
+    words = [f"pcmax {verb}"]
+    for name, (kind, default) in options.items():
+        word = _spellings(name)[0] + ("" if kind is bool else f" {name[2:].upper()}")
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    words += ["{" + ",".join(c) + "}" if c else name for name, c in positionals.items()]
+    return " ".join(words)
+
+
+def _spellings(name: str) -> list:
+    """The spellings of the option `name`, the short one first."""
+    return [short for short, long in _SHORT.items() if long == name] + [name]
+
+
+def _fail(verb: str | None, message: str):
+    sys.stderr.write(f"usage: {_usage(verb)}\nerror: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _is_option(token: str) -> bool:
+    # "-" alone and negative numbers are values, as in --seed -3
+    return token[:1] == "-" and token != "-" and not token[1:].replace(".", "", 1).isdigit()
+
+
+def _option(verb: str | None, token: str) -> tuple:
+    """(name, attached value or None) of the option of `verb` that `token`
+    spells, exactly or by a unique prefix of a long name; the name is None
+    if it spells no option."""
+    names = (*_VERBS[verb][1], "--help") if verb else ("--help", "--version")
+    if not token.startswith("--"):
+        name = _SHORT.get(token[:2])
+        return (name if name in names else None), token[2:].removeprefix("=") or None
+    flag, eq, value = token.partition("=")
+    matches = [flag] if flag in names else [n for n in names if n.startswith(flag)]
+    if len(matches) > 1:
+        _fail(verb, f"ambiguous option: {token} could match {', '.join(matches)}")
+    return (matches[0] if matches else None), (value if eq else None)
+
+
+def _parse(argv) -> tuple:
+    """(verb, keyword arguments of its handler) for the command line argv.
+
+    Help and the version are printed to standard output and end in
+    SystemExit(0); a usage error writes a usage line and an error line to
+    standard error and ends in SystemExit(1).
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: verb")
+    verb, tokens = argv[0], argv[1:]
+    if verb not in _VERBS:
+        if not _is_option(verb):
+            _fail(None, f"argument verb: invalid choice: {verb!r} "
+                        f"(choose from {', '.join(map(repr, _VERBS))})")
+        name = _option(None, verb)[0]
+        if name is None:
+            _fail(None, f"unrecognized arguments: {verb}")
+        sys.stdout.write(__doc__ if name == "--help" else f"pcmax {__version__}\n")
+        raise SystemExit(EXIT_OK)
+    positionals, options = _VERBS[verb]
+    args = {name[2:]: default for name, (_, default) in options.items()}
+    unfilled = list(positionals)
+    extras = []
+    only_values = False  # after "--"
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token == "--" and not only_values:
+            only_values = True
+            continue
+        if only_values or not _is_option(token):
+            if not unfilled:
+                extras.append(token)
+                continue
+            name = unfilled.pop(0)
+            choices = positionals[name]
+            if choices and token not in choices:
+                _fail(verb, f"argument {name}: invalid choice: {token!r} "
+                            f"(choose from {', '.join(map(repr, choices))})")
+            args[name] = token
+            continue
+        name, value = _option(verb, token)
+        if name is None:
+            extras.append(token)
+            continue
+        if name == "--help":
+            sys.stdout.write(f"usage: {_usage(verb)}\n")
+            raise SystemExit(EXIT_OK)
+        kind = options[name][0]
+        label = f"argument {'/'.join(_spellings(name))}"
+        if kind is bool:
+            if value is not None:
+                _fail(verb, f"{label}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None:
+            if i == len(tokens) or _is_option(tokens[i]):
+                _fail(verb, f"{label}: expected one argument")
+            value, i = tokens[i], i + 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(verb, f"{label}: invalid int value: {value!r}")
+        args[name[2:]] = value
+    missing = unfilled + [name for name in options if args[name[2:]] is _REQUIRED]
+    if missing:
+        _fail(verb, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(verb, f"unrecognized arguments: {' '.join(extras)}")
+    return verb, args
+
+
+def _cmd_build(p: int, n: int, out: str | None) -> int:
     from . import blackburn
 
-    pres = blackburn.build_blackburn_pc(args.p, args.n)
-    if args.out:
-        groupfile.dump(pres, args.out)
-        print(f"wrote group of order {args.p}^{args.n} to {args.out}")
+    pres = blackburn.build_blackburn_pc(p, n)
+    if out:
+        groupfile.dump(pres, out)
+        print(f"wrote group of order {p}^{n} to {out}")
         print(f"input-digest: sha256:{pres.digest()}")
     else:
         sys.stdout.write(groupfile.dumps(pres))
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    pres = groupfile.load(args.path)
+def _cmd_analyze(path: str, seed: int) -> int:
+    pres = groupfile.load(path)
     rep = pres.consistency_check()
     if not rep.ok:
         print(f"consistency: FAIL ({rep.failure})")
@@ -103,7 +204,7 @@ def _cmd_analyze(args) -> int:
     lines = [
         f"tool-version: {__version__}",
         f"input-digest: sha256:{pres.digest()}",
-        f"seed: {args.seed}",
+        f"seed: {seed}",
         f"order: {pres.p}^{pres.n}",
         f"consistency: pass ({rep.overlaps_checked} overlaps)",
     ]
@@ -133,22 +234,22 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(theorem: str, path: str, seed: int, timings: bool) -> int:
     from . import autom
 
-    pres = groupfile.load(args.path)
+    pres = groupfile.load(path)
     driver = {"metabelian": autom.verify_thm_metabelian,
               "main1": autom.verify_thm_main1,
-              "main2": autom.verify_thm_main2}[args.theorem]
+              "main2": autom.verify_thm_main2}[theorem]
     t0 = time.perf_counter()
-    report = driver(pres, seed=args.seed)
+    report = driver(pres, seed=seed)
     sys.stdout.write(report.render())
-    if args.timings:
+    if timings:
         sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.2f}s\n")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(seed: int) -> int:
     import random
 
     from .autom import build_H, verify_thm_metabelian
@@ -169,7 +270,7 @@ def _cmd_selftest(args) -> int:
     profile = build_profile(mc)
     check("cross-model", cross_model_check(3, 5).ok)
     check("sigma", verify_sigma(3, 5).ok)
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     ok = True
     for _ in range(200):
         a, b, c = (pres.random_element(rng) for _ in range(3))
@@ -194,20 +295,20 @@ def _cmd_selftest(args) -> int:
     fam = build_H(pres, profile)
     check("s-fixing-family", fam.claimed_order_exponent == profile.A.order_exponent
           and len(fam.members) == 1 and fam.members[0].images[0] == pres.generators[0])
-    rep = verify_thm_metabelian(pres, seed=args.seed)
+    rep = verify_thm_metabelian(pres, seed=seed)
     check("metabelian-driver", rep.ok)
     print(f"selftest result: {'pass' if not failures else 'FAIL'}")
     return EXIT_OK if not failures else EXIT_VIOLATION
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(p: int, n: int, out: str | None) -> int:
     from . import blackburn
 
-    ring = blackburn.RingModule(args.p, args.n)
+    ring = blackburn.RingModule(p, n)
     lines = [
-        f"ring-model p={args.p} n={args.n}",
-        f"additive-order: {args.p}^{args.n - 1}",
-        f"abelian-invariants: {' '.join(str(d) for d in blackburn.abelian_invariants(args.p, args.n))}",
+        f"ring-model p={p} n={n}",
+        f"additive-order: {p}^{n - 1}",
+        f"abelian-invariants: {' '.join(str(d) for d in blackburn.abelian_invariants(p, n))}",
     ]
     for i, red in enumerate(blackburn._ring_power_tails(ring), 1):
         lines.append(f"p*b_{i} = {' '.join(str(c) for c in red)}")
@@ -216,10 +317,10 @@ def _cmd_export(args) -> int:
             f"theta*b_{i} = {' '.join(str(c) for c in ring.theta_mul(ring.basis(i)))}"
         )
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote ring tables to {args.out}")
+        print(f"wrote ring tables to {out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -227,11 +328,11 @@ def _cmd_export(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        verb, args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code
     try:
-        return args.run(args)
+        return globals()[f"_cmd_{verb}"](**args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}")
         return EXIT_VIOLATION

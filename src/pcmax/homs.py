@@ -1,8 +1,9 @@
 """Group maps given by generator images, with homomorphism validation.
 
-A GroupMap stores one image per generator of its domain presentation and a
-validation state, fixed when the map is built; validation returns a new map
-with the upgraded state and never changes its argument:
+A GroupMap stores one image per generator of its domain presentation, the
+letters of each image as `evaluate` collects them, and a validation state,
+all fixed when the map is built; validation returns a new map with the
+upgraded state and never changes its argument:
 
     unvalidated -> homomorphism -> endomorphism -> automorphism
 
@@ -20,10 +21,10 @@ _KINDS = ("unvalidated", "homomorphism", "endomorphism", "automorphism")
 
 
 class GroupMap:
-    __slots__ = ("domain", "codomain", "images", "kind")
+    __slots__ = ("domain", "codomain", "images", "kind", "letters")
 
     def __init__(self, domain: PcPresentation, images, kind="unvalidated",
-                 codomain: PcPresentation | None = None):
+                 codomain: PcPresentation | None = None, letters=None):
         self.domain = domain
         self.codomain = codomain or domain
         images = tuple(images)
@@ -31,10 +32,17 @@ class GroupMap:
             raise PresentationError("one image per generator is required")
         self.images = images
         self.kind = kind
+        # per image, its (generator, exponent) letters from the last
+        # generator down, the order in which `evaluate` stacks them
+        if letters is None:
+            letters = tuple(tuple((k + 1, c) for k in range(len(img) - 1, -1, -1)
+                                  if (c := img[k])) for img in images)
+        self.letters = letters
 
     def _with_kind(self, kind: str) -> "GroupMap":
         """The same map, with the same images, in another validation state."""
-        return GroupMap(self.domain, self.images, kind, codomain=self.codomain)
+        return GroupMap(self.domain, self.images, kind, codomain=self.codomain,
+                        letters=self.letters)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -45,10 +53,7 @@ class GroupMap:
         for idx in range(len(x) - 1, -1, -1):
             e = x[idx]
             if e:
-                img = self.images[idx]
-                letters = [(k + 1, c) for k in range(len(img) - 1, -1, -1)
-                           if (c := img[k])]
-                stack.extend(letters * e)
+                stack.extend(self.letters[idx] * e)
         vec = [0] * self.codomain.n
         self.codomain._collect(vec, stack)
         return Element(vec)

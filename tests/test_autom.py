@@ -238,6 +238,10 @@ def test_evaluate_collects_the_word_the_fold_multiplies(
                             target.random_element(rng)).alpha
             for target in (profile.A, profile.G(1)) for _ in range(3)]
     maps.append(inner_automorphism(g, g.random_element(rng)))
+    # maps made by composition, and validated maps, which keep the letters
+    # of the map they were checked from
+    maps += [maps[0].then(maps[3]), maps[6].then(maps[1]),
+             check_homomorphism(g, maps[2].images), check_homomorphism(g, maps[6].images)]
     for result in (nonmetabelian57, nonmetabelian58):
         k = result.l + 2
         quo = result.pres.quotient_by_term(k)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcmax
+import pcmax.cli
 from pcmax import groupfile
 from pcmax.errors import PresentationError
 from pcmax.pcgroup import PcPresentation
@@ -426,11 +427,105 @@ def test_analyze_inconsistent_exit_4(tmp_path, g57):
     assert res.returncode == 4
 
 
-def test_usage_error_exit_1():
-    res = run_cli("verify", "not-a-theorem", "nowhere.grp")
-    assert res.returncode == 1
-    res = run_cli("frobnicate")
-    assert res.returncode == 1
+USAGE_ERRORS = {
+    "empty-argv": ([], "the following arguments are required: verb"),
+    "unknown-verb": (["frobnicate"], "argument verb: invalid choice: 'frobnicate' (choose "
+                     "from 'build', 'analyze', 'verify', 'selftest', 'export')"),
+    "unknown-option-before-verb": (["--seed", "3", "selftest"],
+                                   "unrecognized arguments: --seed"),
+    "bad-theorem": (["verify", "not-a-theorem", "nowhere.grp"], "argument theorem: invalid "
+                    "choice: 'not-a-theorem' (choose from 'metabelian', 'main1', 'main2')"),
+    "missing-path": (["verify", "main1"], "the following arguments are required: path"),
+    "missing-positionals": (["verify", "--timings"],
+                            "the following arguments are required: theorem, path"),
+    "missing-p-and-n": (["build", "-o", "g.grp"],
+                        "the following arguments are required: --p, --n"),
+    "missing-n": (["export", "--p", "3"], "the following arguments are required: --n"),
+    "non-integer-seed": (["analyze", "g.grp", "--seed", "x"],
+                         "argument --seed: invalid int value: 'x'"),
+    "non-integer-p": (["build", "--p=five", "--n", "7"],
+                      "argument --p: invalid int value: 'five'"),
+    "no-value": (["build", "--p", "5", "--n"], "argument --n: expected one argument"),
+    "option-for-value": (["build", "--p", "--n", "7"], "argument --p: expected one argument"),
+    "no-value-short": (["export", "--p", "3", "--n", "5", "-o"],
+                       "argument -o/--out: expected one argument"),
+    "value-for-flag": (["verify", "main1", "g.grp", "--timings=1"],
+                       "argument --timings: ignored explicit argument '1'"),
+    "extra-positional": (["analyze", "g.grp", "h.grp"], "unrecognized arguments: h.grp"),
+    "extras-in-argv-order": (["analyze", "g.grp", "x", "--zz", "1", "-q"],
+                             "unrecognized arguments: x --zz 1 -q"),
+    "option-of-another-verb": (["analyze", "--version", "g.grp"],
+                               "unrecognized arguments: --version"),
+    "ambiguous-prefix": (["selftest", "--s", "3"],
+                         "ambiguous option: --s could match --seed, --samples"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exit_1(argv, message, monkeypatch, capsys):
+    # one usage line and one error line on stderr, in argparse's wording,
+    # and nothing on stdout; no verb has two options with a common prefix,
+    # so for the ambiguous prefix the selftest gets a second option
+    from pcmax import cli
+
+    monkeypatch.setitem(cli._VERBS, "selftest", ({}, {"--seed": (int, 0), "--samples": (int, 0)}))
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    verb = argv[0] if argv and argv[0] in cli._VERBS else None
+    assert (out, err) == ("", f"usage: {cli._usage(verb)}\nerror: {message}\n")
+    assert err.startswith(f"usage: pcmax {verb or '[--version]'} ")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["--help"], pcmax.cli.__doc__),
+    (["-h", "frobnicate"], pcmax.cli.__doc__),
+    (["verify", "--help"],
+     "usage: pcmax verify [--seed SEED] [--timings] {metabelian,main1,main2} path\n"),
+    (["build", "-h", "--p", "x"], "usage: pcmax build --p P --n N [-o OUT]\n"),
+    (["--version"], f"pcmax {pcmax.__version__}\n"),
+    (["--vers"], f"pcmax {pcmax.__version__}\n"),
+])
+def test_help_and_version_exit_0(argv, out):
+    res = run_cli(*argv)
+    assert (res.returncode, res.stdout, res.stderr) == (0, out, "")
+
+
+def test_help_names_every_verb_with_its_usage_and_handler():
+    # the docstring's usage block is what --help prints, so it must name the
+    # verbs of the table, each with the usage line the parser reports
+    from pcmax import cli
+
+    block = cli.__doc__.split("usage:\n", 1)[1].split("\n\n", 1)[0]
+    lines = [ln.strip() for ln in block.splitlines() if ln.strip() != "pcmax --version"]
+    assert lines == [cli._usage(verb) for verb in cli._VERBS]
+    for verb in cli._VERBS:
+        assert callable(getattr(cli, f"_cmd_{verb}")), verb
+
+
+VERIFY_MAIN2 = ("verify", {"theorem": "main2", "path": "g.grp", "seed": 7, "timings": True})
+BUILD_57 = ("build", {"p": 5, "n": 7, "out": "g.grp"})
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    (["verify", "main2", "g.grp", "--seed", "7", "--timings"], VERIFY_MAIN2),
+    (["verify", "--seed=7", "main2", "--timings", "g.grp"], VERIFY_MAIN2),
+    (["verify", "main2", "--tim", "--s", "7", "--", "g.grp"], VERIFY_MAIN2),
+    (["verify", "main2", "g.grp", "--seed", "1", "--seed=7", "--timings", "--timings"],
+     VERIFY_MAIN2),
+    (["build", "--p", "5", "--n", "7", "-o", "g.grp"], BUILD_57),
+    (["build", "--n=7", "--p=5", "--out=g.grp"], BUILD_57),
+    (["build", "--p", "5", "--n", "7", "-og.grp"], BUILD_57),
+    (["build", "--p", "5", "--n", "7", "--o", "g.grp"], BUILD_57),
+    (["build", "--p", "5", "--n", "7"], ("build", {"p": 5, "n": 7, "out": None})),
+    (["selftest", "--seed", "-3"], ("selftest", {"seed": -3})),
+    (["analyze", "--", "-"], ("analyze", {"path": "-", "seed": pcmax.DEFAULT_SEED})),
+])
+def test_parse_spellings(argv, parsed):
+    # --opt=value, unique prefixes, repeats (the last wins), "--" and
+    # negative numbers as values, as argparse read them
+    from pcmax import cli
+
+    assert cli._parse(argv) == parsed
 
 
 VERB_RUNS = {
@@ -457,7 +552,7 @@ def test_verb_imports_only_its_modules(verb, g57_file, nonmetabelian58, tmp_path
                          text=True, env=env, check=True)
     codes, modules = json.loads(res.stderr)
     assert codes == [0] * len(runs)
-    assert "dataclasses" not in modules
+    assert not {"dataclasses", "argparse", "gettext", "locale"} & set(modules)
     if verb == "analyze":
         assert not set(NOT_FOR_ANALYZE) & set(modules)
     else:
