@@ -12,11 +12,14 @@ Layout (whitespace-separated, one item per line, order fixed):
     ...                                  (one row per pair j > i)
 
 Tail rows are full exponent vectors of length n; commutator rows may be
-omitted for trivial tails, but the writer always emits all of them.  The
-reader enforces the support rules and rejects a second p, n, labels, power
-or comm line for the same item, a power row for a generator outside 1..n,
-repeated labels, numbers that are not ASCII digits and files that are not
-UTF-8, so a malformed file cannot reach the arithmetic layer.
+omitted for trivial tails, but the writer always emits all of them.  Once n
+is read, the reader takes the writer's zero row (` : ` and n single-spaced
+zeros) whole, by one comparison, and reads only its key; any other spelling
+is read number by number.  The reader enforces the support rules and
+rejects a second p, n, labels, power or comm line for the same item, a power
+row for a generator outside 1..n, repeated labels, numbers that are not
+ASCII digits and files that are not UTF-8, so a malformed file cannot reach
+the arithmetic layer.
 """
 
 from __future__ import annotations
@@ -42,28 +45,36 @@ def loads(text: str) -> PcPresentation:
     fields = {}
     powers = {}
     comms = {}
+    zero_row = None  # the writer's zero row, once n is read
     for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] in ("p", "n") and len(parts) == 2:
-            table, key, value = fields, parts[0], _int(parts[1], parts[0])
-        elif parts[0] == "labels":
-            table, key, value = fields, "labels", tuple(parts[1:])
-        elif parts[0] == "power":
-            if len(parts) < 3 or parts[2] != ":":
-                raise PresentationError(f"malformed power row: {ln!r}")
-            table, key = powers, _int(parts[1], "generator index")
-            value = _ints(parts[3:], "exponent")
-        elif parts[0] == "comm":
-            if len(parts) < 4 or parts[3] != ":":
-                raise PresentationError(f"malformed comm row: {ln!r}")
-            table = comms
-            key = tuple(_ints(parts[1:3], "generator index"))
-            value = _ints(parts[4:], "exponent")
+        # a zero row: the key is read and the tail is trivial (None)
+        head = zero_row and ln.endswith(zero_row) and ln[: -len(zero_row)].split()
+        if head and len(head) == 3 and head[0] == "comm":
+            table, key, value = comms, tuple(_ints(head[1:], "generator index")), None
         else:
-            raise PresentationError(f"unrecognized line in group file: {ln!r}")
+            parts = ln.split()
+            if parts[0] in ("p", "n") and len(parts) == 2:
+                table, key, value = fields, parts[0], _int(parts[1], parts[0])
+            elif parts[0] == "labels":
+                table, key, value = fields, "labels", tuple(parts[1:])
+            elif parts[0] == "power":
+                if len(parts) < 3 or parts[2] != ":":
+                    raise PresentationError(f"malformed power row: {ln!r}")
+                table, key = powers, _int(parts[1], "generator index")
+                value = _ints(parts[3:], "exponent")
+            elif parts[0] == "comm":
+                if len(parts) < 4 or parts[3] != ":":
+                    raise PresentationError(f"malformed comm row: {ln!r}")
+                table = comms
+                key = tuple(_ints(parts[1:3], "generator index"))
+                value = _ints(parts[4:], "exponent")
+            else:
+                raise PresentationError(f"unrecognized line in group file: {ln!r}")
         if key in table:
             raise PresentationError(f"duplicate line in group file: {ln!r}")
         table[key] = value
+        if key == "n" and 0 < value < len(text) // 2:  # a row the text can hold
+            zero_row = " : " + " ".join("0" * value)
     p, n = fields.get("p"), fields.get("n")
     if p is None or n is None:
         raise PresentationError("group file must declare p and n")

@@ -85,16 +85,18 @@ class PcPresentation:
             raise PresentationError(f"generator count must be at least 1, got {n}")
         self.p = p
         self.n = n
+        self._digits = {e: e for e in range(p)}  # reads an entry in [0, p) as an int
 
         if len(power_tails) != n:
             raise PresentationError(f"expected {n} power tails, got {len(power_tails)}")
-        pts = []
-        for i, tail in enumerate(power_tails, start=1):
-            pts.append(self._check_tail(tail, min_support=i + 1, what=f"power tail of a_{i}"))
-        self.power_tails = tuple(pts)
-
         zero = (0,) * n
         zeros = (zero, [0] * n)
+        self.identity = Element(zero)
+        self.power_tails = tuple(
+            self.identity if tail in zeros else
+            self._check_tail(tail, i + 1, "power tail of a_%d", i)
+            for i, tail in enumerate(power_tails, start=1))
+
         cts = {}
         # conj[g - 1] maps each j > g with [a_j, a_g] != 1 to the letters of
         # a_j^(a_g) = a_j [a_j, a_g], for the collector
@@ -103,12 +105,12 @@ class PcPresentation:
         for (j, i), tail in dict(commutator_tails).items():
             if not (1 <= i < j <= n):
                 raise PresentationError(f"commutator pair ({j}, {i}) out of range")
-            if tail in zeros:
-                continue  # a trivial tail, as files spell most of them
-            t = self._check_tail(tail, min_support=j + 1, what=f"tail of [a_{j}, a_{i}]")
+            if tail is None or tail in zeros:
+                continue  # trivial: None (a file's zero row) or a zero vector
+            t = self._check_tail(tail, j + 1, "tail of [a_%d, a_%d]", j, i)
             if any(t):
                 cts[(j, i)] = t
-                conj[i - 1][j] = ((j, 1),) + tuple((k + 1, e) for k, e in enumerate(t) if e)
+                conj[i - 1][j] = ((j, 1), *[(k, e) for k, e in enumerate(t, 1) if e])
                 if i >= abelian_start:
                     abelian_start = i + 1
         self.commutator_tails = cts
@@ -127,25 +129,32 @@ class PcPresentation:
                 raise PresentationError("generator labels must be distinct")
         self.labels = labels or tuple(f"a{i}" for i in range(1, n + 1))
 
-        self.identity = Element(zero)
         self.generators = tuple(Element(zero[:k] + (1,) + zero[k + 1:]) for k in range(n))
         # Letter forms of the power tails, for the collector.
         self._pt_letters = tuple(
-            tuple((k + 1, e) for k, e in enumerate(t) if e) for t in self.power_tails
+            tuple([(k, e) for k, e in enumerate(t, 1) if e]) for t in self.power_tails
         )
         # [a_i, a_1] = a_{i+1} for 1 < i < n; [a_n, a_1] = 1 by the support rule
         self._standard_chain = all(cts.get((i, 1)) == self.generators[i]
                                    for i in range(2, n))
 
-    def _check_tail(self, tail, min_support, what):
-        t = tuple(map(int, tail))
+    def _check_tail(self, tail, min_support, what, *args):
+        try:  # the usual tail: entries in [0, p), each read by one lookup
+            t = Element(map(self._digits.__getitem__, tail))
+        except (KeyError, TypeError):
+            t = ()
+        if len(t) == self.n and not any(t[:min_support - 1]):
+            return t
+        # any other tail is read by `int`, and named (`what % args`) if bad
+        t = Element(map(int, tail))
+        what %= args
         if len(t) != self.n:
             raise PresentationError(f"{what}: expected vector of length {self.n}")
         if min(t) < 0 or max(t) >= self.p:
             raise PresentationError(f"{what}: entries must lie in [0, {self.p})")
         if any(t[: min_support - 1]):
             raise PresentationError(f"{what}: support must start at index {min_support}")
-        return Element(t)
+        return t
 
     # -- basic views ------------------------------------------------------
 

@@ -73,7 +73,10 @@ def test_loads_returns_or_raises_presentation_error(lines):
 
 
 @pytest.mark.parametrize("line", ["p 7", "n 5", "labels s s_1 s_2 s_3 s_4",
-                                  "power 2 : 0 0 0 0 0", "comm 3 1 : 0 0 0 1 0"])
+                                  "power 2 : 0 0 0 0 0", "comm 3 1 : 0 0 0 1 0",
+                                  # zero after zero, zero after nonzero, nonzero after zero
+                                  "comm 5 4 : 0 0 0 0 0", "comm 3 1 : 0 0 0 0 0",
+                                  "comm 4 2 : 0 0 0 0 1"])
 def test_duplicate_line_exit_4(tmp_path, line):
     from pcmax.blackburn import build_blackburn_pc
 
@@ -121,6 +124,9 @@ def test_non_ascii_digit_exit_4(tmp_path, g57, old, new):
     assert "bad " in res.stdout
 
 
+ZERO_76 = "comm 7 6 : 0 0 0 0 0 0 0"  # the writer's zero row for [a_7, a_6] at n = 7
+
+
 @pytest.mark.parametrize("old, new, message", [
     # a non-ASCII digit inside an otherwise ASCII row
     ("power 3 : 0 0 0 0 0 0 4", "power 3 : 0 0 \u0665 0 0 0 4",
@@ -137,6 +143,20 @@ def test_non_ascii_digit_exit_4(tmp_path, g57, old, new):
      "bad generator index in group file: '+3'"),
     ("comm 3 1 : 0 0 0 1 0 0 0", "comm 3 1 : 0 0 0 1 0 0 007",
      "tail of [a_3, a_1]: entries must lie in [0, 5)"),
+    # zero rows: the key is read strictly and the pair range-checked
+    (ZERO_76, "comm +7 6 : 0 0 0 0 0 0 0", "bad generator index in group file: '+7'"),
+    (ZERO_76, "comm 7 6 x : 0 0 0 0 0 0 0",
+     "malformed comm row: 'comm 7 6 x : 0 0 0 0 0 0 0'"),
+    (ZERO_76, "comm 9 2 : 0 0 0 0 0 0 0", "commutator pair (9, 2) out of range"),
+    (ZERO_76, "comm 2 3 : 0 0 0 0 0 0 0", "commutator pair (2, 3) out of range"),
+    # n - 1 and n + 1 zeros, and other spellings of zeros, one too few
+    (ZERO_76, "comm 7 6 : 0 0 0 0 0 0", "tail of [a_7, a_6]: expected vector of length 7"),
+    (ZERO_76, "comm 7 6 : 0 0 0 0 0 0 0 0", "tail of [a_7, a_6]: expected vector of length 7"),
+    (ZERO_76, "comm 7 6 : 0 0 0 0 0 00", "tail of [a_7, a_6]: expected vector of length 7"),
+    (ZERO_76, "comm 7 6 : 0 0 0 0 0  0", "tail of [a_7, a_6]: expected vector of length 7"),
+    (ZERO_76, "comm 7 6 : 0 0 0 0 0\t0", "tail of [a_7, a_6]: expected vector of length 7"),
+    # a zero row before the n line, repeated after it
+    ("n 7", f"{ZERO_76}\nn 7", f"duplicate line in group file: {ZERO_76!r}"),
 ])
 def test_malformed_rows_keep_their_messages(tmp_path, g57, old, new, message):
     text = groupfile.dumps(g57)
@@ -153,9 +173,13 @@ def tail_tables(draw):
     need not be consistent."""
     p = draw(st.sampled_from((3, 5, 7)))
     n = draw(st.integers(1, 8))
+    sparse = draw(st.booleans())
 
     def tail(start):
-        # zero below index `start`, anything in [0, p) from there on
+        # zero below index `start`, anything in [0, p) from there on; in a
+        # sparse table about half the tails are zero
+        if sparse and draw(st.booleans()):
+            return [0] * n
         free = draw(st.lists(st.integers(0, p - 1), min_size=n - start + 1,
                              max_size=n - start + 1))
         return [0] * (start - 1) + free
@@ -203,6 +227,55 @@ def test_trivial_comm_rows_may_be_omitted(g57):
              if not (ln.startswith("comm") and set(ln.split(":")[1].split()) == {"0"})]
     back = groupfile.loads("\n".join(lines))
     assert back.digest() == g57.digest()
+
+
+@pytest.mark.parametrize("row", ["comm 7 6 : 0 0 0 00 0 0 0", "comm 7 6 : 0 0 0  0 0 0 0",
+                                 "comm 7 6 : 0 0 0\t0 0 0 0", "comm  7 6 : 0 0 0 0 0 0 0",
+                                 "comm 7 6 : 0 0 0 0 0 0 -0"])
+def test_other_spellings_of_zeros_read_as_trivial(g57, row):
+    text = groupfile.dumps(g57)
+    assert ZERO_76 in text
+    assert groupfile.loads(text.replace(ZERO_76, row)).digest() == g57.digest()
+
+
+def test_loader_converts_only_power_and_nonzero_comm_payloads(monkeypatch):
+    from pcmax.blackburn import build_blackburn_pc
+
+    pres = build_blackburn_pc(5, 30)
+    text = pres.canonical_text()
+    calls = Counter()
+    ints = groupfile._ints
+
+    def counting(tokens, what):
+        calls[what] += 1
+        return ints(tokens, what)
+
+    monkeypatch.setattr(groupfile, "_ints", counting)
+    assert groupfile.loads(text).canonical_text() == text
+    assert calls["exponent"] == 30 + len(pres.commutator_tails) < 30 + 30 * 29 // 2
+
+
+def test_long_rows_round_trip():
+    from pcmax.blackburn import build_blackburn_pc
+
+    text = build_blackburn_pc(5, 60).canonical_text()
+    assert groupfile.loads(text).canonical_text() == text
+
+
+def test_huge_n_builds_no_zero_row():
+    """`n` has no upper bound, so the zero row is made only when the text
+    could hold it; this file fails on its first missing power row."""
+    import tracemalloc
+
+    text = "pcmax-group 1\np 5\nn 1000000000\ncomm 2 1 : 0 0 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(PresentationError, match="^missing power row for generator 1$"):
+            groupfile.loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- CLI ----------------------------------------------------------------------------

@@ -53,6 +53,34 @@ def test_rejects_out_of_range_entries():
         PcPresentation(3, 2, [(0, 3), (0, 0)], {})
 
 
+@pytest.mark.parametrize("pts, cts, message", [
+    ([(0, 0, 1), (0, 0, 3), (0, 0, 0)], {}, "power tail of a_2: entries must lie in [0, 3)"),
+    ([(0, 0, 0), (0, -1, 0), (0, 0, 0)], {}, "power tail of a_2: entries must lie in [0, 3)"),
+    ([(0, 0, 0), (0, 0), (0, 0, 0)], {}, "power tail of a_2: expected vector of length 3"),
+    ([(0, 0, 0), (0, 1, 0), (0, 0, 0)], {}, "power tail of a_2: support must start at index 3"),
+    ([(0, 0, 0)] * 3, {(2, 1): [0, 1, 1]}, "tail of [a_2, a_1]: support must start at index 3"),
+    ([(0, 0, 0)] * 3, {(2, 1): "005"}, "tail of [a_2, a_1]: entries must lie in [0, 3)"),
+    ([(0, 0, 0)] * 3, {(1, 2): None}, "commutator pair (1, 2) out of range"),
+])
+def test_bad_tails_keep_their_messages(pts, cts, message):
+    with pytest.raises(PresentationError, match=f"^{re.escape(message)}$"):
+        PcPresentation(3, 3, pts, cts)
+
+
+def test_tails_are_read_as_ints():
+    """Entries need not be ints: each is read by `int`, as a file's are, and
+    a commutator tail given as None is trivial."""
+    ints = PcPresentation(3, 3, [(0, 0, 1), (0, 0, 2), (0, 0, 0)],
+                          {(2, 1): (0, 0, 1), (3, 1): (0, 0, 0), (3, 2): [0, 0, 0]})
+    spelled = PcPresentation(3, 3, [("0", "0", "1"), [0.0, False, 2.0], (0, 0, 0)],
+                             {(2, 1): (False, 0, True), (3, 1): None, (3, 2): "000"})
+    assert spelled.power_tails == ints.power_tails
+    assert spelled.commutator_tails == ints.commutator_tails == {(2, 1): (0, 0, 1)}
+    assert {type(e) for t in spelled.power_tails + (spelled.commutator_tail(2, 1),)
+            for e in t} == {int}
+    assert spelled.canonical_text() == ints.canonical_text()
+
+
 # -- collection -------------------------------------------------------------
 
 
