@@ -172,9 +172,6 @@ class PcPresentation:
     def commutator_tail(self, j: int, i: int) -> Element:
         return self.commutator_tails.get((j, i), self.identity)
 
-    def random_element(self, rng) -> Element:
-        return Element(tuple(rng.randrange(self.p) for _ in range(self.n)))
-
     # -- collection -------------------------------------------------------
 
     def _collect(self, vec, stack):

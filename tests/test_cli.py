@@ -625,7 +625,7 @@ def test_verb_imports_only_its_modules(verb, g57_file, nonmetabelian58, tmp_path
                          text=True, env=env, check=True)
     codes, modules = json.loads(res.stderr)
     assert codes == [0] * len(runs)
-    assert not {"dataclasses", "argparse", "gettext", "locale"} & set(modules)
+    assert not {"dataclasses", "argparse", "gettext", "locale", "random"} & set(modules)
     if verb == "analyze":
         assert not set(NOT_FOR_ANALYZE) & set(modules)
     else:
@@ -715,7 +715,47 @@ def test_bad_paths_exit_with_their_documented_code(tmp_path, argv, code):
     assert (res.stderr if code == 4 else res.stdout) == ""
 
 
+SELFTEST_CHECKS = ["construction", "maximal-class", "cross-model", "sigma",
+                   "derivation-monoid", "cocycle-law", "s-fixing-family",
+                   "metabelian-driver"]
+
+
 def test_selftest():
     res = run_cli("selftest")
     assert res.returncode == 0
-    assert "selftest result: pass" in res.stdout
+    assert res.stdout == "".join(f"selftest {name}: pass\n"
+                                 for name in [*SELFTEST_CHECKS, "result"])
+
+
+@pytest.mark.parametrize("fault, wrong, second_only", [
+    ("evaluate", (0, 0, 0, 0, 1), False),
+    ("evaluate", (1, 1, 0, 0, 0), False),
+    ("evaluate", (2, 1, 1, 1, 1), False),
+    ("evaluate", (1, 1, 0, 0, 0), True),
+    ("bullet", None, False),
+], ids=["evaluate-a5", "evaluate-a1a2", "evaluate-a1^2a2a3a4a5",
+        "evaluate-a1a2-of-d2", "bullet"])
+def test_selftest_catches_planted_faults(monkeypatch, capsys, fault, wrong, second_only):
+    # the selftest's exact checks must see a derivation wrong on a single
+    # element of its 3^5 (for both derivations, or only for the second,
+    # which is 1 on a_1), and a bullet without its composition term
+    from pcmax import derivations
+
+    if fault == "evaluate":
+        right = derivations.evaluate
+
+        def planted(d, g):
+            value = right(d, g)
+            if g != wrong or (second_only and not d.u.is_identity()):
+                return value
+            return d.pres.multiply(value, d.pres.generators[-1])
+
+        failing = "cocycle-law"
+    else:
+        planted = derivations.add  # bullet without its composition term
+        failing = "derivation-monoid"
+    monkeypatch.setattr(derivations, fault, planted)
+    assert pcmax.cli.main(["selftest"]) == 2
+    assert capsys.readouterr().out == "".join(
+        f"selftest {name}: {'FAIL' if name in (failing, 'result') else 'pass'}\n"
+        for name in [*SELFTEST_CHECKS, "result"])

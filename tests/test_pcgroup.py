@@ -142,7 +142,7 @@ def test_collect_well_defined_under_insertions(g57, rng):
 
 def test_collect_negative_exponents(g57, rng):
     for _ in range(50):
-        g = g57.random_element(rng)
+        g = g57.full_subgroup().random_element(rng)
         word = [(i + 1, -e) for i, e in reversed(list(enumerate(g))) if e]
         assert collect(g57, word) == g57.invert(g)
 
@@ -227,7 +227,7 @@ def test_collector_never_sees_negative_exponents(nonmetabelian58, monkeypatch, r
 
     monkeypatch.setattr(PcPresentation, "_collect", guarded)
     for _ in range(20):
-        a, b = pres.random_element(rng), pres.random_element(rng)
+        a, b = (pres.full_subgroup().random_element(rng) for _ in range(2))
         pres.invert(a)
         pres.commutator(a, b)
         pres.conjugate(a, b)
@@ -241,14 +241,14 @@ def test_collector_never_sees_negative_exponents(nonmetabelian58, monkeypatch, r
 
 def test_multiply_identity(g57, rng):
     for _ in range(100):
-        g = g57.random_element(rng)
+        g = g57.full_subgroup().random_element(rng)
         assert g57.multiply(g57.identity, g) == g
         assert g57.multiply(g, g57.identity) == g
 
 
 def test_multiply_inverse(g57, rng):
     for _ in range(100):
-        g = g57.random_element(rng)
+        g = g57.full_subgroup().random_element(rng)
         assert g57.multiply(g, g57.invert(g)).is_identity()
         assert g57.multiply(g57.invert(g), g).is_identity()
 
@@ -256,7 +256,7 @@ def test_multiply_inverse(g57, rng):
 def test_associativity_seeded(g57):
     rng = random.Random(SEED)
     for _ in range(1000):
-        a, b, c = (g57.random_element(rng) for _ in range(3))
+        a, b, c = (g57.full_subgroup().random_element(rng) for _ in range(3))
         assert g57.multiply(g57.multiply(a, b), c) == g57.multiply(a, g57.multiply(b, c))
 
 
@@ -281,7 +281,7 @@ def build_cached_g55():
 
 def test_power_square_and_multiply(g57, rng):
     for _ in range(40):
-        g = g57.random_element(rng)
+        g = g57.full_subgroup().random_element(rng)
         k = rng.randrange(-30, 30)
         expected = g57.identity
         if k >= 0:
@@ -296,7 +296,7 @@ def test_power_square_and_multiply(g57, rng):
 
 def test_commutator_definitions(g57, rng):
     for _ in range(100):
-        a, b = g57.random_element(rng), g57.random_element(rng)
+        a, b = (g57.full_subgroup().random_element(rng) for _ in range(2))
         manual = g57.multiply(
             g57.multiply(g57.invert(a), g57.invert(b)), g57.multiply(a, b)
         )
@@ -307,7 +307,7 @@ def test_commutator_definitions(g57, rng):
 
 def test_commutator_self_trivial(g57, rng):
     for _ in range(20):
-        g = g57.random_element(rng)
+        g = g57.full_subgroup().random_element(rng)
         assert g57.commutator(g, g).is_identity()
 
 
@@ -316,7 +316,7 @@ def test_commutator_identity_from_expansion(g57):
     rng = random.Random(SEED)
     mul, com, con = g57.multiply, g57.commutator, g57.conjugate
     for _ in range(500):
-        g, u, h, v = (g57.random_element(rng) for _ in range(4))
+        g, u, h, v = (g57.full_subgroup().random_element(rng) for _ in range(4))
         lhs = com(mul(g, u), mul(h, v))
         rhs = mul(
             mul(con(com(g, v), u), con(com(g, h), mul(v, u))),
@@ -339,7 +339,7 @@ def test_invert_agrees_with_order_power(g57, nonmetabelian58, rng):
     # multiplies, so this cross-checks solve() independently
     for pres in (g57, nonmetabelian58.pres):
         for _ in range(30):
-            g = pres.random_element(rng)
+            g = pres.full_subgroup().random_element(rng)
             k = _element_order(pres, g)
             assert pres.invert(g) == pres.power(g, k - 1)
 
@@ -386,7 +386,7 @@ def test_maximal_abelian_subgroup_order(g57):
 
 
 def test_subgroup_closure_properties(g57, rng):
-    gens = [g57.random_element(rng) for _ in range(2)]
+    gens = [g57.full_subgroup().random_element(rng) for _ in range(2)]
     sub = g57.subgroup_from_generators(gens)
     for b in sub.basis:
         assert sub.contains(g57.power(b, 5))
@@ -406,7 +406,7 @@ def test_subgroup_orders_multiply_small():
         pres = build_blackburn_pc(p, n)
         rng = random.Random(SEED)
         for _ in range(4):
-            gens = [pres.random_element(rng)]
+            gens = [pres.full_subgroup().random_element(rng)]
             sub = pres.subgroup_from_generators(gens, normal_closure=True)
             assert coset_count(pres, sub) == p ** (n - sub.order_exponent)
 
