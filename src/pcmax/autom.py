@@ -39,7 +39,6 @@ Three drivers verify the statements this package exists to check:
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
 from typing import NamedTuple
 
 from . import DEFAULT_SEED, __version__
@@ -122,13 +121,12 @@ class CheckResult(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """A driver's verdict, built once from its checks.  Refusals raise
+    """A driver's verdict: the profile its prologue checked, from which the
+    input and profile lines are rendered, and its checks.  Refusals raise
     PreconditionRefused instead of producing a report."""
 
     driver: str
-    pres: PcPresentation
-    input_description: str
-    profile: MappingProxyType   # read-only view of the profile lines
+    profile: MaxClassProfile
     seed: int
     checks: tuple
     achieved_exponent: int
@@ -142,18 +140,24 @@ class VerificationReport(NamedTuple):
     def input_digest(self) -> str:
         """Computed when rendered: the selftest runs a driver but prints no
         digest, so it never loads `hashlib`."""
-        return self.pres.digest()
+        return self.profile.pres.digest()
 
     def render(self) -> str:
+        profile = self.profile
+        order = f"{profile.pres.p}^{profile.pres.n}"
         lines = [
             f"driver: {self.driver}",
             f"tool-version: {__version__}",
             f"input-digest: sha256:{self.input_digest}",
-            f"input: {self.input_description}",
+            f"input: pc group of order {order}",
             f"seed: {self.seed}",
+            f"profile-order: {order}",
+            f"profile-class: {profile.pres.n - 1}",
+            f"profile-l: {profile.l}",
+            f"profile-r: {profile.r}",
+            f"profile-t: {profile.t}",
+            f"profile-metabelian: {profile.metabelian}",
         ]
-        for key, val in self.profile.items():
-            lines.append(f"profile-{key}: {val}")
         for c in self.checks:
             status = "pass" if c.passed else "FAIL"
             detail = f" ({c.detail})" if c.detail else ""
@@ -164,27 +168,6 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _report(driver, pres, profile: MaxClassProfile, seed, checks,
-            achieved: int, required: int) -> VerificationReport:
-    return VerificationReport(
-        driver=driver,
-        pres=pres,
-        input_description=f"pc group of order {pres.p}^{pres.n}",
-        profile=MappingProxyType({
-            "order": f"{pres.p}^{pres.n}",
-            "class": pres.n - 1,
-            "l": profile.l,
-            "r": profile.r,
-            "t": profile.t,
-            "metabelian": profile.metabelian,
-        }),
-        seed=seed,
-        checks=tuple(checks),
-        achieved_exponent=achieved,
-        required_exponent=required,
-    )
-
-
 def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResult:
     """The s-fixing family meets the inner automorphisms trivially when r > 2.
 
@@ -192,8 +175,9 @@ def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResu
     fixing s come from the centralizer of s, and C_G(s) <= <s>G_{n-1} by
     the chain argument: every g is s^a y with y in G_1 and [s^a y, s] =
     [y, s]; x -> [x, s] maps G_i/G_{i+1} onto G_{i+1}/G_{i+2} via
-    s_i -> s_{i+1} for 1 <= i <= n-2 (the chain is a_2, ..., a_n by
-    `standard_generators`, and s_{i+1} = a_{i+2} lies outside G_{i+2}), so
+    s_i -> s_{i+1} for 1 <= i <= n-2 (the chain is a_2, ..., a_n, as the
+    caller's prologue `_checked_profile` certified by `standard_generators`,
+    and s_{i+1} = a_{i+2} lies outside G_{i+2}), so
     no y in G_1 outside G_{n-1} commutes with s.  G_{n-1}, the last
     nontrivial term of the lower central series, is central, so for
     g = s^a z with z in G_{n-1} the value
@@ -207,7 +191,6 @@ def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResu
             "r = 2 (the group is metabelian): the whole-family driver for "
             "2-generator metabelian groups covers this case"
         )
-    standard_generators(pres, profile.G1)  # raises unless the chain spans the series
     n = pres.n
     return CheckResult("H-meets-Inn", True, (
         f"chain argument: C_G(s) <= <s>G_{n - 1}, as [s^a y, s] = [y, s] and "
@@ -223,7 +206,7 @@ def verify_thm_metabelian(pres: PcPresentation,
     the achieved family order is p^{2(n-2)}."""
     profile = _checked_profile(pres, theorem=False)
     check, exponent = _derived_pair_family(pres, profile)
-    return _report("metabelian", pres, profile, seed, [check], exponent, exponent)
+    return VerificationReport("metabelian", profile, seed, (check,), exponent, exponent)
 
 
 def _derived_pair_family(pres: PcPresentation, profile: MaxClassProfile):
@@ -251,20 +234,23 @@ def _checked_profile(pres: PcPresentation, theorem: bool) -> MaxClassProfile:
 
 def verify_thm_main1(pres: PcPresentation,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Automorphism count lower bound p^ceil((3n-2p+5)/2) for p >= 5, n > p+1."""
+    """Automorphism count lower bound p^ceil((3n-2p+5)/2) for p >= 5, n > p+1;
+    refuses a nonmetabelian input with 2l < n - 2p + 5, where the route falls short."""
     profile = _checked_profile(pres, theorem=True)
-    p, n = pres.p, pres.n
+    p, n, r, l = pres.p, pres.n, profile.r, profile.l
     required = math.ceil((3 * n - 2 * p + 5) / 2)
 
     if profile.metabelian:
         check, achieved = _derived_pair_family(pres, profile)
         bound = CheckResult("bound", achieved >= required,
                             f"metabelian branch: 2(n-2) = {achieved} >= {required}")
-        return _report("main1", pres, profile, seed, [check, bound], achieved, required)
+        return VerificationReport("main1", profile, seed, (check, bound), achieved, required)
+    if 2 * l < n - 2 * p + 5:
+        raise PreconditionRefused(f"2l = {2 * l} < n - 2p + 5 = {n - 2 * p + 5}: "
+                                  f"the route over A = G_{r} does not reach the bound")
 
     # stage 1: A = G_r is abelian and the action on it is the standard one,
     # both read off l: [G_i, G_j] <= G_{i+j+l}, and G_k = 1 for k >= n
-    r, l = profile.r, profile.l
     checks = [
         CheckResult("A-abelian", 2 * r + l >= n, (
             f"[G_{r}, G_{r}] <= G_{2 * r + l} = 1, as 2r + l = 2n - l - 2 >= n "
@@ -300,7 +286,7 @@ def verify_thm_main1(pres: PcPresentation,
     checks.append(CheckResult(
         "bound", achieved >= required,
         f"c = (n-1) + (n-r) = {achieved} >= {required}"))
-    return _report("main1", pres, profile, seed, checks, achieved, required)
+    return VerificationReport("main1", profile, seed, tuple(checks), achieved, required)
 
 
 def _quotient_isomorphic_to_reference(pres: PcPresentation,
@@ -334,10 +320,15 @@ def verify_thm_main2(pres: PcPresentation,
     (1, s_t), then checks that both derivations kill G_t; the module
     docstring gives the arguments that make the family abelian, with
     composition the product of the parameters, and normal in Aut(G).
+    Refuses when 2(n-t) < n - 2p + 7, where the route falls short.
     """
     profile = _checked_profile(pres, theorem=True)
     p, n, t = pres.p, pres.n, profile.t
     required = n - 2 * p + 7
+    achieved = 2 * (n - t)
+    if achieved < required:
+        raise PreconditionRefused(f"2(n-t) = {achieved} < n - 2p + 7 = {required}: "
+                                  f"the route over G_{t} does not reach the bound")
     Gt = profile.G(t)
     fam = certify_family(pres, profile, t)
     checks = [CheckResult("Gt-family-validated", True, fam.detail)]
@@ -358,11 +349,10 @@ def verify_thm_main2(pres: PcPresentation,
         f"the family is all of Der(G, G_{t}), the kernel of "
         f"Aut(G) -> Aut(G/G_{t}), normal as G_{t} is characteristic"))
 
-    achieved = 2 * (n - t)
     checks.append(CheckResult(
         "bound", achieved >= required,
         f"2(n-t) = {achieved} >= n - 2p + 7 = {required}"))
-    return _report("main2", pres, profile, seed, checks, achieved, required)
+    return VerificationReport("main2", profile, seed, tuple(checks), achieved, required)
 
 
 def _preimage(pres: PcPresentation, gmap: GroupMap, g: Element) -> Element:

@@ -28,7 +28,8 @@ only the modules it runs, so `analyze` loads no automorphism code.
 
 Exit codes: 0 success, 1 usage error or an output path that cannot be
 written, 2 theorem violation or failed selftest, 3 precondition refusal,
-4 inconsistent or unreadable input.
+including a theorem driver whose own degree inequality fails, 4
+inconsistent or unreadable input.
 """
 
 from __future__ import annotations

@@ -225,9 +225,10 @@ def verify_exponent_relations(pres: PcPresentation, profile: MaxClassProfile) ->
 
     The exact relation encodes that s and s*s_i are conjugate for i >= r, so
     their p-th powers agree; modulo N the same holds from i = 1 on, including
-    the degenerate cases s^p = (s s_1)^p = 1 mod N.
+    the degenerate cases s^p = (s s_1)^p = 1 mod N.  s = a_1 and s_1 = a_2,
+    as the caller's prologue certified by `standard_generators`.
     """
-    s, s1, _ = standard_generators(pres, profile.G1)
+    s, s1 = pres.generators[:2]
     n = pres.n
     N = profile.N
     exact = []

@@ -101,7 +101,7 @@ def test_criterion_5_main2_driver(g57):
     t0 = time.perf_counter()
     rep = verify_thm_main2(g57, seed=SEED)
     assert rep.ok, rep.render()
-    assert rep.profile["t"] == 4
+    assert rep.profile.t == 4
     by_name = {c.name: c for c in rep.checks}
     assert "all 15625 pairs" in by_name["Gt-family-validated"].detail
     assert "(1+d)(1+d') = 1+d+d'" in by_name["family-commutes"].detail

@@ -411,15 +411,6 @@ def test_h_cap_inn_nonmetabelian(nonmetabelian58, nm_profile58):
     assert "candidates scanned" not in res.detail
 
 
-def test_h_cap_inn_refuses_without_spanning_chain(nonmetabelian58, nm_profile58):
-    # with G_1 replaced by <a_1, G_2>, which misses a_2, no generator spans
-    # G_1 modulo G_2
-    pres = nonmetabelian58.pres
-    G1 = pres.subgroup_from_generators([pres.generators[0], *nm_profile58.G(2).basis])
-    with pytest.raises(PresentationError, match="no generator in G_1 outside G_2"):
-        h_cap_inn_check(pres, nm_profile58._replace(G1=G1))
-
-
 @pytest.mark.parametrize("name", ["g57", "nonmetabelian57"])
 def test_drivers_store_nothing_on_the_presentation_or_its_subgroups(request, name):
     # a presentation and its subgroups hold only what they were built with;
@@ -613,6 +604,34 @@ def test_main1_builds_profile_and_checks_consistency_once(g57, monkeypatch):
     assert calls == {"build_profile": 1, "consistency_check": 1}
 
 
+@pytest.mark.parametrize("driver, name", [
+    (verify_thm_metabelian, "g57"), (verify_thm_main1, "g57"),
+    (verify_thm_main1, "nonmetabelian58"), (verify_thm_main2, "nonmetabelian58")])
+def test_each_driver_checks_the_generator_convention_once(request, monkeypatch, driver,
+                                                          name):
+    # the prologue runs standard_generators; h_cap_inn_check and
+    # verify_exponent_relations rely on it and do not run it again
+    from pcmax import autom, maxclass
+
+    value = request.getfixturevalue(name)
+    calls = Counter()
+    for module in (autom, maxclass):
+        _count_calls(monkeypatch, calls, module, "standard_generators")
+    assert driver(getattr(value, "pres", value)).ok
+    assert calls == {"standard_generators": 1}
+
+
+def test_drivers_pass_on_equality_of_their_inequalities(nonmetabelian57):
+    # the searched 5^7 meets both routes' inequalities with equality:
+    # 2l = 2 = n - 2p + 5 and 2(n-t) = 4 = n - 2p + 7
+    main1 = verify_thm_main1(nonmetabelian57.pres)
+    main2 = verify_thm_main2(nonmetabelian57.pres)
+    assert main1.ok and main2.ok
+    assert CheckResult("degree-bound", True, "2l = 2 >= n - 2p + 5 = 2") in main1.checks
+    assert (main1.achieved_exponent, main1.required_exponent) == (8, 8)
+    assert main2.checks[-1] == CheckResult("bound", True, "2(n-t) = 4 >= n - 2p + 7 = 4")
+
+
 def test_main1_refuses_small_n(g55):
     with pytest.raises(PreconditionRefused):
         verify_thm_main1(g55)
@@ -683,5 +702,5 @@ def test_report_with_a_failing_check_is_a_violation(g57):
     assert text.replace("FAIL", "pass").replace("theorem-violation", "pass") == rep.render()
     with pytest.raises(AttributeError):
         rep.checks = ()
-    with pytest.raises(TypeError):
-        rep.profile["t"] = 0
+    with pytest.raises(AttributeError):
+        rep.profile.t = 0

@@ -1,6 +1,7 @@
 """Group file round trips and the command-line interface, including exit
 codes and byte-identical reports."""
 
+import ast
 import json
 import os
 import re
@@ -446,12 +447,12 @@ def test_drivers_refuse_a2_outside_G1(a2_outside_G1_58, tmp_path, capsys):
 
 
 def test_l1_58_pins_the_drivers_known_verdicts(l1_58, tmp_path, capsys):
-    """The l = 1 5^8 is valid, and both theorem drivers print
-    `theorem-violation` on it and exit 2.  That verdict is ROADMAP item 1's
-    known defect, not a counterexample: counting |Aut G| as the orbit of
-    a_1 times its stabiliser gives 5^10, Juhász's bound, where main1's
-    route reaches 5^9 and its `degree-bound` line fails.  Item 1 changes
-    these verdicts on purpose."""
+    """The l = 1 5^8 is valid, and both theorem drivers refuse it with
+    exit 3, naming the inequality their route misses.  It is no
+    counterexample: counting |Aut G| as the orbit of a_1 times its
+    stabiliser gives 5^10, Juhász's bound, where main1's route reaches 5^9
+    (2l = 2 < n - 2p + 5 = 3) and main2's 5^4.  ROADMAP item 1's deeper
+    route changes these verdicts on purpose."""
     from pcmax.maxclass import build_profile, compute_G1, validate_maximal_class
 
     from .oracles import (brute_degree_of_commutativity, naive_consistency_check,
@@ -469,17 +470,45 @@ def test_l1_58_pins_the_drivers_known_verdicts(l1_58, tmp_path, capsys):
     code, out = runs["analyze"]
     assert code == 0 and "maximal-class: yes\n" in out and "metabelian: no\n" in out
     assert runs["metabelian"] == (3, "refused: input group is not metabelian\n")
-    code, out = runs["main1"]
-    assert code == 2 and out.endswith("result: theorem-violation\n")
-    assert "achieved-exponent: 9\nrequired-exponent: 10\n" in out
-    assert [ln for ln in out.splitlines() if ": FAIL" in ln] == [
-        "check degree-bound: FAIL (2l = 2 >= n - 2p + 5 = 3)",
-        "check bound: FAIL (c = (n-1) + (n-r) = 9 >= 10)"]
-    code, out = runs["main2"]
-    assert code == 2 and out.endswith("result: theorem-violation\n")
-    assert [ln for ln in out.splitlines() if ": FAIL" in ln] == [
-        "check bound: FAIL (2(n-t) = 4 >= n - 2p + 7 = 5)"]
-    assert "achieved-exponent: 4\nrequired-exponent: 5\n" in out
+    assert runs["main1"] == (3, "refused: 2l = 2 < n - 2p + 5 = 3: the route over "
+                                "A = G_6 does not reach the bound\n")
+    assert runs["main2"] == (3, "refused: 2(n-t) = 4 < n - 2p + 7 = 5: the route over "
+                                "G_6 does not reach the bound\n")
+
+
+# analyze's name of each profile line of a verify report
+ANALYZE_NAMES = {"order": "order", "class": "nilpotency-class",
+                 "l": "degree-of-commutativity", "r": "r", "t": "t", "metabelian": "metabelian"}
+
+
+@pytest.mark.parametrize("source, passing", [
+    ("g57", {"metabelian", "main1", "main2"}), ((5, 12), {"metabelian", "main1", "main2"}),
+    # n = p + 1: the theorem drivers refuse
+    ((7, 8), {"metabelian"}),
+    ("nonmetabelian57", {"main1", "main2"}), ("nonmetabelian58", {"main1", "main2"}),
+], ids=["reference-5-7", "reference-5-12", "reference-7-8", "searched-5-7", "searched-5-8"])
+def test_verify_and_analyze_agree_on_the_profile(request, source, passing, tmp_path, capsys):
+    from pcmax.blackburn import build_blackburn_pc
+
+    if isinstance(source, tuple):
+        pres = build_blackburn_pc(*source)
+    else:
+        value = request.getfixturevalue(source)
+        pres = getattr(value, "pres", value)
+    runs = _cli_runs(pres, tmp_path / "g.grp", capsys)
+
+    def fields(out):
+        return dict(line.split(": ", 1) for line in out.splitlines())
+
+    code, out = runs.pop("analyze")
+    assert code == 0
+    analyzed = fields(out)
+    analyzed["metabelian"] = {"yes": "True", "no": "False"}[analyzed["metabelian"]]
+    assert {verb for verb, (code, _) in runs.items() if code == 0} == passing
+    for verb in passing:
+        reported = fields(runs[verb][1])
+        assert {key: reported[f"profile-{key}"] for key in ANALYZE_NAMES} == {
+            key: analyzed[name] for key, name in ANALYZE_NAMES.items()}, verb
 
 
 def test_verify_inconsistent_exit_4(tmp_path, g57):
@@ -632,6 +661,25 @@ def test_verb_imports_only_its_modules(verb, g57_file, nonmetabelian58, tmp_path
         assert "pcmax.autom" in modules
     # the selftest runs a driver but prints no digest; the others print one
     assert ("hashlib" in modules) == (verb != "selftest")
+
+
+def test_package_imports_only_the_standard_library():
+    # the package stays stdlib-only: every absolute import names a module of
+    # the standard library
+    imported = set()
+    for folder, _, files in os.walk(os.path.dirname(pcmax.__file__)):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update((alias.name, name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add((node.module, name))
+    outside = sorted((module, name) for module, name in imported
+                     if module.partition(".")[0] not in sys.stdlib_module_names)
+    assert not outside
+    assert {module for module, _ in imported} >= {"__future__", "hashlib", "typing"}
 
 
 def test_reports_are_byte_identical(g57_file):
