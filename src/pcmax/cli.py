@@ -22,9 +22,10 @@ Reports go to standard output and are byte-identical across runs; timings
 go to standard error.  Every check in a verify report is exhaustive or a
 certificate whose argument its detail names, and the selftest's checks are
 exact, so nothing samples and the drivers take no budgets.  No verb uses the
-seed; it is accepted and echoed in every report for compatibility.
-Artifacts are written only to explicitly named paths.  Each verb imports
-only the modules it runs, so `analyze` loads no automorphism code.
+seed; it is accepted and echoed in every `analyze` and `verify` report for
+compatibility.  Artifacts are written only to explicitly named paths.  Each
+verb imports only the modules it runs, so `analyze` loads no automorphism
+code.
 
 Exit codes: 0 success, 1 usage error or an output path that cannot be
 written, 2 theorem violation or failed selftest, 3 precondition refusal,
@@ -38,8 +39,7 @@ import sys
 import time
 
 from . import DEFAULT_SEED, __version__, groupfile
-from .errors import (InconsistentPresentation, PreconditionRefused,
-                     PresentationError, TheoremViolation)
+from .errors import InconsistentPresentation, PreconditionRefused, PresentationError
 from .maxclass import build_profile, standard_generators, validate_maximal_class
 
 EXIT_OK = 0
@@ -287,8 +287,9 @@ def _cmd_selftest(seed: int) -> int:
         t[pres.multiply(g, a)] == pres.multiply(pres.conjugate(t[g], a), t[a])
         for t in tables for g in elements for a in pres.generators[:2]))
     fam = build_H(pres, profile)
-    check("s-fixing-family", fam.claimed_order_exponent == profile.A.order_exponent
-          and len(fam.members) == 1 and fam.members[0].images[0] == pres.generators[0])
+    check("s-fixing-family", fam.passed and len(fam.derivations) == 1
+          and fam.derivations[0].u.is_identity()
+          and fam.claimed_order_exponent == profile.A.order_exponent)
     rep = verify_thm_metabelian(pres, seed=seed)
     check("metabelian-driver", rep.ok)
     print(f"selftest result: {'pass' if not failures else 'FAIL'}")
@@ -327,9 +328,6 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return globals()[f"_cmd_{verb}"](**args)
-    except TheoremViolation as exc:
-        print(f"theorem violation: {exc}")
-        return EXIT_VIOLATION
     except PreconditionRefused as exc:
         print(f"refused: {exc}")
         return EXIT_REFUSED

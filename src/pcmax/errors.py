@@ -12,17 +12,14 @@ class InconsistentPresentation(PresentationError):
 class HomCheckFailed(ValueError):
     """Generator images violate a defining relation.
 
-    Carries the relation that failed, so callers can report a witness; the
-    theorem drivers turn a failed family member into TheoremViolation.
+    Carries the relation that failed, so callers can report a witness; a
+    generating pair that does not extend makes `autom.certify_family`
+    return a failed family, which the drivers report as a FAIL line.
     """
 
     def __init__(self, relation: str):
         super().__init__(f"relation does not hold under the images: {relation}")
         self.relation = relation
-
-
-class TheoremViolation(RuntimeError):
-    """A verification driver found a counterexample to an asserted statement."""
 
 
 class PreconditionRefused(RuntimeError):

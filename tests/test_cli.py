@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pcmax
 import pcmax.cli
 from pcmax import groupfile
-from pcmax.errors import PresentationError
+from pcmax.errors import HomCheckFailed, PresentationError
 from pcmax.pcgroup import PcPresentation
 
 
@@ -381,11 +381,15 @@ def test_verify_main1_metabelian_branch(g57_file):
 
 def test_verify_reports_a_basis_pair_that_does_not_extend(
         nonmetabelian57, tmp_path, monkeypatch, capsys):
-    # the relation check of the second member, on (1, s_5), fails: main1
-    # names the pair and the relation, and exits with code 2
+    # the relation check of the second derivation, on (1, s_5), fails:
+    # main1 prints its whole report, whose family line names the pair and
+    # the relation, and exits with code 2
     from pcmax import cli, derivations
-    from pcmax.errors import HomCheckFailed
 
+    path = tmp_path / "nm57.grp"
+    groupfile.dump(nonmetabelian57.pres, path)
+    assert cli.main(["verify", "main1", str(path)]) == 0
+    passing = capsys.readouterr().out
     original = derivations.check_homomorphism
     calls = []
 
@@ -396,13 +400,107 @@ def test_verify_reports_a_basis_pair_that_does_not_extend(
         return original(*args, **kw)
 
     monkeypatch.setattr(derivations, "check_homomorphism", failing)
-    path = tmp_path / "nm57.grp"
-    groupfile.dump(nonmetabelian57.pres, path)
     assert cli.main(["verify", "main1", str(path)]) == 2
-    assert capsys.readouterr().out == (
-        "theorem violation: a generator pair does not extend: "
+    lines = passing.splitlines(keepends=True)
+    family = [i for i, line in enumerate(lines) if "A-family-validated" in line]
+    assert len(family) == 1 and lines[-1] == "result: pass\n"
+    lines[family[0]] = (
+        "check A-family-validated: FAIL (a generator pair does not extend: "
         "images u=(0, 0, 0, 0, 0, 0, 0), v=(0, 0, 0, 0, 0, 1, 0) "
-        "do not extend to an endomorphism ([a_4, a_2] = tail)\n")
+        "do not extend to an endomorphism ([a_4, a_2] = tail))\n")
+    lines[-1] = "result: theorem-violation\n"
+    assert capsys.readouterr().out == "".join(lines)
+
+
+PINNED = ["g35", "g36", "g55", "g57", "g58", "rescaled58", "a2_outside_G1_58",
+          "assoc_i2_78", "l1_58", "nonmetabelian57", "nonmetabelian58"]
+# the report lines that compute nothing; each names its argument in its detail
+ARGUMENT_LINES = {"H-meets-Inn", "conjugation-closure", "bound"}
+
+
+def _raise_hom_check_failed(*args, **kw):
+    raise HomCheckFailed("planted")
+
+
+def _fail_exponent_relations(m):
+    from pcmax import autom
+
+    right = autom.verify_exponent_relations
+    m.setattr(autom, "verify_exponent_relations", lambda *a: right(*a)._replace(ok=False))
+
+
+def _fail_reference_quotient(m):
+    from pcmax import autom
+
+    m.setattr(autom, "check_homomorphism", _raise_hom_check_failed)
+
+
+def _fail_second_derivation(m):
+    from pcmax import derivations
+
+    right, calls = derivations.check_homomorphism, []
+
+    def second_fails(*args, **kw):
+        calls.append(args)
+        return (_raise_hom_check_failed if len(calls) == 2 else right)(*args, **kw)
+
+    m.setattr(derivations, "check_homomorphism", second_fails)
+
+
+def _fail_kernels(m):
+    from pcmax import autom
+
+    m.setattr(autom, "kernel_contains", lambda d, sub: False)
+
+
+# the fault, planted in a computation, that must turn each computed line to FAIL
+COMPUTED_LINES = {
+    "exponent-relations": _fail_exponent_relations,
+    "quotient-matches-reference": _fail_reference_quotient,
+    "A-family-validated": _fail_second_derivation,
+    "Gt-family-validated": _fail_second_derivation,
+    "derived-pair-family-validated": _fail_second_derivation,
+    "family-commutes": _fail_kernels,
+}
+
+
+def test_every_computed_driver_line_can_fail(request, tmp_path, capsys):
+    # each line of a passing report either rests on a computation, and then
+    # a fault planted in that computation turns it to FAIL, or is one of the
+    # named argument lines; a line that is always pass cannot slip in
+    from pcmax import cli
+
+    passing = {}
+    for name in PINNED:
+        value = request.getfixturevalue(name)
+        path = tmp_path / f"{name}.grp"
+        groupfile.dump(getattr(value, "pres", value), path)
+        for driver in ("metabelian", "main1", "main2"):
+            argv = ["verify", driver, str(path)]
+            code = cli.main(argv)
+            out = capsys.readouterr().out
+            if code == 0:
+                passing[name, driver] = argv, out.splitlines()
+    assert sorted(passing) == sorted([
+        ("g35", "metabelian"), ("g36", "metabelian"), ("g55", "metabelian"),
+        *((g, d) for g in ("g57", "g58") for d in ("metabelian", "main1", "main2")),
+        *((g, d) for g in ("nonmetabelian57", "nonmetabelian58") for d in ("main1", "main2"))])
+    planted = Counter()
+    for key, (argv, lines) in passing.items():
+        names = [line[len("check "):].split(":")[0] for line in lines
+                 if line.startswith("check ")]
+        assert set(names) <= COMPUTED_LINES.keys() | ARGUMENT_LINES, (key, names)
+        for line in (name for name in names if name in COMPUTED_LINES):
+            with pytest.MonkeyPatch.context() as m:
+                COMPUTED_LINES[line](m)
+                assert cli.main(argv) == 2, (key, line)
+            faulted = capsys.readouterr().out.splitlines()
+            assert len(faulted) == len(lines) and faulted[-1] == "result: theorem-violation"
+            assert any(f.startswith(f"check {line}: FAIL") for f in faulted), faulted
+            changed = [f for f, ok in zip(faulted[:-1], lines) if f != ok]
+            assert all(f.startswith("check ") and ": FAIL" in f for f in changed), changed
+            planted[line] += 1
+    assert planted.keys() == COMPUTED_LINES.keys(), planted
 
 
 def test_verify_refusal_exit_3(g66_file):
@@ -781,14 +879,18 @@ def test_selftest():
     ("evaluate", (2, 1, 1, 1, 1), False),
     ("evaluate", (1, 1, 0, 0, 0), True),
     ("bullet", None, False),
+    ("build_H", "moves s", False),
+    ("build_H", "fails", False),
 ], ids=["evaluate-a5", "evaluate-a1a2", "evaluate-a1^2a2a3a4a5",
-        "evaluate-a1a2-of-d2", "bullet"])
+        "evaluate-a1a2-of-d2", "bullet", "build_H-moves-s", "build_H-fails"])
 def test_selftest_catches_planted_faults(monkeypatch, capsys, fault, wrong, second_only):
     # the selftest's exact checks must see a derivation wrong on a single
     # element of its 3^5 (for both derivations, or only for the second,
-    # which is 1 on a_1), and a bullet without its composition term
-    from pcmax import derivations
+    # which is 1 on a_1), a bullet without its composition term, and an
+    # s-fixing family that moves s or failed its certificate
+    from pcmax import autom, derivations
 
+    owner = derivations
     if fault == "evaluate":
         right = derivations.evaluate
 
@@ -799,10 +901,19 @@ def test_selftest_catches_planted_faults(monkeypatch, capsys, fault, wrong, seco
             return d.pres.multiply(value, d.pres.generators[-1])
 
         failing = "cocycle-law"
-    else:
+    elif fault == "bullet":
         planted = derivations.add  # bullet without its composition term
         failing = "derivation-monoid"
-    monkeypatch.setattr(derivations, fault, planted)
+    else:
+        right = autom.build_H
+
+        def planted(pres, profile):
+            if wrong == "moves s":
+                return autom.certify_family(pres, profile, profile.r)
+            return right(pres, profile)._replace(passed=False)
+
+        owner, failing = autom, "s-fixing-family"
+    monkeypatch.setattr(owner, fault, planted)
     assert pcmax.cli.main(["selftest"]) == 2
     assert capsys.readouterr().out == "".join(
         f"selftest {name}: {'FAIL' if name in (failing, 'result') else 'pass'}\n"
