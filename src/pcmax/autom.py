@@ -28,11 +28,17 @@ Three drivers verify the statements this package exists to check:
   automorphism for every pair of derived-subgroup values, giving a family
   of order |G_2|^2 = p^{2(n-2)}.
 * `verify_thm_main1`: a maximal-class group with p >= 5 and n > p + 1 has
-  at least p^ceil((3n-2p+5)/2) automorphisms, via the metabelian case
-  when the group is metabelian and via the family over A = G_{n-l-1}
-  together with the inner automorphisms otherwise.
+  at least p^ceil((3n-2p+5)/2) automorphisms: the metabelian family, or
+  |Inn G| |H| = p^{(n-1) + (n-r)}, with H the s-fixing half of the family
+  over A = G_r, r = n-l-1, which meets Inn G trivially.
 * `verify_thm_main2`: the family over G_t with t = max(n-l-1, ceil((n+1)/2))
   is an abelian normal subgroup of Aut(G) of order p^{2(n-t)} >= p^{n-2p+7}.
+
+A `VerificationReport` turns a driver's checks into its verdict by one rule:
+the exponent of p the driver's families claim is achieved only when every
+check passed, and is 0 otherwise, as a failed check certifies nothing.  The
+`bound` line compares that count with the required one, and the report passes
+when it does; a line about a family's members fails with the family.
 """
 
 from __future__ import annotations
@@ -54,11 +60,8 @@ from .pcgroup import Element, PcPresentation, Subgroup
 
 def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
         target: Subgroup | None = None) -> GroupMap:
-    """The automorphism s -> s*u, s_1 -> s_1*v for u, v in the target term.
-
-    Built through the derivation calculus and certified; raises
-    HomCheckFailed when the images do not extend.
-    """
+    """The automorphism s -> s*u, s_1 -> s_1*v for u, v in the target term,
+    built as 1 + d; raises HomCheckFailed when the images do not extend."""
     return one_plus(make_derivation(pres, target or profile.A, u, v))
 
 
@@ -122,57 +125,61 @@ class CheckResult(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """A driver's verdict: the profile its prologue checked, from which the
-    input and profile lines are rendered, and its checks.  Refusals raise
-    PreconditionRefused instead of producing a report."""
+    """A driver's verdict, by the module docstring's rule, from the profile
+    its prologue checked, its checks, and the exponents of p that its
+    families claim and that the theorem requires, each with its formula."""
 
     driver: str
     profile: MaxClassProfile
     seed: int
     checks: tuple
-    achieved_exponent: int
+    claimed_exponent: int
+    claimed_formula: str
     required_exponent: int
+    required_formula: str
+
+    @property
+    def achieved_exponent(self) -> int:
+        return self.claimed_exponent if all(c.passed for c in self.checks) else 0
+
+    @property
+    def bound(self) -> CheckResult:
+        need = f"{self.required_formula} = {self.required_exponent}"
+        if not all(c.passed for c in self.checks):
+            return CheckResult("bound", False, f"a check failed, so nothing counts toward {need}")
+        holds = self.claimed_exponent >= self.required_exponent
+        return CheckResult("bound", holds, f"{self.claimed_formula} = {self.claimed_exponent} "
+                                           f"{'>=' if holds else '<'} {need}")
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def input_digest(self) -> str:
-        """Computed when rendered: the selftest runs a driver but prints no
-        digest, so it never loads `hashlib`."""
-        return self.profile.pres.digest()
+        return self.bound.passed
 
     def render(self) -> str:
-        profile = self.profile
-        order = f"{profile.pres.p}^{profile.pres.n}"
-        lines = [
-            f"driver: {self.driver}",
-            f"tool-version: {__version__}",
-            f"input-digest: sha256:{self.input_digest}",
-            f"input: pc group of order {order}",
-            f"seed: {self.seed}",
-            f"profile-order: {order}",
-            f"profile-class: {profile.pres.n - 1}",
-            f"profile-l: {profile.l}",
-            f"profile-r: {profile.r}",
-            f"profile-t: {profile.t}",
-            f"profile-metabelian: {profile.metabelian}",
-        ]
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
+        # the digest is taken here, not by the driver: the selftest runs a
+        # driver but prints no digest, so it never loads `hashlib`
+        profile, pres = self.profile, self.profile.pres
+        lines = [f"driver: {self.driver}", f"tool-version: {__version__}",
+                 f"input-digest: sha256:{pres.digest()}",
+                 f"input: pc group of order {pres.p}^{pres.n}", f"seed: {self.seed}",
+                 f"profile-order: {pres.p}^{pres.n}", f"profile-class: {pres.n - 1}",
+                 *(f"profile-{key}: {getattr(profile, key)}"
+                   for key in ("l", "r", "t", "metabelian"))]
+        for c in (*self.checks, self.bound):
             detail = f" ({c.detail})" if c.detail else ""
-            lines.append(f"check {c.name}: {status}{detail}")
-        lines.append(f"achieved-exponent: {self.achieved_exponent}")
-        lines.append(f"required-exponent: {self.required_exponent}")
-        lines.append(f"result: {'pass' if self.ok else 'theorem-violation'}")
+            lines.append(f"check {c.name}: {'pass' if c.passed else 'FAIL'}{detail}")
+        lines += [f"achieved-exponent: {self.achieved_exponent}",
+                  f"required-exponent: {self.required_exponent}",
+                  f"result: {'pass' if self.ok else 'theorem-violation'}"]
         return "\n".join(lines) + "\n"
 
 
-def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResult:
-    """The s-fixing family meets the inner automorphisms trivially when r > 2.
+def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile,
+                    certified: bool) -> CheckResult:
+    """The s-fixing family meets the inner automorphisms trivially when r > 2,
+    a line about the family over A, and so one that fails unless certified.
 
-    Certified from the profile, with no group arithmetic.  Conjugations
+    Argued from the profile, with no group arithmetic.  Conjugations
     fixing s come from the centralizer of s, and C_G(s) <= <s>G_{n-1} by
     the chain argument: every g is s^a y with y in G_1 and [s^a y, s] =
     [y, s]; x -> [x, s] maps G_i/G_{i+1} onto G_{i+1}/G_{i+2} via
@@ -188,12 +195,10 @@ def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResu
     it is the identity.
     """
     if profile.r <= 2:
-        raise PreconditionRefused(
-            "r = 2 (the group is metabelian): the whole-family driver for "
-            "2-generator metabelian groups covers this case"
-        )
+        raise PreconditionRefused("r = 2 (the group is metabelian): the whole-family driver "
+                                  "for 2-generator metabelian groups covers this case")
     n = pres.n
-    return CheckResult("H-meets-Inn", True, (
+    return _on_family(certified, "H-meets-Inn", True, (
         f"chain argument: C_G(s) <= <s>G_{n - 1}, as [s^a y, s] = [y, s] and "
         f"x -> [x, s] maps G_i/G_{{i+1}} onto G_{{i+1}}/G_{{i+2}} "
         f"(s_i -> s_{{i+1}}) for 1 <= i <= {n - 2}; for g = s^a z with z in "
@@ -201,22 +206,29 @@ def h_cap_inn_check(pres: PcPresentation, profile: MaxClassProfile) -> CheckResu
         f"outside G_3 >= A = G_{profile.r} for a != 0"))
 
 
+def _on_family(certified: bool, name: str, passed: bool, detail: str) -> CheckResult:
+    """A line about a family's members, which fails unless the family is certified."""
+    return CheckResult(name, certified and passed,
+                       detail if certified else "not checked: the family is not certified")
+
+
 def verify_thm_metabelian(pres: PcPresentation,
                           seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Every pair of derived-subgroup values extends to an automorphism;
-    the achieved family order is p^{2(n-2)}."""
+    """Every pair of derived-subgroup values extends to an automorphism:
+    the certified family has order p^{2(n-2)}."""
     profile = _checked_profile(pres, theorem=False)
-    check, exponent = _derived_pair_family(pres, profile)
-    return VerificationReport("metabelian", profile, seed, (check,), exponent, exponent)
+    return _derived_pair_report("metabelian", profile, seed, 2 * (pres.n - 2), "2(n-2)")
 
 
-def _derived_pair_family(pres: PcPresentation, profile: MaxClassProfile):
-    """A metabelian group's family over G_2: its check and order exponent."""
+def _derived_pair_report(driver: str, profile: MaxClassProfile, seed: int,
+                         required: int, formula: str) -> VerificationReport:
+    """A metabelian group's report, whose count is its family over G_2."""
     if not profile.metabelian:
         raise PreconditionRefused("input group is not metabelian")
-    fam = certify_family(pres, profile, 2)
-    return (CheckResult("derived-pair-family-validated", fam.passed, fam.detail),
-            fam.claimed_order_exponent)
+    fam = certify_family(profile.pres, profile, 2)
+    check = CheckResult("derived-pair-family-validated", fam.passed, fam.detail)
+    return VerificationReport(driver, profile, seed, (check,), fam.claimed_order_exponent,
+                              "2(n-2)", required, formula)
 
 
 def _checked_profile(pres: PcPresentation, theorem: bool) -> MaxClassProfile:
@@ -235,44 +247,36 @@ def _checked_profile(pres: PcPresentation, theorem: bool) -> MaxClassProfile:
 
 def verify_thm_main1(pres: PcPresentation,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Automorphism count lower bound p^ceil((3n-2p+5)/2) for p >= 5, n > p+1;
-    refuses a nonmetabelian input with 2l < n - 2p + 5, where the route falls short."""
+    """Automorphism count lower bound p^ceil((3n-2p+5)/2) for p >= 5, n > p+1:
+    the count is |Inn G| |H|, with H inside the family certified over
+    A = G_r, and counts only when every check passed; refuses a nonmetabelian
+    input with 2l < n - 2p + 5, where the route falls short."""
     profile = _checked_profile(pres, theorem=True)
     p, n, r, l = pres.p, pres.n, profile.r, profile.l
-    required = math.ceil((3 * n - 2 * p + 5) / 2)
+    required, formula = math.ceil((3 * n - 2 * p + 5) / 2), "ceil((3n-2p+5)/2)"
 
     if profile.metabelian:
-        check, achieved = _derived_pair_family(pres, profile)
-        bound = CheckResult("bound", achieved >= required,
-                            f"metabelian branch: 2(n-2) = {achieved} >= {required}")
-        return VerificationReport("main1", profile, seed, (check, bound), achieved, required)
+        return _derived_pair_report("main1", profile, seed, required, formula)
     if 2 * l < n - 2 * p + 5:
         raise PreconditionRefused(f"2l = {2 * l} < n - 2p + 5 = {n - 2 * p + 5}: "
                                   f"the route over A = G_{r} does not reach the bound")
 
-    # stage 1: exponent relations (exact for i >= r, congruences mod N)
+    # the exponent relations (exact for i >= r, congruences mod N), and G/N
+    # is the same group as the reference quotient
     exp_rep = verify_exponent_relations(pres, profile)
-    checks = [CheckResult(
-        "exponent-relations", exp_rep.ok,
-        f"exact from i = {exp_rep.exact_from}, congruences mod N "
-        f"{'hold' if exp_rep.congruence_all and exp_rep.head_congruences else 'fail'}")]
-
-    # stage 2: G/N is the same group as the reference quotient
-    iso_ok, iso_detail = _quotient_isomorphic_to_reference(pres, profile)
-    checks.append(CheckResult("quotient-matches-reference", iso_ok, iso_detail))
-
-    # stage 3: the family over A, which is abelian as A <= G_2 and [G_2, A] = 1
+    congruences = "hold" if exp_rep.congruence_all and exp_rep.head_congruences else "fail"
+    checks = [CheckResult("exponent-relations", exp_rep.ok,
+                          f"exact from i = {exp_rep.exact_from}, congruences mod N {congruences}"),
+              CheckResult("quotient-matches-reference",
+                          *_quotient_isomorphic_to_reference(pres, profile))]
+    # the family over A, which is abelian as A <= G_2 and [G_2, A] = 1, and
+    # its s-fixing half H, which meets the inner automorphisms trivially
     fam = certify_family(pres, profile, r)
-    checks.append(CheckResult("A-family-validated", fam.passed, fam.detail))
-
-    # stage 4: trivial intersection with the inner automorphisms
-    checks.append(h_cap_inn_check(pres, profile))
-
-    achieved = (n - 1) + (n - r)  # = n + l
-    checks.append(CheckResult(
-        "bound", achieved >= required,
-        f"c = (n-1) + (n-r) = {achieved} >= {required}"))
-    return VerificationReport("main1", profile, seed, tuple(checks), achieved, required)
+    checks += [CheckResult("A-family-validated", fam.passed, fam.detail),
+               h_cap_inn_check(pres, profile, fam.passed)]
+    return VerificationReport("main1", profile, seed, tuple(checks),
+                              (n - 1) + fam.claimed_order_exponent // 2,
+                              "(n-1) + (n-r)", required, formula)
 
 
 def _quotient_isomorphic_to_reference(pres: PcPresentation,
@@ -311,31 +315,24 @@ def verify_thm_main2(pres: PcPresentation,
     profile = _checked_profile(pres, theorem=True)
     p, n, t = pres.p, pres.n, profile.t
     required = n - 2 * p + 7
-    achieved = 2 * (n - t)
-    if achieved < required:
-        raise PreconditionRefused(f"2(n-t) = {achieved} < n - 2p + 7 = {required}: "
+    if 2 * (n - t) < required:
+        raise PreconditionRefused(f"2(n-t) = {2 * (n - t)} < n - 2p + 7 = {required}: "
                                   f"the route over G_{t} does not reach the bound")
     fam = certify_family(pres, profile, t)
-    checks = [CheckResult("Gt-family-validated", fam.passed, fam.detail)]
-    if fam.passed:
-        commutes = all(kernel_contains(d, profile.G(t)) for d in fam.derivations)
-        detail = (f"G_{t} lies in the kernel of the derivations on (s_{t}, 1) and "
-                  f"(1, s_{t}), a property kept by products and by x -> x^s, and "
-                  f"derivations killing the abelian G_{t} compose as "
-                  f"(1+d)(1+d') = 1+d+d' = (1+d')(1+d), so "
-                  f"phi_{{u,v}} . phi_{{u',v'}} = phi_{{uu',vv'}}")
-    else:
-        commutes, detail = False, "kernels not checked: the family is not certified"
-    checks.append(CheckResult("family-commutes", commutes, detail))
-    checks.append(CheckResult(
-        "conjugation-closure", True,
-        f"the family is all of Der(G, G_{t}), the kernel of "
-        f"Aut(G) -> Aut(G/G_{t}), normal as G_{t} is characteristic"))
-
-    checks.append(CheckResult(
-        "bound", achieved >= required,
-        f"2(n-t) = {achieved} >= n - 2p + 7 = {required}"))
-    return VerificationReport("main2", profile, seed, tuple(checks), achieved, required)
+    commutes = fam.passed and all(kernel_contains(d, profile.G(t)) for d in fam.derivations)
+    checks = (
+        CheckResult("Gt-family-validated", fam.passed, fam.detail),
+        _on_family(fam.passed, "family-commutes", commutes, (
+            f"G_{t} lies in the kernel of the derivations on (s_{t}, 1) and "
+            f"(1, s_{t}), a property kept by products and by x -> x^s, and "
+            f"derivations killing the abelian G_{t} compose as "
+            f"(1+d)(1+d') = 1+d+d' = (1+d')(1+d), so "
+            f"phi_{{u,v}} . phi_{{u',v'}} = phi_{{uu',vv'}}")),
+        _on_family(fam.passed, "conjugation-closure", True, (
+            f"the family is all of Der(G, G_{t}), the kernel of "
+            f"Aut(G) -> Aut(G/G_{t}), normal as G_{t} is characteristic")))
+    return VerificationReport("main2", profile, seed, checks, fam.claimed_order_exponent,
+                              "2(n-t)", required, "n - 2p + 7")
 
 
 def _preimage(pres: PcPresentation, gmap: GroupMap, g: Element) -> Element:

@@ -19,13 +19,15 @@ usage:
 option may be written --opt=value or shortened to a unique prefix.
 
 Reports go to standard output and are byte-identical across runs; timings
-go to standard error.  Every check in a verify report is exhaustive or a
-certificate whose argument its detail names, and the selftest's checks are
-exact, so nothing samples and the drivers take no budgets.  No verb uses the
-seed; it is accepted and echoed in every `analyze` and `verify` report for
-compatibility.  Artifacts are written only to explicitly named paths.  Each
-verb imports only the modules it runs, so `analyze` loads no automorphism
-code.
+go to standard error.  Every check in a verify report is exhaustive, a
+certificate whose argument its detail names, or an argument about a family
+that fails unless the family is certified; the report counts only when every
+check passed, and its `bound` line compares that count with the theorem's.
+The selftest's checks are exact, so nothing samples and the drivers take no
+budgets.  No verb uses the seed; it is accepted and echoed in every `analyze`
+and `verify` report for compatibility.  Artifacts are written only to
+explicitly named paths.  Each verb imports only the modules it runs, so
+`analyze` loads no automorphism code.
 
 Exit codes: 0 success, 1 usage error or an output path that cannot be
 written, 2 theorem violation or failed selftest, 3 precondition refusal,

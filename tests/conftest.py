@@ -1,13 +1,23 @@
+import os
 import random
 
 import pytest
 
+import pcmax
 from pcmax.blackburn import build_blackburn_pc, build_m_presentation
 from pcmax.maxclass import build_profile, validate_maximal_class
 from pcmax.pcgroup import PcPresentation
 from pcmax.search import search_nonmetabelian
 
 SEED = 0x5EED_C0DE_2026
+
+
+def pcmax_env():
+    """The environment for a child Python that imports pcmax: the package's
+    source directory first on PYTHONPATH, so that a checkout needs no install."""
+    src = os.path.dirname(os.path.dirname(pcmax.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 # fixture grid used throughout; (7,9) only where a test really needs it
 GRID = [(3, 5), (3, 6), (5, 5), (5, 7), (5, 8), (7, 9)]

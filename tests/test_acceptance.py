@@ -24,7 +24,7 @@ from pcmax.maxclass import (build_profile, conjugacy_facts,
                             validate_maximal_class)
 from pcmax.pcgroup import PcPresentation
 
-from .conftest import GRID, SEED
+from .conftest import GRID, SEED, pcmax_env
 from .oracles import cross_model_all_pairs, is_zero, zero_derivation
 
 
@@ -217,7 +217,7 @@ def test_criterion_7_negative_controls(g57, tmp_path):
     groupfile.dump(build_blackburn_pc(5, 6), path)
     res = subprocess.run(
         [sys.executable, "-m", "pcmax.cli", "verify", "main1", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=pcmax_env())
     assert res.returncode == 3, res.stdout
     with pytest.raises(PreconditionRefused):
         verify_thm_main1(build_blackburn_pc(5, 6))

@@ -398,16 +398,19 @@ def test_build_H_order_and_closure(g57, profile57, g35, profile35):
 
 def test_h_cap_inn_refuses_metabelian(g57, profile57):
     with pytest.raises(PreconditionRefused):
-        h_cap_inn_check(g57, profile57)
+        h_cap_inn_check(g57, profile57, True)
 
 
 def test_h_cap_inn_nonmetabelian(nonmetabelian58, nm_profile58):
-    res = h_cap_inn_check(nonmetabelian58.pres, nm_profile58)
+    res = h_cap_inn_check(nonmetabelian58.pres, nm_profile58, True)
     assert res.passed, res.detail
     assert res.detail.startswith("chain argument: C_G(s) <= <s>G_7")
     assert "in the central G_7" in res.detail
     assert "= s_2^a mod G_3, outside G_3 >= A = G_5" in res.detail
     assert "candidates scanned" not in res.detail
+    # the line is about the family over A, so it fails when that family does
+    assert h_cap_inn_check(nonmetabelian58.pres, nm_profile58, False) == CheckResult(
+        "H-meets-Inn", False, "not checked: the family is not certified")
 
 
 @pytest.mark.parametrize("name", ["g57", "nonmetabelian57"])
@@ -453,7 +456,7 @@ def test_h_cap_inn_makes_no_group_operation(nonmetabelian58, nm_profile58, monke
     calls = Counter()
     _count_calls(monkeypatch, calls, PcPresentation, "multiply", "conjugate",
                  "commutator", "solve", "consistency_check")
-    assert h_cap_inn_check(pres, nm_profile58).passed
+    assert h_cap_inn_check(pres, nm_profile58, True).passed
     assert calls.total() == 0
     assert verify_thm_main1(pres).ok
     assert calls["consistency_check"] == 1
@@ -627,9 +630,10 @@ def test_drivers_pass_on_equality_of_their_inequalities(nonmetabelian57):
     main2 = verify_thm_main2(nonmetabelian57.pres)
     assert main1.ok and main2.ok
     assert 2 * main1.profile.l == 2 == 7 - 2 * 5 + 5
-    assert main1.checks[-1] == CheckResult("bound", True, "c = (n-1) + (n-r) = 8 >= 8")
+    assert main1.bound == CheckResult("bound", True,
+                                      "(n-1) + (n-r) = 8 >= ceil((3n-2p+5)/2) = 8")
     assert (main1.achieved_exponent, main1.required_exponent) == (8, 8)
-    assert main2.checks[-1] == CheckResult("bound", True, "2(n-t) = 4 >= n - 2p + 7 = 4")
+    assert main2.bound == CheckResult("bound", True, "2(n-t) = 4 >= n - 2p + 7 = 4")
 
 
 def test_main1_refuses_small_n(g55):
@@ -649,7 +653,9 @@ def test_main1_nonmetabelian(nonmetabelian58):
     assert rep.achieved_exponent == 10  # n + l = 8 + 2
     assert [c.name for c in rep.checks] == [
         "exponent-relations", "quotient-matches-reference", "A-family-validated",
-        "H-meets-Inn", "bound"]
+        "H-meets-Inn"]
+    assert rep.bound == CheckResult("bound", True,
+                                    "(n-1) + (n-r) = 10 >= ceil((3n-2p+5)/2) = 10")
 
 
 @pytest.mark.parametrize("name", ["nonmetabelian57", "nonmetabelian58"])
@@ -718,15 +724,21 @@ def test_driver_reports_render_deterministically(g35):
 
 
 def test_report_with_a_failing_check_is_a_violation(g57):
+    # one failed check fails the report: it counts nothing, and its bound
+    # line fails whatever the family claims
     rep = verify_thm_main2(g57)
     assert rep.ok and rep.render().endswith("result: pass\n")
-    *head, bound = rep.checks
-    failing = rep._replace(checks=(*head, CheckResult("bound", False, bound.detail)))
+    assert (rep.claimed_exponent, rep.achieved_exponent) == (6, 6)
+    assert rep.bound == CheckResult("bound", True, "2(n-t) = 6 >= n - 2p + 7 = 4")
+    first, *rest = rep.checks
+    failing = rep._replace(checks=(first._replace(passed=False), *rest))
     assert not failing.ok
-    text = failing.render()
-    assert f"check bound: FAIL ({bound.detail})\n" in text
-    assert text.endswith("result: theorem-violation\n")
-    assert text.replace("FAIL", "pass").replace("theorem-violation", "pass") == rep.render()
+    assert (failing.claimed_exponent, failing.achieved_exponent) == (6, 0)
+    lines, text = rep.render().splitlines(), failing.render().splitlines()
+    assert [f for f, ok in zip(text, lines, strict=True) if f != ok] == [
+        f"check Gt-family-validated: FAIL ({first.detail})",
+        "check bound: FAIL (a check failed, so nothing counts toward n - 2p + 7 = 4)",
+        "achieved-exponent: 0", "result: theorem-violation"]
     with pytest.raises(AttributeError):
         rep.checks = ()
     with pytest.raises(AttributeError):

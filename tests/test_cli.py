@@ -18,11 +18,13 @@ from pcmax import groupfile
 from pcmax.errors import HomCheckFailed, PresentationError
 from pcmax.pcgroup import PcPresentation
 
+from .conftest import pcmax_env
+
 
 def run_cli(*args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "pcmax.cli", *args],
-        capture_output=True, text=True, **kw)
+        capture_output=True, text=True, env=pcmax_env(), **kw)
 
 
 # -- group files --------------------------------------------------------------
@@ -383,7 +385,8 @@ def test_verify_reports_a_basis_pair_that_does_not_extend(
         nonmetabelian57, tmp_path, monkeypatch, capsys):
     # the relation check of the second derivation, on (1, s_5), fails:
     # main1 prints its whole report, whose family line names the pair and
-    # the relation, and exits with code 2
+    # the relation, fails every line that rests on the family, counts
+    # nothing and exits with code 2
     from pcmax import cli, derivations
 
     path = tmp_path / "nm57.grp"
@@ -402,20 +405,28 @@ def test_verify_reports_a_basis_pair_that_does_not_extend(
     monkeypatch.setattr(derivations, "check_homomorphism", failing)
     assert cli.main(["verify", "main1", str(path)]) == 2
     lines = passing.splitlines(keepends=True)
-    family = [i for i, line in enumerate(lines) if "A-family-validated" in line]
-    assert len(family) == 1 and lines[-1] == "result: pass\n"
-    lines[family[0]] = (
+    assert lines[-6:] == [
+        "check A-family-validated: pass (all 625 pairs: phi extends on (s_5, 1) and "
+        "(1, s_5); the extending pairs form a subgroup kept by x -> x^s, a module "
+        "endomorphism of G_5 as [G_2, G_5] <= G_8 = 1, and s_5 generates G_5 under it "
+        "(s_{i+1} = s_i^-1 s_i^s); pairwise distinct, as (u, v) is read off the images "
+        "of s and s_1)\n",
+        lines[-5], "check bound: pass ((n-1) + (n-r) = 8 >= ceil((3n-2p+5)/2) = 8)\n",
+        "achieved-exponent: 8\n", "required-exponent: 8\n", "result: pass\n"]
+    assert lines[-5].startswith("check H-meets-Inn: pass (chain argument: ")
+    lines[-6:] = [
         "check A-family-validated: FAIL (a generator pair does not extend: "
         "images u=(0, 0, 0, 0, 0, 0, 0), v=(0, 0, 0, 0, 0, 1, 0) "
-        "do not extend to an endomorphism ([a_4, a_2] = tail))\n")
-    lines[-1] = "result: theorem-violation\n"
+        "do not extend to an endomorphism ([a_4, a_2] = tail))\n",
+        "check H-meets-Inn: FAIL (not checked: the family is not certified)\n",
+        "check bound: FAIL (a check failed, so nothing counts toward "
+        "ceil((3n-2p+5)/2) = 8)\n",
+        "achieved-exponent: 0\n", "required-exponent: 8\n", "result: theorem-violation\n"]
     assert capsys.readouterr().out == "".join(lines)
 
 
 PINNED = ["g35", "g36", "g55", "g57", "g58", "rescaled58", "a2_outside_G1_58",
           "assoc_i2_78", "l1_58", "nonmetabelian57", "nonmetabelian58"]
-# the report lines that compute nothing; each names its argument in its detail
-ARGUMENT_LINES = {"H-meets-Inn", "conjugation-closure", "bound"}
 
 
 def _raise_hom_check_failed(*args, **kw):
@@ -453,7 +464,9 @@ def _fail_kernels(m):
     m.setattr(autom, "kernel_contains", lambda d, sub: False)
 
 
-# the fault, planted in a computation, that must turn each computed line to FAIL
+# the fault, planted in a computation, that must turn each computed line to
+# FAIL; the lines that argue about a family's members, and the bound, rest
+# on the family's certificate
 COMPUTED_LINES = {
     "exponent-relations": _fail_exponent_relations,
     "quotient-matches-reference": _fail_reference_quotient,
@@ -461,13 +474,16 @@ COMPUTED_LINES = {
     "Gt-family-validated": _fail_second_derivation,
     "derived-pair-family-validated": _fail_second_derivation,
     "family-commutes": _fail_kernels,
+    "H-meets-Inn": _fail_second_derivation,
+    "conjugation-closure": _fail_second_derivation,
+    "bound": _fail_second_derivation,
 }
 
 
 def test_every_computed_driver_line_can_fail(request, tmp_path, capsys):
-    # each line of a passing report either rests on a computation, and then
-    # a fault planted in that computation turns it to FAIL, or is one of the
-    # named argument lines; a line that is always pass cannot slip in
+    # each line of a passing report rests on a computation, and a fault
+    # planted in that computation turns it to FAIL and the count to 0; a
+    # line that is always pass cannot slip in
     from pcmax import cli
 
     passing = {}
@@ -489,15 +505,17 @@ def test_every_computed_driver_line_can_fail(request, tmp_path, capsys):
     for key, (argv, lines) in passing.items():
         names = [line[len("check "):].split(":")[0] for line in lines
                  if line.startswith("check ")]
-        assert set(names) <= COMPUTED_LINES.keys() | ARGUMENT_LINES, (key, names)
-        for line in (name for name in names if name in COMPUTED_LINES):
+        assert set(names) <= COMPUTED_LINES.keys() and names[-1] == "bound", (key, names)
+        for line in names:
             with pytest.MonkeyPatch.context() as m:
                 COMPUTED_LINES[line](m)
                 assert cli.main(argv) == 2, (key, line)
             faulted = capsys.readouterr().out.splitlines()
             assert len(faulted) == len(lines) and faulted[-1] == "result: theorem-violation"
             assert any(f.startswith(f"check {line}: FAIL") for f in faulted), faulted
-            changed = [f for f, ok in zip(faulted[:-1], lines) if f != ok]
+            assert faulted[-4].startswith("check bound: FAIL (a check failed")
+            assert faulted[-3:-1] == ["achieved-exponent: 0", lines[-2]]
+            changed = [f for f, ok in zip(faulted[:-3], lines) if f != ok]
             assert all(f.startswith("check ") and ": FAIL" in f for f in changed), changed
             planted[line] += 1
     assert planted.keys() == COMPUTED_LINES.keys(), planted
@@ -572,6 +590,25 @@ def test_l1_58_pins_the_drivers_known_verdicts(l1_58, tmp_path, capsys):
                                 "A = G_6 does not reach the bound\n")
     assert runs["main2"] == (3, "refused: 2(n-t) = 4 < n - 2p + 7 = 5: the route over "
                                 "G_6 does not reach the bound\n")
+
+
+# v_5(|Aut G|) of the searched fixtures, counted as the orbit of a_1 times its
+# stabiliser (ROADMAP, "Measured at this re-anchor" and item 1): |Aut G| is
+# 5^9 on the 5^7 and 2^2 5^11 on the 5^8
+AUT_EXPONENTS = {"nonmetabelian57": 9, "nonmetabelian58": 11}
+
+
+def test_no_driver_claims_more_automorphisms_than_there_are(request, l1_58, tmp_path,
+                                                            capsys):
+    for name, aut_exponent in AUT_EXPONENTS.items():
+        runs = _cli_runs(request.getfixturevalue(name).pres, tmp_path / f"{name}.grp", capsys)
+        for driver in ("main1", "main2"):
+            code, out = runs[driver]
+            achieved = int(re.search(r"^achieved-exponent: (\d+)$", out, re.M)[1])
+            assert code == 0 and 0 < achieved <= aut_exponent, (name, driver, achieved)
+    # |Aut G| = 5^10 on l1_58, and both routes fall short of it
+    runs = _cli_runs(l1_58, tmp_path / "l1_58.grp", capsys)
+    assert runs["main1"][0] == runs["main2"][0] == 3
 
 
 # analyze's name of each profile line of a verify report
@@ -747,9 +784,8 @@ def test_verb_imports_only_its_modules(verb, g57_file, nonmetabelian58, tmp_path
     code = ("import json, sys\nfrom pcmax import cli\n"
             f"codes = [cli.main(argv) for argv in {runs!r}]\n"
             "json.dump([codes, sorted(sys.modules)], sys.stderr)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pcmax.__file__)))
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
+                         text=True, env=pcmax_env(), check=True)
     codes, modules = json.loads(res.stderr)
     assert codes == [0] * len(runs)
     assert not {"dataclasses", "argparse", "gettext", "locale", "random"} & set(modules)
