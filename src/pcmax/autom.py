@@ -62,7 +62,7 @@ def phi(pres: PcPresentation, profile: MaxClassProfile, u: Element, v: Element,
         target: Subgroup | None = None) -> GroupMap:
     """The automorphism s -> s*u, s_1 -> s_1*v for u, v in the target term,
     built as 1 + d; raises HomCheckFailed when the images do not extend."""
-    return one_plus(make_derivation(pres, target or profile.A, u, v))
+    return one_plus(make_derivation(pres, target or profile.G(profile.r), u, v))
 
 
 class AutFamily(NamedTuple):

@@ -24,15 +24,7 @@ from typing import NamedTuple
 
 from .errors import HomCheckFailed, InconsistentPresentation, PresentationError
 from .homs import GroupMap, certify_automorphism, check_homomorphism
-from .pcgroup import ALLOWED_PRIMES, PcPresentation
-
-__all__ = [
-    "RingModule", "certify_ring_model", "build_m_presentation",
-    "reference_tails", "build_blackburn_pc", "sigma",
-    "verify_sigma",
-    "cross_model_check", "abelian_invariants",
-    "module_derivation_from_polynomial",
-]
+from .pcgroup import PcPresentation, check_prime
 
 
 class RingModule:
@@ -46,8 +38,7 @@ class RingModule:
     """
 
     def __init__(self, p: int, n: int):
-        if p not in ALLOWED_PRIMES:
-            raise PresentationError(f"p must be a prime with 3 <= p <= 61, got {p}")
+        check_prime(p)
         if n < 2:
             raise PresentationError(f"need n >= 2, got {n}")
         self.p = p
@@ -233,21 +224,20 @@ def sigma(p: int, m: PcPresentation) -> GroupMap:
 
 class SigmaReport(NamedTuple):
     ok: bool
-    is_automorphism: bool
     order_is_p: bool
     matches_theta: bool
     failure: str | None = None
 
 
 def verify_sigma(p: int, n: int) -> SigmaReport:
-    """sigma has order exactly p and agrees with theta-multiplication."""
+    """sigma has order exactly p and agrees with theta-multiplication; it
+    is an automorphism once `sigma` returns, as it raises otherwise."""
     ring = RingModule(p, n)
     m = build_m_presentation(p, n)
     try:
         s = sigma(p, m)
     except HomCheckFailed as exc:
-        return SigmaReport(False, False, False, False, f"sigma fails {exc.relation} on M")
-    is_auto = s.kind == "automorphism"
+        return SigmaReport(False, False, False, f"sigma fails {exc.relation} on M")
     # order p: sigma^p fixes every generator, sigma is not the identity
     powers = s
     for _ in range(p - 1):
@@ -259,9 +249,9 @@ def verify_sigma(p: int, n: int) -> SigmaReport:
         tuple(s.evaluate(m.element(ring.basis(i)))) == ring.theta_mul(ring.basis(i))
         for i in range(1, ring.rank + 1)
     )
-    ok = is_auto and order_is_p and matches
+    ok = order_is_p and matches
     failure = None if ok else "sigma does not behave as expected"
-    return SigmaReport(ok, is_auto, order_is_p, matches, failure)
+    return SigmaReport(ok, order_is_p, matches, failure)
 
 
 class CrossModelReport(NamedTuple):

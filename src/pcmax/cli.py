@@ -18,6 +18,10 @@ usage:
 -h or --help prints this text; after a verb, that verb's usage line.  An
 option may be written --opt=value or shortened to a unique prefix.
 
+P, and the p of a group file, must be an odd prime below 256: work and
+memory still grow with p, and below 256 every exponent is a spelling the
+loader looks up.  Any other p is bad input, exit 4.
+
 Reports go to standard output and are byte-identical across runs; timings
 go to standard error.  Every check in a verify report is exhaustive, a
 certificate whose argument its detail names, or an argument about a family
@@ -291,7 +295,7 @@ def _cmd_selftest(seed: int) -> int:
     fam = build_H(pres, profile)
     check("s-fixing-family", fam.passed and len(fam.derivations) == 1
           and fam.derivations[0].u.is_identity()
-          and fam.claimed_order_exponent == profile.A.order_exponent)
+          and fam.claimed_order_exponent == profile.G(profile.r).order_exponent)
     rep = verify_thm_metabelian(pres, seed=seed)
     check("metabelian-driver", rep.ok)
     print(f"selftest result: {'pass' if not failures else 'FAIL'}")

@@ -54,13 +54,13 @@ def loads(text: str) -> PcPresentation:
         else:
             parts = ln.split()
             if parts[0] in ("p", "n") and len(parts) == 2:
-                table, key, value = fields, parts[0], _int(parts[1], parts[0])
+                table, key, value = fields, parts[0], _ints(parts[1:], parts[0])[0]
             elif parts[0] == "labels":
                 table, key, value = fields, "labels", tuple(parts[1:])
             elif parts[0] == "power":
                 if len(parts) < 3 or parts[2] != ":":
                     raise PresentationError(f"malformed power row: {ln!r}")
-                table, key = powers, _int(parts[1], "generator index")
+                table, key = powers, _ints(parts[1:2], "generator index")[0]
                 value = _ints(parts[3:], "exponent")
             elif parts[0] == "comm":
                 if len(parts) < 4 or parts[3] != ":":
@@ -100,9 +100,9 @@ def load(path) -> PcPresentation:
     return loads(text)
 
 
-# The canonical spellings of 0..255: every exponent (below p <= 61) and the
-# generator indices of presentations with n <= 255.  `_int` reads each of
-# these spellings as the same number, and reads any larger index.
+# The canonical spellings of 0..255: every p and exponent (`check_prime`
+# keeps p below 256) and the generator indices of presentations with
+# n <= 255.  `_int` reads each of these as the same number, and any larger.
 _NUMBERS = {str(k): k for k in range(256)}
 
 
@@ -118,8 +118,10 @@ def _ints(tokens, what: str) -> list:
 
 
 def _int(token: str, what: str) -> int:
-    """An optionally signed run of ASCII digits; `int` alone would also
-    read other scripts' digits, underscores and a leading plus."""
-    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
+    """An optionally signed run of ASCII digits, at most 640 characters (the
+    least cap `int` may put on digits); `int` alone would also read other
+    scripts' digits, underscores and a leading plus, or raise past its cap."""
+    if token.isascii() and len(token) <= 640 and (
+            token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
         return int(token)
     raise PresentationError(f"bad {what} in group file: {token!r}")

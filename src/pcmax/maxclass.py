@@ -164,8 +164,6 @@ class MaxClassProfile(NamedTuple):
     l: int                  # degree of commutativity
     r: int                  # n - l - 1
     t: int                  # max(n - l - 1, ceil((n+1)/2))
-    A: Subgroup             # G_r
-    N: Subgroup             # G_{l+2}
     metabelian: bool
 
     def G(self, i: int) -> Subgroup:
@@ -193,10 +191,8 @@ def build_profile(report: MaxClassReport) -> MaxClassProfile:
     l = degree_of_commutativity(pres, G1)
     r = n - l - 1
     t = max(r, (n + 2) // 2)  # ceil((n+1)/2)
-    return MaxClassProfile(
-        pres=pres, G1=G1, l=l, r=r, t=t, A=pres.suffix_subgroup(r + 1),
-        N=pres.suffix_subgroup(l + 3), metabelian=pres.suffix_subgroup(3).is_abelian(),
-    )
+    return MaxClassProfile(pres=pres, G1=G1, l=l, r=r, t=t,
+                           metabelian=pres.suffix_subgroup(3).is_abelian())
 
 
 class ExponentReport(NamedTuple):
@@ -221,7 +217,7 @@ def exponent_relation_value(pres: PcPresentation, i: int) -> Element:
 
 
 def verify_exponent_relations(pres: PcPresentation, profile: MaxClassProfile) -> ExponentReport:
-    """Exact power relations for i >= r; congruences modulo N for all i >= 1.
+    """Exact power relations for i >= r; congruences modulo N = G_{l+2} for all i >= 1.
 
     The exact relation encodes that s and s*s_i are conjugate for i >= r, so
     their p-th powers agree; modulo N the same holds from i = 1 on, including
@@ -230,7 +226,7 @@ def verify_exponent_relations(pres: PcPresentation, profile: MaxClassProfile) ->
     """
     s, s1 = pres.generators[:2]
     n = pres.n
-    N = profile.N
+    N = profile.G(profile.l + 2)
     exact = []
     in_n = []
     for i in range(1, n):

@@ -35,8 +35,18 @@ from typing import NamedTuple
 
 from .errors import PresentationError
 
-ALLOWED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+PRIME_BOUND = 256  # every p is an odd prime below this; see `check_prime`
 CENTRALIZER_BUDGET = 10**6  # largest index [G : K] that centralizer_mod walks
+
+
+def check_prime(p) -> None:
+    """Refuse any p but an odd prime below PRIME_BOUND, as work and memory
+    still grow with p (`_collect` moves a letter below the abelian suffix past
+    a non-commuting block one copy at a time; `_digits` and `RingModule._binom`
+    hold p entries) and below 256 every exponent is a `groupfile._NUMBERS`
+    spelling.  `PcPresentation` and `RingModule` call this first."""
+    if not (isinstance(p, int) and 2 < p < PRIME_BOUND and all(p % d for d in range(2, p))):
+        raise PresentationError(f"p must be an odd prime below {PRIME_BOUND}, got {p}")
 
 
 class Element(tuple):
@@ -79,8 +89,7 @@ class PcPresentation:
     """
 
     def __init__(self, p, n, power_tails, commutator_tails, labels=None):
-        if p not in ALLOWED_PRIMES:
-            raise PresentationError(f"p must be a prime with 3 <= p <= 61, got {p}")
+        check_prime(p)
         if n < 1:
             raise PresentationError(f"generator count must be at least 1, got {n}")
         self.p = p
@@ -718,9 +727,6 @@ class Subgroup:
     @property
     def order_exponent(self) -> int:
         return len(self.basis)
-
-    def order(self) -> int:
-        return self.pres.p ** len(self.basis)
 
     def contains(self, x: Element) -> bool:
         if self._suffix:

@@ -467,7 +467,7 @@ def h_cap_inn_scan(pres, profile) -> str | None:
     outside G_3 and A.
     """
     s, s1, _ = spanning_chain(pres, profile)
-    A = profile.A
+    A = profile.G(profile.r)
     G2, G3 = profile.G(2), profile.G(3)
     for a in range(pres.p):
         sa = pres.power(s, a)
@@ -562,7 +562,7 @@ def class_is_coset(pres, G2, g) -> bool:
                     orbit.add(y)
                     nxt.append(y)
         frontier = nxt
-    return (len(orbit) == G2.order()
+    return (len(orbit) == pres.p ** G2.order_exponent
             and all(G2.contains(pres.solve(g, y)) for y in orbit))
 
 

@@ -60,7 +60,8 @@ def test_certify_automorphism_leaves_its_argument_unchanged(g57, profile57, rng)
     assert gmap.kind == "endomorphism"
     # the same through the Frattini route that one_plus takes, and phi
     # is one_plus of the derivation with the same (u, v)
-    d = make_derivation(g57, profile57.A, profile57.A.random_element(rng), g57.identity)
+    A = profile57.G(profile57.r)
+    d = make_derivation(g57, A, A.random_element(rng), g57.identity)
     assert one_plus(d).kind == "automorphism"
     assert d.alpha.kind == "endomorphism"
     assert phi(g57, profile57, d.u, d.v).images == one_plus(d).images
@@ -80,7 +81,7 @@ def test_hom_check_is_idempotent(g57):
 
 
 def test_composition_of_endomorphisms_validates(g57, profile57, rng):
-    A = profile57.A
+    A = profile57.G(profile57.r)
     f = phi(g57, profile57, A.random_element(rng), A.random_element(rng))
     g = phi(g57, profile57, A.random_element(rng), A.random_element(rng))
     comp = f.then(g)
@@ -139,7 +140,7 @@ def test_invert_inner(g35, g57, nonmetabelian57, nonmetabelian58, rng):
 def test_automorphism_by_orbit_inverse_small(g35, profile35, rng):
     # on the order 3^5 fixture: enumerate the whole group, check the map is
     # a bijection, and compare the brute-force inverse with the computed one
-    A = profile35.A
+    A = profile35.G(profile35.r)
     m = phi(g35, profile35, A.random_element(rng), A.random_element(rng))
     table = {}
     for vec in itertools.product(range(3), repeat=5):
@@ -177,8 +178,8 @@ def test_frattini_certificate_matches_the_image_subgroup_oracle(
     # values with a_2-coordinate p - 1 send a_2 into Gamma_3: those
     # endomorphisms are not automorphisms.
     derivations = []
-    for pres, target in [(g57, profile57.G(1)), (g57, profile57.A),
-                         (nonmetabelian58.pres, nm_profile58.A)]:
+    for pres, target in [(g57, profile57.G(1)), (g57, profile57.G(profile57.r)),
+                         (nonmetabelian58.pres, nm_profile58.G(nm_profile58.r))]:
         for _ in range(6):
             u, v = target.random_element(rng), target.random_element(rng)
             try:
@@ -236,7 +237,7 @@ def test_evaluate_collects_the_word_the_fold_multiplies(
     profile = build_profile(validate_maximal_class(g))
     maps = [make_derivation(g, target, target.random_element(rng),
                             target.random_element(rng)).alpha
-            for target in (profile.A, profile.G(1)) for _ in range(3)]
+            for target in (profile.G(profile.r), profile.G(1)) for _ in range(3)]
     maps.append(inner_automorphism(g, g.full_subgroup().random_element(rng)))
     # maps made by composition, and validated maps, which keep the letters
     # of the map they were checked from
@@ -273,7 +274,7 @@ def test_phi_identity_member(g57, profile57):
 
 
 def test_phi_distinctness(g57, profile57, rng):
-    A = profile57.A
+    A = profile57.G(profile57.r)
     seen = set()
     params = set()
     for _ in range(40):
@@ -386,7 +387,7 @@ def test_build_H_order_and_closure(g57, profile57, g35, profile35):
     assert fam.passed and d.u.is_identity()
     assert f"all {5 ** (7 - profile57.r)} pairs" in fam.detail
     # closure under composition, by enumeration on the order 3^5 group
-    A = profile35.A
+    A = profile35.G(profile35.r)
     assert build_H(g35, profile35).claimed_order_exponent == A.order_exponent
     maps = [d.alpha for (u, _), d in enumerate_pair_family(g35, A) if u.is_identity()]
     fixing = {m.images for m in maps}
@@ -421,7 +422,7 @@ def test_drivers_store_nothing_on_the_presentation_or_its_subgroups(request, nam
     src = value if isinstance(value, PcPresentation) else value.pres
     pres = PcPresentation(src.p, src.n, src.power_tails, src.commutator_tails, src.labels)
     profile = build_profile(validate_maximal_class(pres))
-    subgroups = [profile.G1, profile.A, profile.N]
+    subgroups = [profile.G1, profile.G(profile.r), profile.G(profile.l + 2)]
 
     def state():
         return copy.deepcopy((vars(pres), [
@@ -503,7 +504,7 @@ def test_main1_certificates_match_the_dropped_checks(main1_oracle_inputs):
         spanning += 1
         n = pres.n
         chain += (pres.identity,)  # s_n = 1
-        assert profile.A.is_abelian()
+        assert profile.G(profile.r).is_abelian()
         for i in range(profile.r, n):
             si = chain[i - 1]
             assert pres.commutator(si, s1).is_identity()

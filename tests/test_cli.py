@@ -160,6 +160,12 @@ ZERO_76 = "comm 7 6 : 0 0 0 0 0 0 0"  # the writer's zero row for [a_7, a_6] at 
     (ZERO_76, "comm 7 6 : 0 0 0 0 0\t0", "tail of [a_7, a_6]: expected vector of length 7"),
     # a zero row before the n line, repeated after it
     ("n 7", f"{ZERO_76}\nn 7", f"duplicate line in group file: {ZERO_76!r}"),
+    # past 640 characters, the least cap `int` may put on digits, a number is
+    # bad input rather than an error raised in `int`
+    pytest.param("p 5", "p " + "1" * 5000, f"bad p in group file: '{'1' * 5000}'",
+                 id="overlong-p"),
+    pytest.param("power 3 : 0", "power 3 : " + "1" * 5000,
+                 f"bad exponent in group file: '{'1' * 5000}'", id="overlong-exponent"),
 ])
 def test_malformed_rows_keep_their_messages(tmp_path, g57, old, new, message):
     text = groupfile.dumps(g57)
@@ -256,6 +262,21 @@ def test_loader_converts_only_power_and_nonzero_comm_payloads(monkeypatch):
     monkeypatch.setattr(groupfile, "_ints", counting)
     assert groupfile.loads(text).canonical_text() == text
     assert calls["exponent"] == 30 + len(pres.commutator_tails) < 30 + 30 * 29 // 2
+
+
+def test_p251_file_reads_every_number_from_the_table(monkeypatch):
+    # below 256 every number of a group file, p and each exponent included,
+    # has its canonical spelling in `_NUMBERS`, so `_int` reads none
+    from pcmax.blackburn import build_blackburn_pc
+
+    text = build_blackburn_pc(251, 253).canonical_text()
+    assert "p 251\n" in text and " 250 " in text
+
+    def no_int(token, what):
+        raise AssertionError(f"_int read the {what} {token!r}")
+
+    monkeypatch.setattr(groupfile, "_int", no_int)
+    assert groupfile.loads(text).canonical_text() == text
 
 
 def test_long_rows_round_trip():
@@ -644,6 +665,64 @@ def test_verify_and_analyze_agree_on_the_profile(request, source, passing, tmp_p
         reported = fields(runs[verb][1])
         assert {key: reported[f"profile-{key}"] for key in ANALYZE_NAMES} == {
             key: analyzed[name] for key, name in ANALYZE_NAMES.items()}, verb
+
+
+@pytest.mark.parametrize("p, n", [(67, 70), (101, 103)])
+def test_reference_past_61_in_closed_form(p, n, tmp_path, capsys):
+    # the ring certificate and the overlap test both pass the reference,
+    # and the certificate passes no seeded corruption of it (one that the
+    # overlap test passes may be another group); analyze prints l = n - 3,
+    # r = 2, t = ceil((n+1)/2) and the series n, n-2, ..., 0; the drivers
+    # pass with their closed-form counts
+    import random
+
+    from pcmax.blackburn import RingModule, build_blackburn_pc
+
+    from .conftest import SEED
+    from .test_blackburn import _certified, _corruptions
+
+    pres = build_blackburn_pc(p, n)  # certified by the ring model
+    assert pres.consistency_check().ok
+    ring = RingModule(p, n)
+    for bad in _corruptions(pres, random.Random(SEED), 3):
+        assert not _certified(bad, ring)
+    runs = _cli_runs(pres, tmp_path / "g.grp", capsys)
+    t = (n + 2) // 2
+    code, out = runs.pop("analyze")
+    assert code == 0
+    series = " ".join(map(str, (n, *range(n - 2, -1, -1))))
+    assert f"series-order-exponents: {series}\n" in out
+    assert f"degree-of-commutativity: {n - 3}\nr: 2\nt: {t}\nmetabelian: yes\n" in out
+    for driver, achieved in (("main1", 2 * (n - 2)), ("main2", 2 * (n - t))):
+        code, out = runs[driver]
+        assert code == 0 and out.endswith("result: pass\n"), driver
+        assert f"\nachieved-exponent: {achieved}\n" in out, driver
+    assert runs["metabelian"][0] == 0
+
+
+@pytest.mark.parametrize("argv, p", [
+    (["build", "--p", "257", "--n", "300"], 257),
+    (["export", "--p", "9", "--n", "5"], 9),
+    (["analyze", "{path}"], 2**61 - 1),
+    (["verify", "main1", "{path}"], 2**61 - 1),
+], ids=["build-257", "export-9", "analyze-2^61-1", "verify-2^61-1"])
+def test_inadmissible_primes_exit_4(argv, p, tmp_path, capsys):
+    # refused before any p-sized table: well within a second, in process
+    # and in a child, with one bad-input line and no traceback
+    import time
+
+    from pcmax import cli
+
+    path = tmp_path / "g.grp"
+    path.write_text(f"pcmax-group 1\np {p}\nn 1\npower 1 : 0\n")
+    argv = [a.format(path=path) for a in argv]
+    t0 = time.perf_counter()
+    assert cli.main(argv) == 4
+    assert time.perf_counter() - t0 < 1
+    message = f"bad input: p must be an odd prime below 256, got {p}\n"
+    assert capsys.readouterr().out == message
+    res = run_cli(*argv, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (4, message, "")
 
 
 def test_verify_inconsistent_exit_4(tmp_path, g57):

@@ -334,10 +334,11 @@ def test_standard_generators_reject_abelian():
 
 def test_profile_named_subgroups(profile57):
     p = profile57
-    assert p.A == p.G(p.r)
-    assert p.N == p.G(p.l + 2)
+    # the profile keeps what it is built from; G(i) names every series term
+    assert p._fields == ("pres", "G1", "l", "r", "t", "metabelian")
+    assert p.G(p.r) == p.pres.suffix_subgroup(p.r + 1)
     assert p.t == max(p.r, (p.pres.n + 2) // 2) == 4
-    assert p.A.is_abelian()
+    assert p.G(p.r).is_abelian()
     assert 0 <= p.l <= p.pres.n - 3
 
 

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcmax.blackburn import RingModule
 from pcmax.errors import PresentationError
 from pcmax.maxclass import build_profile, compute_G1, validate_maximal_class
 from pcmax.pcgroup import Element, PcPresentation
@@ -33,10 +34,26 @@ def abelian(p=3, n=4):
 
 
 def test_rejects_bad_prime():
-    with pytest.raises(PresentationError):
-        PcPresentation(4, 2, [(0, 0)] * 2, {})
-    with pytest.raises(PresentationError):
-        PcPresentation(2, 2, [(0, 0)] * 2, {})
+    # the rule from its statement, an odd prime below 256, by trial division;
+    # 2^61 - 1 is a prime that must be refused before any p-sized table
+    def admissible(p):
+        return 2 < p < 256 and all(p % d for d in range(2, p))
+
+    accepted = 0
+    for p in [*range(-3, 301), 2**61 - 1]:
+        for make in (lambda: PcPresentation(p, 2, [(0, 0)] * 2, {}),
+                     lambda: RingModule(p, 3)):
+            if admissible(p):
+                assert make().p == p
+                accepted += 1
+            else:
+                with pytest.raises(PresentationError,
+                                   match=f"^p must be an odd prime below 256, got {p}$"):
+                    make()
+    assert accepted == 2 * 53
+    for p in (5.0, "5", True):
+        with pytest.raises(PresentationError, match="^p must be an odd prime below 256"):
+            PcPresentation(p, 2, [(0, 0)] * 2, {})
 
 
 def test_rejects_bad_support():
