@@ -35,6 +35,9 @@ class RingModule:
         p * b_i = -( C(p,2) b_{i+1} + C(p,3) b_{i+2} + ... + C(p,p) b_{i+p-1} )
 
     (terms past b_{n-1} drop), i.e. the relation (1 + (theta-1))^p - 1 = 0.
+    p^{q+1} b_i, for q = (n - 1) // (p - 1), lies in the relation lattice
+    (see `abelian_invariants`), so `reduce` takes every entry it carries
+    from, and every binomial, modulo p^{q+1}: the entries stay small.
     """
 
     def __init__(self, p: int, n: int):
@@ -44,7 +47,8 @@ class RingModule:
         self.p = p
         self.n = n
         self.rank = n - 1
-        self._binom = tuple(comb(p, k) for k in range(p + 1))
+        self._exponent = p ** ((n - 1) // (p - 1) + 1)  # p^{q+1} kills R
+        self._binom = tuple(comb(p, k) % self._exponent for k in range(p + 1))
         self.zero = (0,) * self.rank
 
     def basis(self, i: int):
@@ -60,9 +64,7 @@ class RingModule:
             raise PresentationError(f"expected {self.rank} coefficients")
         p = self.p
         for i in range(self.rank):
-            c = v[i] % p
-            q = (v[i] - c) // p
-            v[i] = c
+            q, v[i] = divmod(v[i] % self._exponent, p)
             if q:
                 for k in range(2, p + 1):
                     idx = i + k - 1
@@ -268,8 +270,9 @@ def cross_model_check(p: int, n: int) -> CrossModelReport:
     Certificate, p^{n-1} (n-1) translations and n-1 basis images instead of
     all p^{2(n-1)} pairs:
 
-    * `RingModule.reduce` only subtracts integer multiples of the rows of
-      a triangular relation lattice with p on the diagonal and returns
+    * `RingModule.reduce` only subtracts vectors of a triangular relation
+      lattice with p on the diagonal (integer multiples of its rows and of
+      p^{q+1} b_i, which lies in it by `abelian_invariants`) and returns
       entries in [0, p), so it is the normal-form map of a group R of
       order p^{n-1}, and `ring.add` is its operation on normal forms.
     * The check ring.add(u, b_i) == u * s_i for every normal form u and

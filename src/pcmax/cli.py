@@ -18,9 +18,8 @@ usage:
 -h or --help prints this text; after a verb, that verb's usage line.  An
 option may be written --opt=value or shortened to a unique prefix.
 
-P, and the p of a group file, must be an odd prime below 256: work and
-memory still grow with p, and below 256 every exponent is a spelling the
-loader looks up.  Any other p is bad input, exit 4.
+P, and the p of a group file, must be an odd prime below 256, as work and
+memory still grow with p.  Any other p is bad input, exit 4.
 
 Reports go to standard output and are byte-identical across runs; timings
 go to standard error.  Every check in a verify report is exhaustive, a

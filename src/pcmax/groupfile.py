@@ -12,14 +12,16 @@ Layout (whitespace-separated, one item per line, order fixed):
     ...                                  (one row per pair j > i)
 
 Tail rows are full exponent vectors of length n; commutator rows may be
-omitted for trivial tails, but the writer always emits all of them.  Once n
-is read, the reader takes the writer's zero row (` : ` and n single-spaced
-zeros) whole, by one comparison, and reads only its key; any other spelling
-is read number by number.  The reader enforces the support rules and
-rejects a second p, n, labels, power or comm line for the same item, a power
-row for a generator outside 1..n, repeated labels, numbers that are not
-ASCII digits and files that are not UTF-8, so a malformed file cannot reach
-the arithmetic layer.
+omitted for trivial tails, but the writer always emits all of them.  The
+reader splits off only the head of a power or comm row (the kind, the
+indices and the `:`) and reads the rest, the payload, once for each
+distinct text in the file, and each distinct spelling of a number once; so
+the writer's zero row, repeated for every trivial tail, costs one dict
+lookup per row.  The reader enforces the support rules and rejects a second
+p, n, labels, power or comm line for the same item, a power row for a
+generator outside 1..n, repeated labels, numbers that are not ASCII digits
+and files that are not UTF-8, so a malformed file cannot reach the
+arithmetic layer.
 """
 
 from __future__ import annotations
@@ -45,36 +47,32 @@ def loads(text: str) -> PcPresentation:
     fields = {}
     powers = {}
     comms = {}
-    zero_row = None  # the writer's zero row, once n is read
+    numbers = {}  # spelling -> number, for `_ints`
+    payloads = {}  # a row's text after its `:` -> its numbers
     for ln in lines[1:]:
-        # a zero row: the key is read and the tail is trivial (None)
-        head = zero_row and ln.endswith(zero_row) and ln[: -len(zero_row)].split()
-        if head and len(head) == 3 and head[0] == "comm":
-            table, key, value = comms, tuple(_ints(head[1:], "generator index")), None
+        kind = ln.split(None, 1)[0]
+        if kind == "power" or kind == "comm":
+            width = 3 if kind == "power" else 4  # tokens up to and with ":"
+            parts = ln.split(None, width)
+            if len(parts) < width or parts[width - 1] != ":":
+                raise PresentationError(f"malformed {kind} row: {ln!r}")
+            key = _ints(parts[1:width - 1], "generator index", numbers)
+            table, key = (powers, key[0]) if kind == "power" else (comms, tuple(key))
+            payload = parts[width] if len(parts) > width else ""
+            value = payloads.get(payload)
+            if value is None:
+                value = payloads[payload] = _ints(payload.split(), "exponent", numbers)
         else:
             parts = ln.split()
-            if parts[0] in ("p", "n") and len(parts) == 2:
-                table, key, value = fields, parts[0], _ints(parts[1:], parts[0])[0]
-            elif parts[0] == "labels":
+            if kind in ("p", "n") and len(parts) == 2:
+                table, key, value = fields, kind, _ints(parts[1:], kind, numbers)[0]
+            elif kind == "labels":
                 table, key, value = fields, "labels", tuple(parts[1:])
-            elif parts[0] == "power":
-                if len(parts) < 3 or parts[2] != ":":
-                    raise PresentationError(f"malformed power row: {ln!r}")
-                table, key = powers, _ints(parts[1:2], "generator index")[0]
-                value = _ints(parts[3:], "exponent")
-            elif parts[0] == "comm":
-                if len(parts) < 4 or parts[3] != ":":
-                    raise PresentationError(f"malformed comm row: {ln!r}")
-                table = comms
-                key = tuple(_ints(parts[1:3], "generator index"))
-                value = _ints(parts[4:], "exponent")
             else:
                 raise PresentationError(f"unrecognized line in group file: {ln!r}")
         if key in table:
             raise PresentationError(f"duplicate line in group file: {ln!r}")
         table[key] = value
-        if key == "n" and 0 < value < len(text) // 2:  # a row the text can hold
-            zero_row = " : " + " ".join("0" * value)
     p, n = fields.get("p"), fields.get("n")
     if p is None or n is None:
         raise PresentationError("group file must declare p and n")
@@ -100,21 +98,18 @@ def load(path) -> PcPresentation:
     return loads(text)
 
 
-# The canonical spellings of 0..255: every p and exponent (`check_prime`
-# keeps p below 256) and the generator indices of presentations with
-# n <= 255.  `_int` reads each of these as the same number, and any larger.
-_NUMBERS = {str(k): k for k in range(256)}
-
-
-def _ints(tokens, what: str) -> list:
-    """The numbers of a row, looked up when every token is a canonical
-    spelling; otherwise read token by token by `_int`, which words the error
-    or reads a number (signed, zero-padded, large) for the checks of
-    `PcPresentation` to judge."""
+def _ints(tokens, what: str, numbers: dict) -> list:
+    """The numbers of `tokens`, looked up in `numbers`; a spelling not yet
+    there is read by `_int`, which words the error or reads a number
+    (signed, zero-padded, large) for the checks of `PcPresentation` to
+    judge, and kept, so each spelling of a file is read once."""
     try:
-        return list(map(_NUMBERS.__getitem__, tokens))
+        return list(map(numbers.__getitem__, tokens))
     except KeyError:
-        return [_int(x, what) for x in tokens]
+        for x in tokens:
+            if x not in numbers:
+                numbers[x] = _int(x, what)
+        return list(map(numbers.__getitem__, tokens))
 
 
 def _int(token: str, what: str) -> int:

@@ -41,10 +41,10 @@ CENTRALIZER_BUDGET = 10**6  # largest index [G : K] that centralizer_mod walks
 
 def check_prime(p) -> None:
     """Refuse any p but an odd prime below PRIME_BOUND, as work and memory
-    still grow with p (`_collect` moves a letter below the abelian suffix past
-    a non-commuting block one copy at a time; `_digits` and `RingModule._binom`
-    hold p entries) and below 256 every exponent is a `groupfile._NUMBERS`
-    spelling.  `PcPresentation` and `RingModule` call this first."""
+    still grow with p: `_collect` moves a letter below the abelian suffix past
+    a non-commuting block one copy at a time, and `_digits` and
+    `RingModule._binom` hold p entries.  `PcPresentation` and `RingModule`
+    call this first."""
     if not (isinstance(p, int) and 2 < p < PRIME_BOUND and all(p % d for d in range(2, p))):
         raise PresentationError(f"p must be an odd prime below {PRIME_BOUND}, got {p}")
 
@@ -114,8 +114,8 @@ class PcPresentation:
         for (j, i), tail in dict(commutator_tails).items():
             if not (1 <= i < j <= n):
                 raise PresentationError(f"commutator pair ({j}, {i}) out of range")
-            if tail is None or tail in zeros:
-                continue  # trivial: None (a file's zero row) or a zero vector
+            if tail in zeros:
+                continue
             t = self._check_tail(tail, j + 1, "tail of [a_%d, a_%d]", j, i)
             if any(t):
                 cts[(j, i)] = t
@@ -148,22 +148,18 @@ class PcPresentation:
                                    for i in range(2, n))
 
     def _check_tail(self, tail, min_support, what, *args):
-        try:  # the usual tail: entries in [0, p), each read by one lookup
+        try:  # a vector of ints in [0, p), each entry read by one lookup
             t = Element(map(self._digits.__getitem__, tail))
-        except (KeyError, TypeError):
+        except (KeyError, TypeError):  # an entry outside [0, p), or no vector
             t = ()
         if len(t) == self.n and not any(t[:min_support - 1]):
             return t
-        # any other tail is read by `int`, and named (`what % args`) if bad
-        t = Element(map(int, tail))
-        what %= args
-        if len(t) != self.n:
+        what %= args  # any other tail is named in its error
+        if not hasattr(tail, "__len__") or len(tail) != self.n:
             raise PresentationError(f"{what}: expected vector of length {self.n}")
-        if min(t) < 0 or max(t) >= self.p:
+        if not t:
             raise PresentationError(f"{what}: entries must lie in [0, {self.p})")
-        if any(t[: min_support - 1]):
-            raise PresentationError(f"{what}: support must start at index {min_support}")
-        return t
+        raise PresentationError(f"{what}: support must start at index {min_support}")
 
     # -- basic views ------------------------------------------------------
 

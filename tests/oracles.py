@@ -20,11 +20,13 @@ suffix chain is compared with [Gamma_k, G] Gamma_{k+2} closed to a
 subgroup instead of read off the tails, the automorphism
 oracle closes the images to a subgroup instead of reading the Frattini
 quotient, the invariant factors of M are extracted by powering instead of
-read off the closed form, the semidirect-product model multiplies in
-C_p x| R instead of collecting, a map is evaluated by multiplying in each
-generator's image power instead of collecting the whole word, and ranks and
-determinants over F_p come from enumerating a row span and from the
-Leibniz formula instead of from row reduction.
+read off the closed form, a ring vector is reduced by carrying with the
+full binomials C(p, k) instead of modulo the exponent of R, the
+semidirect-product model multiplies in C_p x| R instead of collecting, a
+map is evaluated by multiplying in each generator's image power instead of
+collecting the whole word, and ranks and determinants over F_p come from
+enumerating a row span and from the Leibniz formula instead of from row
+reduction.
 
 The search's F_p system is also built row by row over every (j, i, c), as
 it once was, where the search builds each row from the variables in it.
@@ -51,6 +53,7 @@ package has no use for.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from pcmax import blackburn
 from pcmax.derivations import make_derivation
@@ -597,6 +600,21 @@ def powering_abelian_invariants(p, n):
         extra = factors[k] - (factors[k + 1] if k + 1 < len(factors) else 0)
         orders.extend([p ** (k + 1)] * extra)
     return sorted(orders)
+
+
+def carrying_ring_reduce(p, coeffs):
+    """The normal form in the ring model of a coefficient vector on b_1, b_2,
+    ...: every overflow of b_i is carried down the vector by
+    p b_i = -(C(p,2) b_{i+1} + ... + C(p,p) b_{i+p-1}), with the binomials
+    and the carries taken whole."""
+    v = list(coeffs)
+    for i in range(len(v)):
+        c = v[i] % p
+        q = (v[i] - c) // p
+        v[i] = c
+        for k in range(2, min(p, len(v) - i) + 1):
+            v[i + k - 1] -= q * comb(p, k)
+    return tuple(v)
 
 
 def _theta_power(ring, m, b):

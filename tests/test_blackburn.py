@@ -21,10 +21,11 @@ from pcmax.maxclass import build_profile, validate_maximal_class
 from pcmax.pcgroup import PcPresentation
 
 from .conftest import SEED
-from .oracles import (cross_model_all_pairs, image_generates_group,
-                      multiplied_consistency_check, overlap_words,
-                      powering_abelian_invariants, semidirect_commutator,
-                      semidirect_invert, semidirect_multiply)
+from .oracles import (carrying_ring_reduce, cross_model_all_pairs,
+                      image_generates_group, multiplied_consistency_check,
+                      overlap_words, powering_abelian_invariants,
+                      semidirect_commutator, semidirect_invert,
+                      semidirect_multiply)
 from .test_autom import _count_calls
 
 
@@ -36,6 +37,18 @@ def test_reduction_of_p_times_b1():
     direct = ring.reduce([5, 0, 0, 0, 0, 0])
     expanded = ring.reduce([0, -comb(5, 2), -comb(5, 3), -comb(5, 4), -comb(5, 5), 0])
     assert direct == expanded
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (3, 40), (5, 7), (5, 60), (7, 6), (11, 13),
+                                  (31, 100), (101, 103), (251, 253)])
+def test_reduce_matches_carrying_oracle(p, n):
+    # `reduce` works modulo p^{q+1}; the oracle carries whole integers
+    ring = RingModule(p, n)
+    rng = random.Random(SEED + p * 1000 + n)
+    vectors = [[p if k == i else 0 for k in range(ring.rank)] for i in range(ring.rank)][:20]
+    vectors += [[rng.randint(-10**9, 10**9) for _ in range(ring.rank)] for _ in range(5)]
+    for v in vectors:
+        assert ring.reduce(v) == carrying_ring_reduce(p, v)
 
 
 def test_theta_mul_shifts():

@@ -160,6 +160,20 @@ ZERO_76 = "comm 7 6 : 0 0 0 0 0 0 0"  # the writer's zero row for [a_7, a_6] at 
     (ZERO_76, "comm 7 6 : 0 0 0 0 0\t0", "tail of [a_7, a_6]: expected vector of length 7"),
     # a zero row before the n line, repeated after it
     ("n 7", f"{ZERO_76}\nn 7", f"duplicate line in group file: {ZERO_76!r}"),
+    # a payload that two rows share, with a token `_int` refuses or one out
+    # of range: the error is the one the first row gives when read alone
+    pytest.param("comm 7 5 : 0 0 0 0 0 0 0\ncomm 7 6 : 0 0 0 0 0 0 0",
+                 "comm 7 5 : 0 0 0 0 0 0 +0\ncomm 7 6 : 0 0 0 0 0 0 +0",
+                 "bad exponent in group file: '+0'", id="shared-payload-bad-token"),
+    pytest.param("comm 7 5 : 0 0 0 0 0 0 0\ncomm 7 6 : 0 0 0 0 0 0 0",
+                 "comm 7 5 : 0 0 0 0 0 0 -1\ncomm 7 6 : 0 0 0 0 0 0 -1",
+                 "tail of [a_7, a_5]: entries must lie in [0, 5)",
+                 id="shared-payload-out-of-range"),
+    # a power row and a comm row with the same payload are each judged by
+    # their own support rule
+    pytest.param("comm 6 1 : 0 0 0 0 0 0 1", "comm 6 1 : 0 0 0 0 0 4 2",
+                 "tail of [a_6, a_1]: support must start at index 7",
+                 id="payload-of-power-2-in-comm-6-1"),
     # past 640 characters, the least cap `int` may put on digits, a number is
     # bad input rather than an error raised in `int`
     pytest.param("p 5", "p " + "1" * 5000, f"bad p in group file: '{'1' * 5000}'",
@@ -247,36 +261,44 @@ def test_other_spellings_of_zeros_read_as_trivial(g57, row):
     assert groupfile.loads(text.replace(ZERO_76, row)).digest() == g57.digest()
 
 
-def test_loader_converts_only_power_and_nonzero_comm_payloads(monkeypatch):
+def test_loader_reads_each_distinct_payload_once(monkeypatch):
+    # a payload is the text after a row's `:`; the reference 5^30 repeats
+    # its zero row, so most rows are lookups
     from pcmax.blackburn import build_blackburn_pc
 
-    pres = build_blackburn_pc(5, 30)
-    text = pres.canonical_text()
+    text = build_blackburn_pc(5, 30).canonical_text()
     calls = Counter()
     ints = groupfile._ints
 
-    def counting(tokens, what):
+    def counting(tokens, what, numbers):
         calls[what] += 1
-        return ints(tokens, what)
+        return ints(tokens, what, numbers)
 
     monkeypatch.setattr(groupfile, "_ints", counting)
     assert groupfile.loads(text).canonical_text() == text
-    assert calls["exponent"] == 30 + len(pres.commutator_tails) < 30 + 30 * 29 // 2
+    payloads = {ln.split(" : ", 1)[1] for ln in text.splitlines() if " : " in ln}
+    assert calls["exponent"] == len(payloads) < 30 + 30 * 29 // 2
 
 
-def test_p251_file_reads_every_number_from_the_table(monkeypatch):
-    # below 256 every number of a group file, p and each exponent included,
-    # has its canonical spelling in `_NUMBERS`, so `_int` reads none
+def test_p251_file_reads_each_spelling_once(monkeypatch):
+    # every number of the file (p, n, the indices and the exponents) goes
+    # through `_int` once per distinct spelling, however many rows repeat it
     from pcmax.blackburn import build_blackburn_pc
 
     text = build_blackburn_pc(251, 253).canonical_text()
     assert "p 251\n" in text and " 250 " in text
+    reads = Counter()
+    read = groupfile._int
 
-    def no_int(token, what):
-        raise AssertionError(f"_int read the {what} {token!r}")
+    def counting(token, what):
+        reads[token] += 1
+        return read(token, what)
 
-    monkeypatch.setattr(groupfile, "_int", no_int)
+    monkeypatch.setattr(groupfile, "_int", counting)
     assert groupfile.loads(text).canonical_text() == text
+    spellings = {tok for ln in text.splitlines()[1:] if not ln.startswith("labels")
+                 for tok in ln.split() if tok.isdigit()}
+    assert reads == Counter(spellings)
 
 
 def test_long_rows_round_trip():
@@ -286,9 +308,10 @@ def test_long_rows_round_trip():
     assert groupfile.loads(text).canonical_text() == text
 
 
-def test_huge_n_builds_no_zero_row():
-    """`n` has no upper bound, so the zero row is made only when the text
-    could hold it; this file fails on its first missing power row."""
+def test_huge_n_allocates_nothing_of_size_n():
+    """`n` has no upper bound, and the reader builds nothing of size `n`: it
+    reads only the rows the file holds, so this file fails on its first
+    missing power row in bounded memory."""
     import tracemalloc
 
     text = "pcmax-group 1\np 5\nn 1000000000\ncomm 2 1 : 0 0 0\n"

@@ -84,18 +84,23 @@ def test_bad_tails_keep_their_messages(pts, cts, message):
         PcPresentation(3, 3, pts, cts)
 
 
-def test_tails_are_read_as_ints():
-    """Entries need not be ints: each is read by `int`, as a file's are, and
-    a commutator tail given as None is trivial."""
-    ints = PcPresentation(3, 3, [(0, 0, 1), (0, 0, 2), (0, 0, 0)],
-                          {(2, 1): (0, 0, 1), (3, 1): (0, 0, 0), (3, 2): [0, 0, 0]})
-    spelled = PcPresentation(3, 3, [("0", "0", "1"), [0.0, False, 2.0], (0, 0, 0)],
-                             {(2, 1): (False, 0, True), (3, 1): None, (3, 2): "000"})
-    assert spelled.power_tails == ints.power_tails
-    assert spelled.commutator_tails == ints.commutator_tails == {(2, 1): (0, 0, 1)}
-    assert {type(e) for t in spelled.power_tails + (spelled.commutator_tail(2, 1),)
-            for e in t} == {int}
-    assert spelled.canonical_text() == ints.canonical_text()
+@pytest.mark.parametrize("tail, message", [
+    (None, "expected vector of length 3"),
+    (0.0, "expected vector of length 3"),
+    ("001", "entries must lie in [0, 3)"),
+    (("0", "0", "1"), "entries must lie in [0, 3)"),
+    ((0, 0, 0.5), "entries must lie in [0, 3)"),
+    ((0, 0, [1]), "entries must lie in [0, 3)"),
+])
+def test_tails_that_are_not_int_vectors_raise_presentation_error(tail, message):
+    """A tail is a vector of ints: a string, a float, None or an entry that
+    is none of 0..p-1 is bad input, named as such, not a TypeError."""
+    zero = (0, 0, 0)
+    with pytest.raises(PresentationError, match=f"^power tail of a_1: {re.escape(message)}$"):
+        PcPresentation(3, 3, [tail, zero, zero], {})
+    with pytest.raises(PresentationError,
+                       match=f"^tail of \\[a_2, a_1\\]: {re.escape(message)}$"):
+        PcPresentation(3, 3, [zero] * 3, {(2, 1): tail})
 
 
 # -- collection -------------------------------------------------------------
